@@ -2,14 +2,16 @@
 
 Exit codes: 0 positive verdict (interval graph, uniquely orderable, or
 certificate found, as requested), 1 negative verdict with certificate,
-2 input error, 3 internal inconsistency (always a bug). Output is JSON
-with --json, otherwise human-readable text derived from the same data.
+2 input error, 3 internal inconsistency or any other unexpected error
+(always a bug). Output is JSON with --json, otherwise human-readable text
+derived from the same data.
 Output is byte-identical across runs for identical inputs and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -102,17 +104,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _load_graph(args, stdin_text: str | None) -> Graph:
-    if args.input == "-":
-        if stdin_text is None:
-            stdin_text = sys.stdin.read()
-        text = stdin_text
-    else:
-        try:
+    try:
+        if args.input != "-":
             with open(args.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {args.input}: {exc}") from None
+        else:
+            text = sys.stdin.read() if stdin_text is None else stdin_text
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {args.input}: {exc}") from None
     if args.format == "json":
         return parse_graph_json(text)
     return parse_edgelist(text)
@@ -427,8 +433,7 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _dispatch(argv, stdin_text: str | None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "gadget":
         return _cmd_gadget(args)
     if args.command == "selftest":
@@ -473,6 +478,9 @@ def _run_streams(argv, stdin_text: str | None) -> int:
         return 2
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a crash must not read as a negative verdict
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
 
 

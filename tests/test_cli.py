@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from intorder import cli
 from intorder.cli import run
 
 SINGLE_NONEDGE_JSON = json.dumps(
@@ -157,6 +160,36 @@ class TestInputHandling:
     def test_self_loop_rejected(self):
         code, _, err = run(["decide", "--json"], json.dumps({"n": 2, "edges": [[0, 0]]}))
         assert code == 2 and "self-loop" in err
+
+    def test_undecodable_file_is_an_input_error(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"\xff\xfe3\n0 1\n")
+        code, out, err = run(["recognize", "--format", "edgelist", str(path)], None)
+        assert code == 2 and out == ""
+        assert err.startswith("input error: cannot read") and "decode" in err
+
+    def test_path_deeper_than_recursion_limit(self):
+        n = 1100
+        text = f"{n}\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1))
+        code, out, err = run(["recognize", "--format", "edgelist"], text)
+        assert code == 0 and err == ""
+        assert out.splitlines()[:3] == ["interval graph: yes", "0: [0, 0]", "1: [0, 1]"]
+
+
+class TestExitCodes:
+    def test_unexpected_exception_exits_3_with_one_line(self, monkeypatch):
+        def crash(g):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "recognize", crash)
+        code, out, err = run(["recognize", "--json"], C4_JSON)
+        assert code == 3 and out == ""
+        assert err == "internal error: RuntimeError('boom')\n"
+
+    def test_parser_is_built_once(self, monkeypatch):
+        run(["recognize", "--json"], C4_JSON)
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        assert run(["recognize", "--json"], C4_JSON)[0] == 1
 
 
 class TestDeterminism:

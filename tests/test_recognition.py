@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 
 from conftest import c4, single_nonedge4, net_graph, k3, p4
 from intorder import (
@@ -17,6 +19,64 @@ from intorder import (
     verify_representation,
 )
 from intorder.gadgets import all_graphs, random_interval_graph
+from intorder.recognition import _consecutive_clique_order
+
+
+def three_state_clique_order(cliques, n):
+    """Reference search for the least consecutive clique ordering.
+
+    Backtracking over positions: placing a clique opens its unseen vertices
+    and closes every open vertex it omits; a clique containing any closed
+    vertex cannot be placed. The first ordering found (trying cliques in
+    index order at each position) is returned. It finds a dead end only
+    after the damage is done, so it is exponential on cycles and recurses
+    once per clique; the library's search must return the same ordering.
+    """
+    k = len(cliques)
+    UNSEEN, OPEN, CLOSED = 0, 1, 2
+    state = [UNSEEN] * n
+    used = [False] * k
+    open_set = set()
+    order = []
+
+    def place(depth):
+        if depth == k:
+            return True
+        for i in range(k):
+            if used[i]:
+                continue
+            c = cliques[i]
+            if any(state[v] == CLOSED for v in c):
+                continue
+            opened = [v for v in c if state[v] == UNSEEN]
+            closed = [v for v in open_set if v not in c]
+            for v in opened:
+                state[v] = OPEN
+                open_set.add(v)
+            for v in closed:
+                state[v] = CLOSED
+                open_set.discard(v)
+            used[i] = True
+            order.append(i)
+            if place(depth + 1):
+                return True
+            order.pop()
+            used[i] = False
+            for v in closed:
+                state[v] = OPEN
+                open_set.add(v)
+            for v in opened:
+                state[v] = UNSEEN
+                open_set.discard(v)
+        return False
+
+    return order if place(0) else None
+
+
+def relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 class TestTriangulated:
@@ -180,6 +240,57 @@ class TestRecognize:
 
         g = incomparability_graph(order_from_pairs(4, [(0, 1), (2, 3)]))
         assert isinstance(recognize(g), Obstruction)
+
+
+class TestCliqueOrder:
+    def test_matches_three_state_search_exhaustive_n6(self):
+        found = 0
+        for n in range(1, 7):
+            for g in all_graphs(n):
+                cliques = maximal_cliques(g)
+                order = _consecutive_clique_order(cliques, n)
+                assert order == three_state_clique_order(cliques, n), sorted(g.edges)
+                found += order is not None
+        assert found == 18808  # the labeled interval graphs on 1 to 6 vertices
+
+    def test_matches_three_state_search_on_relabeled_and_edited_graphs(self):
+        rng = random.Random(20260810)
+        for _ in range(1000):
+            g, _ = random_interval_graph(rng.randint(7, 12), rng.randrange(10**9))
+            g = relabeled(g, rng)
+            u, v = sorted(rng.sample(range(g.n), 2))
+            edited = graph_from_edges(g.n, sorted(set(g.edges) ^ {(u, v)}))
+            for h in (g, edited):
+                cliques = maximal_cliques(h)
+                order = _consecutive_clique_order(cliques, h.n)
+                assert order == three_state_clique_order(cliques, h.n), sorted(h.edges)
+
+    def test_inputs_the_three_state_search_could_not_finish(self):
+        rng = random.Random(7)
+        claw = [(0, 1), (0, 17), (0, 33)] + [
+            (v, v + 1) for arm in (1, 17, 33) for v in range(arm, arm + 15)
+        ]
+        path = 1100
+        assert path > sys.getrecursionlimit()
+        cases = [
+            ("C_50", graph_from_edges(50, [(v, (v + 1) % 50) for v in range(50)]),
+             "chordless_cycle"),
+            ("subdivided claw", graph_from_edges(49, claw), "asteroidal_triple"),
+            ("P_1100", graph_from_edges(path, [(v, v + 1) for v in range(path - 1)]), None),
+            ("relabeled n=200", relabeled(random_interval_graph(200, 7)[0], rng), None),
+        ]
+        for name, g, kind in cases:
+            start = time.perf_counter()
+            result = recognize(g)
+            elapsed = time.perf_counter() - start
+            # about 1 s on a 2-core host for P_1100; the others take a tenth of that
+            assert elapsed < 20, (name, elapsed)
+            if kind is None:
+                assert isinstance(result, ClosedRepresentation), name
+                assert verify_representation(g, result), name
+            else:
+                assert isinstance(result, Obstruction) and result.kind == kind, name
+                assert validate_obstruction(g, result), name
 
 
 class TestMaximalCliques:
