@@ -36,6 +36,7 @@ from .graphs import (
 )
 from .oracle import enumerate_associated_orders
 from .orderability import (
+    _scan_buried,
     buried_to_jsonable,
     decide_unique,
     find_buried,
@@ -323,7 +324,7 @@ def _check_exhaustive_agreement(max_n: int) -> str | None:
             if len(components(g)) != 1 or g.is_complete():
                 continue
             by_oracle = oracle_unique(g)
-            by_buried = find_buried(g) is None
+            by_buried = _scan_buried(g) is None
             by_pairs = pair_graph(g).component_count == 2
             if not (by_oracle == by_buried == by_pairs):
                 return (f"disagreement on n={n} edges={sorted(g.edges)}: "

@@ -14,10 +14,12 @@ connected non-complete interval graph:
   different associated orders;
 * a brute-force enumeration oracle lives separately in `oracle`.
 
-The buried-subgraph search grows, from each non-adjacent pair, the least
-vertex set closed under "adjacent to some member and non-adjacent to
-another"; the grown set is buried exactly when its remainder is nonempty,
-and if no pair yields one then no buried subgraph exists at all.
+The first two are read off the neighbourhood sets `Graph.adj` caches. The
+pair graph is flood-filled by one-coordinate steps (Golumbic's implication
+classes of the complement) plus a diagonal step across each induced
+four-cycle. The buried search grows, from each non-adjacent pair, the least
+module holding it; that set is buried exactly when its remainder is
+nonempty, and if no pair yields one then no buried subgraph exists at all.
 """
 
 from __future__ import annotations
@@ -61,37 +63,44 @@ class PairGraph:
 
 
 def pair_graph(g: Graph) -> PairGraph:
-    pairs = tuple(
-        (a, b)
-        for a in range(g.n)
-        for b in range(g.n)
-        if a != b and not g.adjacent(a, b)
-    )
-    parent = list(range(len(pairs)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    """One flood fill over the pairs in sorted order, so component ids follow
+    each component's least pair. From (a, b) it steps to the non-adjacent
+    pairs (c, b), c in N(a), and (a, d), d in N(b), and diagonally to
+    non-adjacent (c, d) with c, d in N(a) ∩ N(b). Any other link (a, b)–(c, d)
+    factors through (c, b) or (a, d) unless c ~ b and a ~ d, and then
+    a–c–b–d is an induced four-cycle: the diagonal case. So the components
+    are those of the full link relation on every graph."""
     adj = g.adj
-    for i, (a, b) in enumerate(pairs):
-        for j in range(i + 1, len(pairs)):
-            c, d = pairs[j]
-            if (a == c or c in adj[a]) and (b == d or d in adj[b]):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-
+    pairs = tuple(
+        (a, b) for a in range(g.n) for b in range(g.n) if a != b and b not in adj[a]
+    )
     component_of: dict[VertexPair, int] = {}
-    root_to_id: dict[int, int] = {}
-    for i, p in enumerate(pairs):  # pairs sorted, so ids follow least members
-        root = find(i)
-        if root not in root_to_id:
-            root_to_id[root] = len(root_to_id)
-        component_of[p] = root_to_id[root]
-    return PairGraph(g, pairs, component_of, len(root_to_id))
+    count = 0
+    for start in pairs:
+        if start in component_of:
+            continue
+        component_of[start] = count
+        stack = [start]
+        while stack:
+            a, b = stack.pop()
+            na, nb = adj[a], adj[b]
+            common = na & nb
+            steps = [(c, b) for c in na - nb] + [(a, d) for d in nb - na]
+            for c in common:
+                steps.extend((c, d) for d in common - adj[c] if d != c)
+            for p in steps:
+                if p not in component_of:
+                    component_of[p] = count
+                    stack.append(p)
+        count += 1
+    return PairGraph(g, pairs, component_of, count)
+
+
+def _linked_pairs(g: Graph, ab: VertexPair) -> list[VertexPair]:
+    """Pairs linked to `ab`, itself included: non-adjacent pairs in N[a] × N[b]."""
+    a, b = ab
+    closed_b = g.adj[b] | {b}
+    return [(c, d) for c in g.adj[a] | {a} for d in closed_b - g.adj[c] if d != c]
 
 
 def pair_path(
@@ -112,20 +121,18 @@ def pair_path(
     while frontier:
         nxt = []
         for cur in frontier:
-            for p in pg.pairs:
-                if p not in dist and pg.linked(cur, p):
+            for p in _linked_pairs(pg.base, cur):
+                if p not in dist:
                     dist[p] = dist[cur] + 1
                     nxt.append(p)
         frontier = nxt
     path = [ab]
     cur = ab
     while cur != cd:
-        step = min(
-            p for p in pg.pairs
-            if p != cur and pg.linked(cur, p) and dist.get(p, -1) == dist[cur] - 1
+        cur = min(
+            p for p in _linked_pairs(pg.base, cur) if dist.get(p, -1) == dist[cur] - 1
         )
-        path.append(step)
-        cur = step
+        path.append(cur)
     return path
 
 
@@ -152,27 +159,28 @@ class LeveledSet:
 
 
 def buried_candidate(g: Graph, v: int, u: int) -> LeveledSet:
+    """The least module containing the non-adjacent pair {v, u}, by stages.
+
+    `touched` is the union of the members' neighbourhoods and `common` the
+    intersection of their closed ones, so each stage adds
+    `touched - common - members`. No member is ever in `common`, so
+    intersecting with open neighbourhoods keeps it exact."""
     if not (0 <= v < g.n and 0 <= u < g.n):
         raise InputError(f"vertices ({v}, {u}) out of range")
     if g.adjacent(v, u):
         raise InputError(f"vertices ({v}, {u}) must be distinct and non-adjacent")
+    adj = g.adj
     level = {v: 0, u: 0}
+    touched = adj[v] | adj[u]
+    common = adj[v] & adj[u]
     stage = 0
-    while True:
-        member_list = list(level)
-        fresh = []
-        for w in range(g.n):
-            if w in level:
-                continue
-            if any(g.adjacent(z, w) for z in member_list) and any(
-                not g.adjacent(z, w) for z in member_list
-            ):
-                fresh.append(w)
-        if not fresh:
-            return LeveledSet(v, u, level)
+    while fresh := sorted(touched - common - level.keys()):
         stage += 1
         for w in fresh:
             level[w] = stage
+            touched |= adj[w]
+            common &= adj[w]
+    return LeveledSet(v, u, level)
 
 
 @dataclass
@@ -197,21 +205,18 @@ def is_buried(g: Graph, vertex_set: Iterable[int]) -> BuriedCheck:
     for v in members:
         if not (0 <= v < g.n):
             raise InputError(f"vertex {v} out of range")
-    separators = frozenset(
-        v for v in range(g.n) if all(g.adjacent(v, b) for b in members)
-    )
-    outside = frozenset(range(g.n)) - members - separators
+    adj = g.adj
+    everyone = frozenset(range(g.n))
+    separators = everyone.intersection(*(adj[b] | {b} for b in members))
+    touched = set().union(*(adj[b] for b in members))
+    outside = everyone - members - separators
     witness_nonedge = None
     for a in sorted(members):
-        for b in sorted(members):
-            if a < b and not g.adjacent(a, b):
-                witness_nonedge = (a, b)
-                break
-        if witness_nonedge:
+        later = [b for b in members - adj[a] if b > a]
+        if later:
+            witness_nonedge = (a, min(later))
             break
-    no_leak = all(
-        not g.adjacent(b, r) for b in members for r in outside
-    )
+    no_leak = not (touched & outside)
     buried = (
         witness_nonedge is not None
         and not (separators & members)
@@ -390,13 +395,6 @@ class UniquenessVerdict:
     witness: tuple[StrictPartialOrder, StrictPartialOrder] | None = None
     triple: tuple[int, int, int] | None = None
     buried: BuriedCertificate | None = None
-
-
-def _block_index(comps: list[set[int]], v: int) -> int:
-    for i, comp in enumerate(comps):
-        if v in comp:
-            return i
-    raise InternalInconsistencyError(f"vertex {v} missing from component partition")
 
 
 def _stacked_order(g: Graph, comps: list[set[int]], block_rank: list[int]) -> StrictPartialOrder:

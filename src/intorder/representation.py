@@ -8,6 +8,7 @@ on input and split apart by ``normalize_distinguishing``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -91,9 +92,14 @@ def verify_representation(g: Graph, r: ClosedRepresentation) -> bool:
     """True iff adjacency in g matches interval intersection exactly."""
     if g.n != r.n:
         raise InputError(f"vertex count mismatch: graph has {g.n}, representation has {r.n}")
+    # one common denominator turns every endpoint comparison into an int one
+    scale = math.lcm(*(x.denominator for x in r.left + r.right))
+    left = [x.numerator * (scale // x.denominator) for x in r.left]
+    right = [x.numerator * (scale // x.denominator) for x in r.right]
     for u in range(g.n):
+        adj_u, left_u, right_u = g.adj[u], left[u], right[u]
         for v in range(u + 1, g.n):
-            if (v in g.adj[u]) != r.intersects(u, v):
+            if (v in adj_u) != (left_u <= right[v] and left[v] <= right_u):
                 return False
     return True
 

@@ -1,11 +1,16 @@
+import random
+import time
 from itertools import combinations
 
 import pytest
 
-from conftest import c4, empty3, single_nonedge4, k3, p4, star3, two_k2
+from conftest import c4, empty3, random_graph, single_nonedge4, k3, p4, star3, two_k2
 from intorder import (
+    BuriedCheck,
     InputError,
+    LeveledSet,
     NotIntervalGraphError,
+    PairGraph,
     StrictPartialOrder,
     buried_candidate,
     decide_unique,
@@ -21,8 +26,112 @@ from intorder import (
     two_orders_from_buried,
     verdict_to_jsonable,
 )
-from intorder.gadgets import all_graphs
+from intorder.gadgets import all_graphs, random_interval_graph
 from intorder.recognition import Obstruction, recognize
+
+
+# Reference implementations: the definitions written as all-pairs scans.
+# The library reads the same results off neighbourhood sets and must agree.
+
+def all_pairs_pair_graph(g):
+    """Union-find over every two linked pairs; ids follow least pairs."""
+    pairs = tuple(
+        (a, b) for a in range(g.n) for b in range(g.n) if a != b and not g.adjacent(a, b)
+    )
+    parent = list(range(len(pairs)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, (a, b) in enumerate(pairs):
+        for j in range(i + 1, len(pairs)):
+            c, d = pairs[j]
+            if g.adjacent(a, c) and g.adjacent(b, d):
+                parent[find(j)] = find(i)
+    component_of = {}
+    root_to_id = {}
+    for i, p in enumerate(pairs):
+        component_of[p] = root_to_id.setdefault(find(i), len(root_to_id))
+    return PairGraph(g, pairs, component_of, len(root_to_id))
+
+
+def all_pairs_pair_path(pg, ab, cd):
+    """BFS that scans every pair at every step, then the least-step walk."""
+    if pg.component_of[ab] != pg.component_of[cd]:
+        return None
+    dist = {cd: 0}
+    frontier = [cd]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for p in pg.pairs:
+                if p not in dist and pg.linked(cur, p):
+                    dist[p] = dist[cur] + 1
+                    nxt.append(p)
+        frontier = nxt
+    path = [ab]
+    while path[-1] != cd:
+        cur = path[-1]
+        path.append(min(
+            p for p in pg.pairs
+            if p != cur and pg.linked(cur, p) and dist.get(p, -1) == dist[cur] - 1
+        ))
+    return path
+
+
+def staged_rescan_candidate(g, v, u):
+    """Each stage tests every outsider against every member."""
+    level = {v: 0, u: 0}
+    stage = 0
+    while True:
+        members = list(level)
+        fresh = [
+            w for w in range(g.n)
+            if w not in level
+            and any(g.adjacent(z, w) for z in members)
+            and any(not g.adjacent(z, w) for z in members)
+        ]
+        if not fresh:
+            return LeveledSet(v, u, level)
+        stage += 1
+        for w in fresh:
+            level[w] = stage
+
+
+def all_pairs_is_buried(g, vertex_set):
+    """The buried-subgraph conditions checked vertex by vertex."""
+    members = frozenset(vertex_set)
+    separators = frozenset(
+        v for v in range(g.n) if all(g.adjacent(v, b) for b in members)
+    )
+    outside = frozenset(range(g.n)) - members - separators
+    nonedges = [(a, b) for a in sorted(members) for b in sorted(members)
+                if a < b and not g.adjacent(a, b)]
+    no_leak = all(not g.adjacent(b, r) for b in members for r in outside)
+    return BuriedCheck(
+        buried=bool(nonedges) and not (separators & members) and bool(outside) and no_leak,
+        separators=separators,
+        outside=outside,
+        witness_nonedge=nonedges[0] if nonedges else None,
+        witness_outside=min(outside) if outside else None,
+    )
+
+
+def nonadjacent_pairs(g):
+    return [(v, u) for v in range(g.n) for u in range(v + 1, g.n) if not g.adjacent(v, u)]
+
+
+def seeded_graphs():
+    """G(n, p) graphs with n 7-14, chordal or not, and random interval
+    graphs with n 7-30."""
+    rng = random.Random(20261018)
+    for _ in range(150):
+        yield random_graph(rng.randint(7, 14), rng.uniform(0.2, 0.8), rng)
+    for _ in range(100):
+        yield random_interval_graph(rng.randint(7, 30), rng.randrange(10**9))[0]
 
 
 class TestPairGraph:
@@ -170,6 +279,51 @@ class TestIsBuried:
         for size in range(5):
             for subset in combinations(range(4), size):
                 assert not is_buried(g, subset)
+
+
+class TestAgainstReferences:
+    def test_pair_graph_exhaustive_n6(self):
+        # every graph, interval or not: the pair graph accepts any graph
+        for n in range(7):
+            for g in all_graphs(n):
+                assert pair_graph(g) == all_pairs_pair_graph(g), sorted(g.edges)
+
+    def test_closure_and_check_exhaustive_n5(self):
+        for n in range(6):
+            for g in all_graphs(n):
+                for v, u in nonadjacent_pairs(g):
+                    assert buried_candidate(g, v, u) == staged_rescan_candidate(g, v, u)
+                for size in range(n + 1):
+                    for subset in combinations(range(n), size):
+                        assert is_buried(g, subset) == all_pairs_is_buried(g, subset)
+
+    def test_seeded_graphs(self):
+        rng = random.Random(7)
+        for g in seeded_graphs():
+            pg = pair_graph(g)
+            assert pg == all_pairs_pair_graph(g), sorted(g.edges)
+            for v, u in nonadjacent_pairs(g):
+                grown = buried_candidate(g, v, u)
+                assert grown == staged_rescan_candidate(g, v, u), (sorted(g.edges), v, u)
+                assert is_buried(g, grown.members) == all_pairs_is_buried(g, grown.members)
+            for _ in range(10 if pg.pairs else 0):
+                ab = rng.choice(pg.pairs)
+                same = [p for p in pg.pairs if pg.component_of[p] == pg.component_of[ab]]
+                cd = rng.choice(same if rng.random() < 0.8 else pg.pairs)
+                assert pair_path(pg, ab, cd) == all_pairs_pair_path(pg, ab, cd)
+
+    def test_pair_graph_on_relabeled_n250_within_budget(self):
+        rng = random.Random(250)
+        g, _ = random_interval_graph(250, 250)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        start = time.perf_counter()
+        pg = pair_graph(g)
+        elapsed = time.perf_counter() - start
+        # a few seconds on a 2-core host; the all-pairs union-find took 33 s
+        assert elapsed < 15, elapsed
+        assert all(pg.component_of[(a, b)] != pg.component_of[(b, a)] for a, b in pg.pairs)
 
 
 class TestFindBuried:

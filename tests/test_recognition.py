@@ -277,13 +277,14 @@ class TestCliqueOrder:
              "chordless_cycle"),
             ("subdivided claw", graph_from_edges(49, claw), "asteroidal_triple"),
             ("P_1100", graph_from_edges(path, [(v, v + 1) for v in range(path - 1)]), None),
+            ("P_2000", graph_from_edges(2000, [(v, v + 1) for v in range(1999)]), None),
             ("relabeled n=200", relabeled(random_interval_graph(200, 7)[0], rng), None),
         ]
         for name, g, kind in cases:
             start = time.perf_counter()
             result = recognize(g)
             elapsed = time.perf_counter() - start
-            # about 1 s on a 2-core host for P_1100; the others take a tenth of that
+            # P_2000 takes about 0.6 s on a 2-core host; the others take less
             assert elapsed < 20, (name, elapsed)
             if kind is None:
                 assert isinstance(result, ClosedRepresentation), name

@@ -7,6 +7,7 @@ from hypothesis import given
 from conftest import single_nonedge4, partial_orders
 from intorder import (
     ClosedRepresentation,
+    Graph,
     InputError,
     StrictPartialOrder,
     find_two_plus_two,
@@ -63,6 +64,19 @@ class TestVerify:
     def test_size_mismatch(self):
         with pytest.raises(InputError):
             verify_representation(single_nonedge4(), representation_from_intervals([(0, 1)]))
+
+    def test_rational_endpoints_match_fraction_intersection(self):
+        # induced_graph compares Fractions directly; verification scales to ints
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(2, 7)
+            ends = [sorted(Fraction(rng.randrange(12), rng.randint(1, 6)) for _ in "lr")
+                    for _ in range(n)]
+            rep = representation_from_intervals(ends)
+            g = induced_graph(rep)
+            assert verify_representation(g, rep)
+            u, v = sorted(rng.sample(range(n), 2))
+            assert not verify_representation(Graph(n, g.edges ^ {(u, v)}), rep)
 
     def test_empty_interval_rejected(self):
         with pytest.raises(InputError):
