@@ -5,7 +5,8 @@ certificate found, as requested), 1 negative verdict with certificate,
 2 input error, 3 internal inconsistency or any other unexpected error
 (always a bug). Output is JSON with --json, otherwise human-readable text
 derived from the same data.
-Output is byte-identical across runs for identical inputs and seeds.
+Output is byte-identical across runs for identical inputs and seeds, except
+for the per-check `seconds` that `selftest --json` reports.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import functools
 import io
 import json
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -412,8 +414,10 @@ def _cmd_selftest(args) -> int:
     results = []
     ok = True
     for name, func in checks:
+        start = time.perf_counter()
         failure = func()
         results.append({"name": name, "ok": failure is None,
+                        "seconds": round(time.perf_counter() - start, 6),
                         **({"detail": failure} if failure else {})})
         if failure is None:
             if not args.json:

@@ -15,7 +15,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
 
@@ -54,6 +54,16 @@ class Graph:
             nbrs[v].add(u)
         return tuple(frozenset(s) for s in nbrs)
 
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Neighbor sets as int bitsets, self excluded: bit w of `masks[v]`
+        is set iff w is in N(v). Read vertices back with `bit_indices`."""
+        bits = [0] * self.n
+        for u, v in self.edges:
+            bits[u] |= 1 << v
+            bits[v] |= 1 << u
+        return tuple(bits)
+
     def adjacent(self, u: int, v: int) -> bool:
         """Reflexive adjacency: true when u == v or {u, v} is an edge."""
         return u == v or v in self.adj[u]
@@ -75,6 +85,14 @@ class Graph:
     def same_edges(self, other: "Graph") -> bool:
         """Equality of vertex count and edge set, ignoring labels."""
         return self.n == other.n and self.edges == other.edges
+
+
+def bit_indices(mask: int) -> Iterator[int]:
+    """The vertices of a `Graph.masks`-style bitset, least first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def graph_from_edges(

@@ -14,23 +14,30 @@ connected non-complete interval graph:
   different associated orders;
 * a brute-force enumeration oracle lives separately in `oracle`.
 
-The first two are read off the neighbourhood sets `Graph.adj` caches. The
+The first two run on the neighbourhood bitsets `Graph.masks` caches. The
 pair graph is flood-filled by one-coordinate steps (Golumbic's implication
 classes of the complement) plus a diagonal step across each induced
-four-cycle. The buried search grows, from each non-adjacent pair, the least
+four-cycle, with the unvisited pairs kept as one bitset per row and one per
+column. The buried search grows, from each non-adjacent pair, the least
 module holding it; that set is buried exactly when its remainder is
 nonempty, and if no pair yields one then no buried subgraph exists at all.
+At the fixpoint the remainder is V - members - touched (touched being the
+union of the members' neighbourhoods), and both of those only grow, so a
+closure is dropped as soon as they cover V. Only the first closure that
+reaches its fixpoint without covering V becomes a certificate, and it is
+re-checked against the set-based definition in `is_buried`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InputError, InternalInconsistencyError, NotIntervalGraphError
 from .graphs import (
     Graph,
     StrictPartialOrder,
+    bit_indices,
     components,
     is_associated,
 )
@@ -69,30 +76,42 @@ def pair_graph(g: Graph) -> PairGraph:
     non-adjacent (c, d) with c, d in N(a) ∩ N(b). Any other link (a, b)–(c, d)
     factors through (c, b) or (a, d) unless c ~ b and a ~ d, and then
     a–c–b–d is an induced four-cycle: the diagonal case. So the components
-    are those of the full link relation on every graph."""
-    adj = g.adj
-    pairs = tuple(
-        (a, b) for a in range(g.n) for b in range(g.n) if a != b and b not in adj[a]
-    )
+    are those of the full link relation on every graph.
+
+    The unvisited pairs are indexed twice: `row[a]` holds the b and `col[b]`
+    the a of each unvisited (a, b). The steps from (a, b) are then the bits
+    of `masks[a] & col[b]`, of `masks[b] & row[a]` and, for each c in
+    `common = masks[a] & masks[b]`, of `common & row[c]`."""
+    masks = g.masks
+    everyone = (1 << g.n) - 1
+    row = [everyone & ~(m | 1 << a) for a, m in enumerate(masks)]
+    col = row[:]  # non-adjacency is symmetric
+    pairs = tuple((a, b) for a in range(g.n) for b in bit_indices(row[a]))
     component_of: dict[VertexPair, int] = {}
+    stack: list[VertexPair] = []
+
+    def visit(a: int, bs: int) -> None:
+        row[a] &= ~bs
+        for b in bit_indices(bs):
+            col[b] ^= 1 << a
+            component_of[(a, b)] = count
+            stack.append((a, b))
+
     count = 0
-    for start in pairs:
-        if start in component_of:
-            continue
-        component_of[start] = count
-        stack = [start]
-        while stack:
-            a, b = stack.pop()
-            na, nb = adj[a], adj[b]
-            common = na & nb
-            steps = [(c, b) for c in na - nb] + [(a, d) for d in nb - na]
-            for c in common:
-                steps.extend((c, d) for d in common - adj[c] if d != c)
-            for p in steps:
-                if p not in component_of:
-                    component_of[p] = count
-                    stack.append(p)
-        count += 1
+    for start in range(g.n):
+        while row[start]:
+            visit(start, row[start] & -row[start])
+            while stack:
+                a, b = stack.pop()
+                for c in bit_indices(masks[a] & col[b]):
+                    visit(c, 1 << b)
+                if masks[b] & row[a]:
+                    visit(a, masks[b] & row[a])
+                common = masks[a] & masks[b]
+                for c in bit_indices(common):
+                    if common & row[c]:
+                        visit(c, common & row[c])
+            count += 1
     return PairGraph(g, pairs, component_of, count)
 
 
@@ -158,28 +177,35 @@ class LeveledSet:
         return frozenset(self.level)
 
 
-def buried_candidate(g: Graph, v: int, u: int) -> LeveledSet:
-    """The least module containing the non-adjacent pair {v, u}, by stages.
+def _closure_stages(masks: tuple[int, ...], v: int, u: int) -> Iterator[tuple[int, int, int]]:
+    """The least module holding the non-adjacent pair {v, u}, grown in stages
+    on bitsets: yields (w, stage, covered) as each member w joins.
 
-    `touched` is the union of the members' neighbourhoods and `common` the
-    intersection of their closed ones, so each stage adds
-    `touched - common - members`. No member is ever in `common`, so
-    intersecting with open neighbourhoods keeps it exact."""
+    Stage 0 is {v, u}. `touched` is the union of the joined members'
+    neighbourhoods and `common` the intersection of their closed ones, so
+    each later stage is `touched & ~common & ~members` as the previous stage
+    left them. No member is ever in `common`, so intersecting with open
+    neighbourhoods keeps it exact. `covered` is the members, the current
+    stage included, together with `touched`; it only grows."""
+    members, touched, common = 0, 0, -1  # -1: the all-ones intersection of no sets
+    fresh, stage = 1 << v | 1 << u, 0
+    while fresh:
+        members |= fresh
+        for w in bit_indices(fresh):
+            touched |= masks[w]
+            common &= masks[w]
+            yield w, stage, members | touched
+        fresh, stage = touched & ~common & ~members, stage + 1
+
+
+def buried_candidate(g: Graph, v: int, u: int) -> LeveledSet:
+    """The least module containing the non-adjacent pair {v, u}, by stages:
+    `_closure_stages` run to its fixpoint."""
     if not (0 <= v < g.n and 0 <= u < g.n):
         raise InputError(f"vertices ({v}, {u}) out of range")
     if g.adjacent(v, u):
         raise InputError(f"vertices ({v}, {u}) must be distinct and non-adjacent")
-    adj = g.adj
-    level = {v: 0, u: 0}
-    touched = adj[v] | adj[u]
-    common = adj[v] & adj[u]
-    stage = 0
-    while fresh := sorted(touched - common - level.keys()):
-        stage += 1
-        for w in fresh:
-            level[w] = stage
-            touched |= adj[w]
-            common &= adj[w]
+    level = {w: stage for w, stage, _ in _closure_stages(g.masks, v, u)}
     return LeveledSet(v, u, level)
 
 
@@ -247,14 +273,24 @@ class BuriedCertificate:
 def _scan_buried(g: Graph) -> BuriedCertificate | None:
     """Grow a candidate from each non-adjacent pair in lexicographic order;
     the first with a nonempty remainder is buried. An empty scan means no
-    buried subgraph exists anywhere in the graph."""
+    buried subgraph exists anywhere in the graph.
+
+    At a closure's fixpoint `touched` lies within the members and `common`,
+    and `common` within `touched`, so the remainder V - members - common is
+    V - members - touched. Both only grow, so a closure is dropped as soon
+    as they cover V, even mid-stage. The first closure that reaches its
+    fixpoint without covering V is regrown by `buried_candidate` and must
+    pass the set-based `is_buried` check."""
+    masks = g.masks
+    everyone = (1 << g.n) - 1
     for v in range(g.n):
-        for u in range(v + 1, g.n):
-            if g.adjacent(v, u):
-                continue
-            grown = buried_candidate(g, v, u)
-            check = is_buried(g, grown.members)
-            if check.outside:
+        for u in bit_indices(everyone & ~masks[v] & ~((2 << v) - 1)):
+            for _, _, covered in _closure_stages(masks, v, u):
+                if covered == everyone:
+                    break
+            else:
+                grown = buried_candidate(g, v, u)
+                check = is_buried(g, grown.members)
                 if not check.buried:
                     raise InternalInconsistencyError(
                         f"candidate grown from ({v}, {u}) has a remainder yet fails the "

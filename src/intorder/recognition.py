@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import InputError, InternalInconsistencyError
-from .graphs import Graph, validate_path
+from .graphs import Graph, bit_indices, validate_path
 from .representation import ClosedRepresentation, verify_representation
 
 CHORDLESS_CYCLE = "chordless_cycle"
@@ -45,22 +45,34 @@ class Obstruction:
 
 
 def maximal_cliques(g: Graph) -> list[frozenset[int]]:
-    """All maximal cliques, sorted by their sorted vertex tuples."""
-    found: list[frozenset[int]] = []
+    """All maximal cliques, sorted by their sorted vertex tuples.
 
-    def expand(r: set[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
-            found.append(frozenset(r))
+    Bron–Kerbosch with pivoting on `Graph.masks` bitsets, one explicit stack
+    frame (clique, candidates, excluded, branches left) per open call, so the
+    depth is not bounded by the recursion limit. The pivot is the least vertex
+    of candidates ∪ excluded with the most neighbours among the candidates.
+    """
+    masks = g.masks
+    found: list[int] = []
+    stack: list[tuple[int, int, int, int]] = []
+
+    def open_call(r: int, p: int, x: int) -> None:
+        if not p | x:
+            found.append(r)
             return
-        pivot = max(sorted(p | x), key=lambda w: len(g.adj[w] & p))
-        for v in sorted(p - g.adj[pivot]):
-            expand(r | {v}, p & g.adj[v], x & g.adj[v])
-            p.discard(v)
-            x.add(v)
+        pivot = max(bit_indices(p | x), key=lambda w: (masks[w] & p).bit_count())
+        stack.append((r, p, x, p & ~masks[pivot]))
 
     if g.n:
-        expand(set(), set(range(g.n)), set())
-    return sorted(found, key=sorted)
+        open_call(0, (1 << g.n) - 1, 0)
+    while stack:
+        r, p, x, todo = stack.pop()
+        if todo:
+            low = todo & -todo
+            v = low.bit_length() - 1
+            stack.append((r, p ^ low, x | low, todo ^ low))
+            open_call(r | low, p & masks[v], x & masks[v])
+    return sorted((frozenset(bit_indices(r)) for r in found), key=sorted)
 
 
 def _consecutive_clique_order(cliques: list[frozenset[int]], n: int) -> list[int] | None:

@@ -252,3 +252,14 @@ def test_selftest_passes():
     assert code == 0
     assert "selftest: ok" in out
     assert "FAIL" not in out
+
+
+def test_selftest_json_times_every_check():
+    code, out, _ = run(["selftest", "--json", "--max-n", "4"], None)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    assert len(payload["checks"]) == 5
+    for check in payload["checks"]:
+        assert check["ok"] is True, check
+        assert check["seconds"] >= 0, check

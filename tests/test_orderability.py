@@ -6,6 +6,7 @@ import pytest
 
 from conftest import c4, empty3, random_graph, single_nonedge4, k3, p4, star3, two_k2
 from intorder import (
+    BuriedCertificate,
     BuriedCheck,
     InputError,
     LeveledSet,
@@ -27,6 +28,7 @@ from intorder import (
     verdict_to_jsonable,
 )
 from intorder.gadgets import all_graphs, random_interval_graph
+from intorder.orderability import _scan_buried
 from intorder.recognition import Obstruction, recognize
 
 
@@ -118,6 +120,25 @@ def all_pairs_is_buried(g, vertex_set):
         witness_nonedge=nonedges[0] if nonedges else None,
         witness_outside=min(outside) if outside else None,
     )
+
+
+def per_pair_scan_buried(g):
+    """Every non-adjacent pair in lexicographic order: grow its full closure,
+    then check the definition; the first set with a remainder is buried."""
+    for v, u in nonadjacent_pairs(g):
+        grown = buried_candidate(g, v, u)
+        check = is_buried(g, grown.members)
+        if check.outside:
+            assert check.buried, (sorted(g.edges), v, u)
+            return BuriedCertificate(
+                members=grown.members,
+                separators=check.separators,
+                outside=check.outside,
+                witness_nonedge=check.witness_nonedge,
+                witness_outside=check.witness_outside,
+                pair=(v, u),
+            )
+    return None
 
 
 def nonadjacent_pairs(g):
@@ -312,6 +333,19 @@ class TestAgainstReferences:
                 cd = rng.choice(same if rng.random() < 0.8 else pg.pairs)
                 assert pair_path(pg, ab, cd) == all_pairs_pair_path(pg, ab, cd)
 
+    def test_scan_exhaustive_n6(self):
+        found = 0
+        for n in range(7):
+            for g in all_graphs(n):
+                cert = _scan_buried(g)
+                assert cert == per_pair_scan_buried(g), sorted(g.edges)
+                found += cert is not None
+        assert found == 15879
+
+    def test_scan_on_seeded_graphs(self):
+        for g in seeded_graphs():
+            assert _scan_buried(g) == per_pair_scan_buried(g), sorted(g.edges)
+
     def test_pair_graph_on_relabeled_n250_within_budget(self):
         rng = random.Random(250)
         g, _ = random_interval_graph(250, 250)
@@ -321,7 +355,8 @@ class TestAgainstReferences:
         start = time.perf_counter()
         pg = pair_graph(g)
         elapsed = time.perf_counter() - start
-        # a few seconds on a 2-core host; the all-pairs union-find took 33 s
+        # about 0.5 s on a 2-core host; the flood fill over neighbour sets
+        # took 3.8 s and the all-pairs union-find 33 s
         assert elapsed < 15, elapsed
         assert all(pg.component_of[(a, b)] != pg.component_of[(b, a)] for a, b in pg.pairs)
 
@@ -441,6 +476,16 @@ class TestDecideUnique:
     def test_single_vertex_and_empty(self):
         assert decide_unique(graph_from_edges(1, [])).unique
         assert decide_unique(graph_from_edges(0, [])).unique
+
+    def test_connected_n200_within_budget(self):
+        g, _ = random_interval_graph(200, 200)
+        start = time.perf_counter()
+        verdict = decide_unique(g)
+        elapsed = time.perf_counter() - start
+        # about 0.5 s on a 2-core host; a full closure per pair took 16.5 s
+        assert elapsed < 8, elapsed
+        assert verdict.unique
+        assert is_associated(g, verdict.order)
 
 
 class TestVerdictJson:

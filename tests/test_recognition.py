@@ -2,13 +2,14 @@ import random
 import sys
 import time
 
-from conftest import c4, single_nonedge4, net_graph, k3, p4
+from conftest import c4, single_nonedge4, net_graph, k3, p4, random_graph
 from intorder import (
     ClosedRepresentation,
     Obstruction,
     check_triangulated,
     enumerate_associated_orders,
     find_asteroidal_triple,
+    complete_graph,
     graph_from_edges,
     incomparability_graph,
     is_interval_order,
@@ -71,6 +72,27 @@ def three_state_clique_order(cliques, n):
         return False
 
     return order if place(0) else None
+
+
+def recursive_maximal_cliques(g):
+    """Reference Bron–Kerbosch on vertex sets, one recursive call per clique
+    vertex, with the library's pivot rule; the library runs the same search
+    on bitsets with an explicit stack."""
+    found = []
+
+    def expand(r, p, x):
+        if not p and not x:
+            found.append(frozenset(r))
+            return
+        pivot = max(sorted(p | x), key=lambda w: len(g.adj[w] & p))
+        for v in sorted(p - g.adj[pivot]):
+            expand(r | {v}, p & g.adj[v], x & g.adj[v])
+            p.discard(v)
+            x.add(v)
+
+    if g.n:
+        expand(set(), set(range(g.n)), set())
+    return sorted(found, key=sorted)
 
 
 def relabeled(g, rng):
@@ -279,12 +301,15 @@ class TestCliqueOrder:
             ("P_1100", graph_from_edges(path, [(v, v + 1) for v in range(path - 1)]), None),
             ("P_2000", graph_from_edges(2000, [(v, v + 1) for v in range(1999)]), None),
             ("relabeled n=200", relabeled(random_interval_graph(200, 7)[0], rng), None),
+            ("K_1100", complete_graph(path), None),
         ]
         for name, g, kind in cases:
             start = time.perf_counter()
             result = recognize(g)
             elapsed = time.perf_counter() - start
-            # P_2000 takes about 0.6 s on a 2-core host; the others take less
+            # K_1100 takes about 1.5 s and P_2000 0.5 s on a 2-core host, the
+            # others less; the recursive clique search hit the recursion limit
+            # on K_1100 after 22 s
             assert elapsed < 20, (name, elapsed)
             if kind is None:
                 assert isinstance(result, ClosedRepresentation), name
@@ -334,3 +359,17 @@ class TestMaximalCliques:
 
         for g in all_graphs(5):
             assert maximal_cliques(g) == brute(g)
+
+    def test_matches_recursive_search_exhaustive_n6(self):
+        for n in range(7):
+            for g in all_graphs(n):
+                assert maximal_cliques(g) == recursive_maximal_cliques(g), sorted(g.edges)
+
+    def test_matches_recursive_search_on_seeded_graphs(self):
+        rng = random.Random(20261018)
+        for _ in range(150):
+            g = random_graph(rng.randint(7, 30), rng.uniform(0.1, 0.9), rng)
+            assert maximal_cliques(g) == recursive_maximal_cliques(g), sorted(g.edges)
+        for _ in range(100):
+            g, _ = random_interval_graph(rng.randint(7, 60), rng.randrange(10**9))
+            assert maximal_cliques(g) == recursive_maximal_cliques(g), sorted(g.edges)
