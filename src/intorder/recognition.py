@@ -5,10 +5,17 @@ lexicographically least ordering in which every vertex's cliques occupy
 consecutive positions (Booth and Lueker's consecutive-ones problem). Each
 vertex's interval is its first and last clique position in that ordering,
 so the printed intervals are fixed by it; the representation is verified
-before being returned. When no ordering exists the graph is not interval,
-and a negative certificate is extracted: first a chordless cycle of length
->= 4, otherwise an asteroidal triple. If neither exists while the ordering
-failed, an internal error is raised rather than guessing.
+before being returned. When no ordering exists the graph is not interval
+(Lekkerkerker and Boland), and a negative certificate is extracted: first
+the shortest, then least, chordless cycle of length >= 4, otherwise the
+least asteroidal triple. The cycle takes three steps on adjacency bitsets:
+a maximum cardinality search with the perfect-elimination check returns
+None on a chordal graph without looking at any path; otherwise one BFS per
+induced path a-b-c gives the shortest cycle length, since a chordless
+cycle through a-b-c is b plus an induced a-c path avoiding N[b]; and one
+depth-first search for that length from that cycle's least vertex returns
+the least cycle. If neither certificate exists while the ordering failed,
+an internal error is raised rather than guessing.
 """
 
 from __future__ import annotations
@@ -122,53 +129,147 @@ def _consecutive_clique_order(cliques: list[frozenset[int]], n: int) -> list[int
     return order
 
 
-def _lex_least_chordless_cycle(g: Graph, length: int) -> tuple[int, ...] | None:
-    """Lexicographically least chordless cycle of exactly this length.
+def _neighbours_of(masks: tuple[int, ...], vertices: int) -> int:
+    """The union of N(v) over the vertices of a bitset."""
+    reach = 0
+    for v in bit_indices(vertices):
+        reach |= masks[v]
+    return reach
 
-    Canonical form: starts at its minimum vertex, and the second vertex is
-    smaller than the last. Depth-first search extends chordless paths in
-    ascending vertex order, so the first completed cycle is the least one.
+
+def _is_chordal(masks: tuple[int, ...]) -> bool:
+    """Maximum cardinality search plus the perfect-elimination check.
+
+    The search visits next an unvisited vertex with the most visited
+    neighbours (buckets of bitsets by that count, least vertex first). The
+    graph is chordal iff, for every vertex, its earlier-visited neighbours
+    other than the latest of them all lie in that latest one's neighbourhood
+    (Tarjan and Yannakakis 1984).
     """
-    adj = g.adj
+    n = len(masks)
+    buckets = [(1 << n) - 1] + [0] * n
+    count = [0] * n
+    position = [0] * n
+    visited = top = 0
+    for step in range(n):
+        while not buckets[top]:
+            top -= 1
+        v = (buckets[top] & -buckets[top]).bit_length() - 1
+        buckets[top] ^= 1 << v
+        earlier = masks[v] & visited
+        if earlier:
+            latest = max(bit_indices(earlier), key=position.__getitem__)
+            if earlier & ~masks[latest] & ~(1 << latest):
+                return False
+        position[v] = step
+        visited |= 1 << v
+        for w in bit_indices(masks[v] & ~visited):
+            buckets[count[w]] ^= 1 << w
+            count[w] += 1
+            buckets[count[w]] |= 1 << w
+        top += 1
+    return True
 
-    def dfs(path: list[int], used: set[int]) -> tuple[int, ...] | None:
-        c0 = path[0]
-        last = path[-1]
-        closing = len(path) == length - 1
-        for w in sorted(adj[last]):
-            if w <= c0 or w in used:
-                continue
+
+def _shortest_hole(masks: tuple[int, ...]) -> tuple[int, int]:
+    """The length of the shortest chordless cycle and the least vertex that
+    is the minimum of one that short, on a graph that has a chordless cycle.
+
+    For each b and each induced path a-b-c with a < c, both above b, a
+    bitset BFS from a through the vertices above b outside N[b] reaches c
+    at the first layer that meets N(c); layer j gives a cycle of length
+    j + 3. A BFS stops once it cannot beat the best length so far.
+    """
+    n = len(masks)
+    full = (1 << n) - 1
+    best, least = n + 1, -1
+    for b in range(n):
+        above = full & ~((2 << b) - 1)
+        allowed = above & ~masks[b]
+        for a in bit_indices(masks[b] & above):
+            targets = masks[b] & ~masks[a] & ~((2 << a) - 1)
+            seen = layer = 1 << a
+            depth = 0
+            while targets and layer and depth + 3 < best:
+                reach = _neighbours_of(masks, layer)
+                if reach & targets:
+                    best, least = depth + 3, b
+                    break
+                layer = reach & allowed & ~seen
+                seen |= layer
+                depth += 1
+    return best, least
+
+
+def _least_hole(masks: tuple[int, ...], length: int, c0: int) -> tuple[int, ...]:
+    """The lexicographically least chordless cycle of this length whose
+    minimum vertex is c0, in canonical form: c0 first, and the second
+    vertex smaller than the last.
+
+    Depth-first search with an explicit stack of untried candidates per
+    position, tried least first, so the first completed cycle is the least.
+    A vertex at position i needs a path of length - i steps back to c0
+    through vertices above c0, so one whose BFS distance to c0 there is
+    larger is never tried.
+    """
+    n = len(masks)
+    above = ((1 << n) - 1) & ~((2 << c0) - 1)
+    near0 = masks[c0] | 1 << c0
+    within = [1 << c0]  # within[k]: vertices at distance <= k from c0 in {c0} + above
+    frontier = within[0]
+    while len(within) < length:
+        frontier = _neighbours_of(masks, frontier) & above & ~within[-1]
+        within.append(within[-1] | frontier)
+    path = [c0]
+    inner = [0]  # union of N[p] over the path without its two ends
+    todo = [masks[c0] & above]
+    while todo:
+        if not todo[-1]:
+            todo.pop()
+            path.pop()
+            inner.pop()
+            continue
+        low = todo[-1] & -todo[-1]
+        todo[-1] ^= low
+        prev = path[-1]
+        blocked = (inner[-1] | masks[prev] | 1 << prev) if prev != c0 else 0
+        last = low.bit_length() - 1
+        path.append(last)
+        inner.append(blocked)
+        if len(path) == length - 1:
+            closing = masks[last] & masks[c0] & above & ~blocked & ~((2 << path[1]) - 1)
             if closing:
-                if w <= path[1]:
-                    continue
-                if c0 not in adj[w]:
-                    continue
-                if any(p in adj[w] for p in path[1:-1]):
-                    continue
-                return tuple(path) + (w,)
-            else:
-                if any(p in adj[w] for p in path[:-1]):
-                    continue
-                result = dfs(path + [w], used | {w})
-                if result is not None:
-                    return result
-        return None
-
-    for c0 in range(g.n):
-        result = dfs([c0], {c0})
-        if result is not None:
-            return result
-    return None
+                return tuple(path) + ((closing & -closing).bit_length() - 1,)
+            todo.append(0)
+        else:
+            todo.append(masks[last] & above & ~blocked & ~near0 & within[length - len(path)])
+    raise InternalInconsistencyError(f"no chordless {length}-cycle with least vertex {c0}")
 
 
 def check_triangulated(g: Graph) -> Obstruction | None:
     """None when every simple cycle of length >= 4 has a chord; otherwise
-    the shortest (then lexicographically least) chordless cycle."""
-    for length in range(4, g.n + 1):
-        cycle = _lex_least_chordless_cycle(g, length)
-        if cycle is not None:
-            return Obstruction(kind=CHORDLESS_CYCLE, cycle=cycle)
-    return None
+    the shortest (then lexicographically least) chordless cycle, starting at
+    its minimum vertex with the second vertex smaller than the last.
+
+    Three steps on `Graph.masks`, each exact:
+
+    1. A chordal graph has a perfect elimination ordering, and maximum
+       cardinality search finds one whenever one exists, so one sweep plus
+       the elimination check decides chordality.
+    2. A chordless cycle through a-b-c with b its minimum vertex is b plus
+       an induced a-c path through vertices above b that avoids N[b];
+       conversely a shortest such path is induced and, with b, closes a
+       chordless cycle. So the least BFS distance over all such a-b-c, plus
+       2, is the shortest length, and the least b attaining it is the
+       minimum vertex of the least shortest cycle.
+    3. One depth-first search from that vertex, for that length, returns
+       the least cycle.
+    """
+    masks = g.masks
+    if _is_chordal(masks):
+        return None
+    length, c0 = _shortest_hole(masks)
+    return Obstruction(kind=CHORDLESS_CYCLE, cycle=_least_hole(masks, length, c0))
 
 
 def _components_avoiding(g: Graph, banned: frozenset[int]) -> list[int]:

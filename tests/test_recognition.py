@@ -101,6 +101,87 @@ def relabeled(g, rng):
     return graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
+def recursive_lex_least_chordless_cycle(g, length):
+    """Reference: the lexicographically least chordless cycle of exactly this
+    length, in canonical form (minimum vertex first, second vertex smaller
+    than the last), by a recursive depth-first search that extends chordless
+    paths in ascending vertex order from every start vertex."""
+    adj = g.adj
+
+    def dfs(path, used):
+        c0 = path[0]
+        last = path[-1]
+        closing = len(path) == length - 1
+        for w in sorted(adj[last]):
+            if w <= c0 or w in used:
+                continue
+            if closing:
+                if w <= path[1]:
+                    continue
+                if c0 not in adj[w]:
+                    continue
+                if any(p in adj[w] for p in path[1:-1]):
+                    continue
+                return tuple(path) + (w,)
+            else:
+                if any(p in adj[w] for p in path[:-1]):
+                    continue
+                result = dfs(path + [w], used | {w})
+                if result is not None:
+                    return result
+        return None
+
+    for c0 in range(g.n):
+        result = dfs([c0], {c0})
+        if result is not None:
+            return result
+    return None
+
+
+def length_by_length_chordless_cycle(g):
+    """Reference for `check_triangulated`: the reference search for every
+    length from 4 up, so the first cycle found is the shortest, then least.
+    On a chordal graph it enumerates every chordless path before answering
+    None, which takes tens of ms per graph from about 17 vertices on."""
+    for length in range(4, g.n + 1):
+        cycle = recursive_lex_least_chordless_cycle(g, length)
+        if cycle is not None:
+            return cycle
+    return None
+
+
+def triangulated_cycle(g):
+    obs = check_triangulated(g)
+    return None if obs is None else obs.cycle
+
+
+def cycle_graph(n):
+    return graph_from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def subtree_intersection_graph(n, rng):
+    """Intersection graph of n random subtrees (1 to 4 nodes) of a random
+    n-node tree: chordal, and often not an interval graph."""
+    nbrs = [[] for _ in range(n)]
+    for i in range(1, n):
+        p = rng.randrange(i)
+        nbrs[i].append(p)
+        nbrs[p].append(i)
+    subtrees = []
+    for _ in range(n):
+        tree = {rng.randrange(n)}
+        size = rng.randint(1, 4)
+        while len(tree) < size:
+            frontier = sorted({w for v in tree for w in nbrs[v]} - tree)
+            if not frontier:
+                break
+            tree.add(rng.choice(frontier))
+        subtrees.append(tree)
+    return graph_from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if subtrees[u] & subtrees[v]]
+    )
+
+
 class TestTriangulated:
     def test_c4_chordless(self):
         obs = check_triangulated(c4())
@@ -114,6 +195,15 @@ class TestTriangulated:
     def test_tree_is_triangulated(self):
         tree = graph_from_edges(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)])
         assert check_triangulated(tree) is None
+
+    def test_shortest_cycle_wins_over_a_lesser_longer_one(self):
+        # a 5-cycle on the low vertices and a 4-cycle on the high ones: the
+        # 4-cycle is reported although the 5-cycle is lexicographically less
+        g = graph_from_edges(
+            9,
+            [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (5, 6), (6, 7), (7, 8), (5, 8)],
+        )
+        assert check_triangulated(g).cycle == (5, 6, 7, 8)
 
     def test_shortest_cycle_wins(self):
         # a 4-cycle and a 5-cycle sharing nothing; the 4-cycle is reported
@@ -162,6 +252,29 @@ class TestTriangulated:
             obs = check_triangulated(g)
             got = None if obs is None else obs.cycle
             assert got == expected, sorted(g.edges)
+
+    def test_matches_length_by_length_search_exhaustive_n6(self):
+        holes = 0
+        for n in range(7):
+            for g in all_graphs(n):
+                expected = length_by_length_chordless_cycle(g)
+                assert triangulated_cycle(g) == expected, sorted(g.edges)
+                holes += expected is not None
+        assert holes == 33868 - 19049  # all graphs minus the chordal ones on 0 to 6 vertices
+
+    def test_matches_length_by_length_search_on_seeded_graphs(self):
+        rng = random.Random(20261018)
+        for p in (0.15, 0.3, 0.5, 0.7):
+            for _ in range(100):
+                g = random_graph(rng.randint(7, 15), p, rng)
+                assert triangulated_cycle(g) == length_by_length_chordless_cycle(g), sorted(g.edges)
+        for n in range(4, 41):
+            g = relabeled(cycle_graph(n), rng)
+            assert triangulated_cycle(g) == length_by_length_chordless_cycle(g), sorted(g.edges)
+        for _ in range(60):
+            g = subtree_intersection_graph(rng.randint(10, 16), rng)
+            assert triangulated_cycle(g) is None
+            assert length_by_length_chordless_cycle(g) is None, sorted(g.edges)
 
 
 class TestAsteroidalTriples:
@@ -263,6 +376,22 @@ class TestRecognize:
         g = incomparability_graph(order_from_pairs(4, [(0, 1), (2, 3)]))
         assert isinstance(recognize(g), Obstruction)
 
+    def test_chordal_edit_keeps_its_asteroidal_triple(self):
+        # removing edge 2-7 from random_interval_graph(14, 54) leaves a
+        # chordal graph that is not interval; the certificate was recorded
+        # while the cycle search still ran length by length
+        g, _ = random_interval_graph(14, 54)
+        g = graph_from_edges(g.n, sorted(set(g.edges) - {(2, 7)}))
+        assert check_triangulated(g) is None
+        assert length_by_length_chordless_cycle(g) is None
+        result = recognize(g)
+        assert result == Obstruction(
+            kind="asteroidal_triple",
+            triple=(2, 3, 5),
+            witness_paths=((2, 1, 3), (2, 10, 5), (3, 7, 5)),
+        )
+        assert validate_obstruction(g, result)
+
 
 class TestCliqueOrder:
     def test_matches_three_state_search_exhaustive_n6(self):
@@ -292,24 +421,31 @@ class TestCliqueOrder:
         claw = [(0, 1), (0, 17), (0, 33)] + [
             (v, v + 1) for arm in (1, 17, 33) for v in range(arm, arm + 15)
         ]
+        long_claw = [(0, 1), (0, 101), (0, 201)] + [
+            (v, v + 1) for arm in (1, 101, 201) for v in range(arm, arm + 99)
+        ]
         path = 1100
         assert path > sys.getrecursionlimit()
         cases = [
-            ("C_50", graph_from_edges(50, [(v, (v + 1) % 50) for v in range(50)]),
-             "chordless_cycle"),
+            ("C_50", cycle_graph(50), "chordless_cycle"),
             ("subdivided claw", graph_from_edges(49, claw), "asteroidal_triple"),
             ("P_1100", graph_from_edges(path, [(v, v + 1) for v in range(path - 1)]), None),
             ("P_2000", graph_from_edges(2000, [(v, v + 1) for v in range(1999)]), None),
             ("relabeled n=200", relabeled(random_interval_graph(200, 7)[0], rng), None),
             ("K_1100", complete_graph(path), None),
+            ("C_300", cycle_graph(300), "chordless_cycle"),
+            ("C_1100", cycle_graph(path), "chordless_cycle"),
+            ("subdivided claw, legs of 100", graph_from_edges(301, long_claw),
+             "asteroidal_triple"),
         ]
         for name, g, kind in cases:
             start = time.perf_counter()
             result = recognize(g)
             elapsed = time.perf_counter() - start
-            # K_1100 takes about 1.5 s and P_2000 0.5 s on a 2-core host, the
-            # others less; the recursive clique search hit the recursion limit
-            # on K_1100 after 22 s
+            # K_1100 takes about 1.5 s, P_2000 0.5 s and C_1100 0.3 s on a
+            # 2-core host, the others less; the recursive clique search hit the
+            # recursion limit on K_1100 after 22 s, and the length-by-length
+            # cycle search took 70 s on C_300
             assert elapsed < 20, (name, elapsed)
             if kind is None:
                 assert isinstance(result, ClosedRepresentation), name
