@@ -1,7 +1,7 @@
 """Unique-orderability decisions with machine-checkable certificates.
 
 Three independent criteria are implemented and cross-checked on every
-connected non-complete interval graph:
+non-complete interval graph, connected or not:
 
 * the pair graph on ordered non-adjacent vertex pairs, where (a, b) and
   (c, d) are linked when a is adjacent to c and b is adjacent to d
@@ -26,6 +26,11 @@ union of the members' neighbourhoods), and both of those only grow, so a
 closure is dropped as soon as they cover V. Only the first closure that
 reaches its fixpoint without covering V becomes a certificate, and it is
 re-checked against the set-based definition in `is_buried`.
+
+Every non-unique witness is one order and its reversal inside a vertex set
+(`_reversal_witness`), with the disagreement triple taken from that set:
+the buried set on a connected graph, and a non-complete block, or else the
+first two complete blocks, on a disconnected one.
 """
 
 from __future__ import annotations
@@ -326,75 +331,78 @@ def find_buried(g: Graph) -> BuriedCertificate | None:
 # Building orders from certificates
 # ---------------------------------------------------------------------------
 
-def _order_or_bug(n: int, rel: set[VertexPair], context: str) -> StrictPartialOrder:
+def _associated_order(g: Graph, rel: Iterable[VertexPair], what: str) -> StrictPartialOrder:
+    """`rel` as a strict partial order associated to g; anything else is a bug
+    in the construction named by `what`."""
     try:
-        return StrictPartialOrder(n, frozenset(rel))
+        order = StrictPartialOrder(g.n, frozenset(rel))
     except InputError as exc:
-        raise InternalInconsistencyError(f"{context}: {exc}") from exc
+        raise InternalInconsistencyError(f"{what} is not a partial order: {exc}") from exc
+    if not is_associated(g, order):
+        raise InternalInconsistencyError(f"{what} is not associated to the graph")
+    return order
 
 
-def two_orders_from_buried(
-    g: Graph, cert: BuriedCertificate, base: StrictPartialOrder
+def _reversal_witness(
+    g: Graph, base: StrictPartialOrder, members: frozenset[int] | set[int]
 ) -> tuple[StrictPartialOrder, StrictPartialOrder, tuple[int, int, int]]:
-    """Two associated orders that are not duals of each other.
+    """Two associated orders that are neither equal nor dual, differing only
+    inside `members`.
 
-    The first order rearranges `base` so the buried set is convex: every
-    member sits exactly where the least member sits relative to outsiders.
-    The second order reverses the first inside the buried set only. The
-    returned triple (x, y, w) has x before y before w (or w before x before
-    y) in the first order while the second swaps x and y, witnessing that
-    the orders are neither equal nor dual.
+    The first order rearranges `base` so the set is convex: every member
+    sits exactly where the least member sits relative to outsiders. The
+    second reverses the first inside the set only. In the triple (x, y, w),
+    x and y are the least non-adjacent pair inside the set, x before y in
+    the first order, and w is the least outsider not adjacent to all of the
+    set. The first order has x < y < w or w < x < y; the second swaps x and
+    y, so it is neither the first nor its dual.
     """
-    if not is_associated(g, base):
-        raise InputError("base order is not associated to the graph")
-    check = is_buried(g, cert.members)
-    if not check.buried:
-        raise InputError("certificate does not describe a buried subgraph")
-    members = cert.members
     anchor = min(members)
-    rel1: set[VertexPair] = set()
-    for x in range(g.n):
-        for y in range(g.n):
-            if x == y:
-                continue
-            x_in, y_in = x in members, y in members
-            if x_in == y_in:
-                if base.less(x, y):
-                    rel1.add((x, y))
-            elif x_in:
-                if base.less(anchor, y):
-                    rel1.add((x, y))
-            else:
-                if base.less(x, anchor):
-                    rel1.add((x, y))
-    order1 = _order_or_bug(g.n, rel1, "convexified order is not a partial order")
-    if not is_associated(g, order1):
-        raise InternalInconsistencyError("convexified order is not associated to the graph")
-
-    rel2 = {
-        ((y, x) if (x in members and y in members) else (x, y)) for x, y in rel1
-    }
-    order2 = _order_or_bug(g.n, rel2, "order reversed inside the buried set is not a partial order")
-    if not is_associated(g, order2):
-        raise InternalInconsistencyError(
-            "order reversed inside the buried set is not associated to the graph"
-        )
+    outsiders = [v for v in range(g.n) if v not in members]
+    rel1 = {(x, y) for x, y in base.rel if (x in members) == (y in members)}
+    rel1.update((x, y) for y in outsiders if base.less(anchor, y) for x in members)
+    rel1.update((x, y) for x in outsiders if base.less(x, anchor) for y in members)
+    order1 = _associated_order(g, rel1, "order made convex around the set")
+    rel2 = {((y, x) if x in members and y in members else (x, y)) for x, y in rel1}
+    order2 = _associated_order(g, rel2, "order reversed inside the set")
     if order2 == order1 or order2 == order1.dual():
         raise InternalInconsistencyError(
-            "reversing inside the buried set failed to produce a genuinely new order"
+            "reversing inside the set failed to produce a genuinely new order"
         )
 
-    a, b = cert.witness_nonedge
+    masks = g.masks
+    inside = sum(1 << v for v in members)
+    for a in sorted(members):
+        later = inside & ~masks[a] & ~((2 << a) - 1)
+        if later:
+            b = next(bit_indices(later))
+            break
     x, y = (a, b) if order1.less(a, b) else (b, a)
-    w = cert.witness_outside
+    w = next(v for v in outsiders if masks[v] & inside != inside)
     if not (
         (order1.less(x, y) and order1.less(y, w))
         or (order1.less(w, x) and order1.less(x, y))
     ):
         raise InternalInconsistencyError(
-            "remainder witness is not uniformly above or below the buried set"
+            "outside witness is not uniformly above or below the set"
         )
     return order1, order2, (x, y, w)
+
+
+def two_orders_from_buried(
+    g: Graph, cert: BuriedCertificate, base: StrictPartialOrder
+) -> tuple[StrictPartialOrder, StrictPartialOrder, tuple[int, int, int]]:
+    """Two associated orders that are not duals of each other: `base` made
+    convex around the buried set, and that order reversed inside it (see
+    `_reversal_witness`). Only the certificate's members are read; the
+    triple (x, y, w) is rebuilt from them, so w is the least vertex of the
+    remainder.
+    """
+    if not is_associated(g, base):
+        raise InputError("base order is not associated to the graph")
+    if not is_buried(g, cert.members):
+        raise InputError("certificate does not describe a buried subgraph")
+    return _reversal_witness(g, base, cert.members)
 
 
 def order_from_pair_graph(g: Graph, pg: PairGraph) -> StrictPartialOrder:
@@ -405,11 +413,9 @@ def order_from_pair_graph(g: Graph, pg: PairGraph) -> StrictPartialOrder:
             f"pair graph has {pg.component_count} components; exactly 2 required"
         )
     chosen = pg.component_of[pg.pairs[0]]
-    rel = {p for p in pg.pairs if pg.component_of[p] == chosen}
-    order = _order_or_bug(g.n, rel, "pair-graph component is not a partial order")
-    if not is_associated(g, order):
-        raise InternalInconsistencyError("pair-graph order is not associated to the graph")
-    return order
+    return _associated_order(
+        g, (p for p in pg.pairs if pg.component_of[p] == chosen), "pair-graph component"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -433,88 +439,25 @@ class UniquenessVerdict:
     buried: BuriedCertificate | None = None
 
 
-def _stacked_order(g: Graph, comps: list[set[int]], block_rank: list[int]) -> StrictPartialOrder:
-    rel = {
-        (x, y)
-        for i, ci in enumerate(comps)
-        for j, cj in enumerate(comps)
-        if block_rank[i] < block_rank[j]
-        for x in ci
-        for y in cj
-    }
-    order = _order_or_bug(g.n, rel, "stacked block order is not a partial order")
-    if not is_associated(g, order):
-        raise InternalInconsistencyError("stacked block order is not associated to the graph")
-    return order
-
-
-def _disconnected_verdict(
-    g: Graph, comps: list[set[int]], base: StrictPartialOrder, wq_count: int
-) -> UniquenessVerdict:
-    block_complete = [
-        all(g.adjacent(x, y) for x in comp for y in comp) for comp in comps
-    ]
-    if len(comps) <= 2 and all(block_complete):
-        order = _stacked_order(g, comps, list(range(len(comps))))
-        return UniquenessVerdict(unique=True, wq_components=wq_count, order=order)
-
-    incomplete = [i for i, ok in enumerate(block_complete) if not ok]
-    if incomplete:
-        # reverse the base order inside the first non-complete block
-        blk = comps[incomplete[0]]
-        rel2 = {
-            ((y, x) if (x in blk and y in blk) else (x, y)) for x, y in base.rel
-        }
-        order2 = _order_or_bug(g.n, rel2, "block-reversed order is not a partial order")
-        if not is_associated(g, order2):
-            raise InternalInconsistencyError("block-reversed order is not associated to the graph")
-        if order2 == base or order2 == base.dual():
-            raise InternalInconsistencyError("block reversal failed to produce a new order")
-        pairs_in_block = sorted(
-            (a, b) for a in blk for b in blk if a < b and not g.adjacent(a, b)
-        )
-        a, b = pairs_in_block[0]
-        x, y = (a, b) if base.less(a, b) else (b, a)
-        w = min(v for v in range(g.n) if v not in blk)
-        return UniquenessVerdict(
-            unique=False,
-            wq_components=wq_count,
-            witness=(base, order2),
-            triple=(x, y, w),
-        )
-
-    # three or more blocks, all complete: transpose the first two
-    order1 = _stacked_order(g, comps, list(range(len(comps))))
-    swapped = [1, 0] + list(range(2, len(comps)))
-    order2 = _stacked_order(g, comps, swapped)
-    if order2 == order1 or order2 == order1.dual():
-        raise InternalInconsistencyError("block transposition failed to produce a new order")
-    triple = (min(comps[0]), min(comps[1]), min(comps[2]))
-    return UniquenessVerdict(
-        unique=False,
-        wq_components=wq_count,
-        witness=(order1, order2),
-        triple=triple,
-    )
-
-
 def decide_unique(g: Graph) -> UniquenessVerdict:
     """Decide unique orderability of an interval graph, with certificates.
 
-    Complete graphs are uniquely orderable by the antichain; disconnected
-    graphs are unique exactly when they split into at most two complete
-    blocks. On connected non-complete graphs the buried-subgraph search and
-    the pair-graph component count must agree (buried exists iff more than
-    two components), or an internal error is raised.
+    Complete graphs are uniquely orderable by the antichain. On every other
+    input the buried-subgraph search and the pair-graph component count must
+    agree (a buried subgraph exists iff there are more than two components),
+    or an internal error is raised; on a disconnected graph both say
+    "unique" exactly when it is two complete blocks. The unique order is
+    read off the pair graph. A non-unique witness is one order and its
+    reversal inside a vertex set (`_reversal_witness`): on a connected graph
+    the buried set, in the interval order made convex around it; on a
+    disconnected one the first non-complete block, or else the first two
+    blocks, in the interval order, which stacks complete blocks by least
+    vertex.
     """
     result = recognize(g)
     if isinstance(result, Obstruction):
         raise NotIntervalGraphError("not an interval graph", obstruction=result)
     pg = pair_graph(g)
-    comps = components(g)
-    if len(comps) > 1:
-        base = representation_to_order(result)
-        return _disconnected_verdict(g, comps, base, pg.component_count)
     if g.is_complete():
         return UniquenessVerdict(
             unique=True,
@@ -531,13 +474,21 @@ def decide_unique(g: Graph) -> UniquenessVerdict:
         order = order_from_pair_graph(g, pg)
         return UniquenessVerdict(unique=True, wq_components=pg.component_count, order=order)
     base = representation_to_order(result)
-    order1, order2, triple = two_orders_from_buried(g, cert, base)
+    comps = components(g)
+    if len(comps) == 1:
+        order1, order2, triple = two_orders_from_buried(g, cert, base)
+    else:
+        block = next(
+            (c for c in comps if any(len(g.adj[v]) < len(c) - 1 for v in c)),
+            comps[0] | comps[1],
+        )
+        order1, order2, triple = _reversal_witness(g, base, block)
     return UniquenessVerdict(
         unique=False,
         wq_components=pg.component_count,
         witness=(order1, order2),
         triple=triple,
-        buried=cert,
+        buried=cert if len(comps) == 1 else None,
     )
 
 

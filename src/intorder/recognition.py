@@ -382,15 +382,18 @@ def validate_obstruction(g: Graph, obs: Obstruction) -> bool:
         cycle = obs.cycle
         if cycle is None or len(cycle) < 4 or len(set(cycle)) != len(cycle):
             return False
-        k = len(cycle)
-        for i in range(k):
-            for j in range(i + 1, k):
-                consecutive = (j - i == 1) or (i == 0 and j == k - 1)
-                if g.adjacent(cycle[i], cycle[j]) != consecutive:
-                    return False
-        return True
+        if not all(0 <= v < g.n for v in cycle):
+            return False
+        # chordless: on the cycle, each vertex sees exactly its two neighbours
+        on_cycle = sum(1 << v for v in cycle)
+        return all(
+            g.masks[c] & on_cycle == (1 << cycle[i - 1] | 1 << cycle[(i + 1) % len(cycle)])
+            for i, c in enumerate(cycle)
+        )
     if obs.kind == ASTEROIDAL_TRIPLE:
         if obs.triple is None or obs.witness_paths is None or len(obs.witness_paths) != 3:
+            return False
+        if not all(0 <= v < g.n for v in obs.triple):
             return False
         x, y, z = obs.triple
         if g.adjacent(x, y) or g.adjacent(x, z) or g.adjacent(y, z):

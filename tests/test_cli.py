@@ -263,3 +263,11 @@ def test_selftest_json_times_every_check():
     for check in payload["checks"]:
         assert check["ok"] is True, check
         assert check["seconds"] >= 0, check
+
+
+def test_selftest_max_n_out_of_range_is_an_input_error():
+    for value in ("2", "17"):
+        code, out, err = run(["selftest", "--max-n", value], None)
+        assert code == 2, value
+        assert out == ""
+        assert "--max-n must be between 3 and 16" in err

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from itertools import combinations
@@ -13,7 +14,10 @@ from intorder import (
     NotIntervalGraphError,
     PairGraph,
     StrictPartialOrder,
+    UniquenessVerdict,
     buried_candidate,
+    complete_graph,
+    components,
     decide_unique,
     find_buried,
     graph_from_edges,
@@ -28,6 +32,7 @@ from intorder import (
     verdict_to_jsonable,
 )
 from intorder.gadgets import all_graphs, random_interval_graph
+from intorder.oracle import oracle_unique
 from intorder.orderability import _scan_buried
 from intorder.recognition import Obstruction, recognize
 
@@ -139,6 +144,137 @@ def per_pair_scan_buried(g):
                 pair=(v, u),
             )
     return None
+
+
+# The decision as it was when disconnected graphs took their own route: a
+# block rule, a stacking of complete blocks and a reversal step of their own,
+# next to the buried route's convexify-and-reverse.
+
+def stacked_order(g, comps, block_rank):
+    rel = {
+        (x, y)
+        for i, ci in enumerate(comps)
+        for j, cj in enumerate(comps)
+        if block_rank[i] < block_rank[j]
+        for x in ci
+        for y in cj
+    }
+    order = StrictPartialOrder(g.n, frozenset(rel))
+    assert is_associated(g, order)
+    return order
+
+
+def reference_two_orders_from_buried(g, cert, base):
+    members = cert.members
+    anchor = min(members)
+    rel1 = set()
+    for x in range(g.n):
+        for y in range(g.n):
+            if x == y:
+                continue
+            x_in, y_in = x in members, y in members
+            if x_in == y_in:
+                if base.less(x, y):
+                    rel1.add((x, y))
+            elif x_in:
+                if base.less(anchor, y):
+                    rel1.add((x, y))
+            elif base.less(x, anchor):
+                rel1.add((x, y))
+    order1 = StrictPartialOrder(g.n, frozenset(rel1))
+    rel2 = {((y, x) if (x in members and y in members) else (x, y)) for x, y in rel1}
+    order2 = StrictPartialOrder(g.n, frozenset(rel2))
+    assert is_associated(g, order1) and is_associated(g, order2)
+    assert order2 != order1 and order2 != order1.dual()
+    a, b = cert.witness_nonedge
+    x, y = (a, b) if order1.less(a, b) else (b, a)
+    return order1, order2, (x, y, cert.witness_outside)
+
+
+def reference_disconnected_verdict(g, comps, base, wq_count):
+    block_complete = [all(g.adjacent(x, y) for x in comp for y in comp) for comp in comps]
+    if len(comps) <= 2 and all(block_complete):
+        order = stacked_order(g, comps, list(range(len(comps))))
+        return UniquenessVerdict(unique=True, wq_components=wq_count, order=order)
+    incomplete = [i for i, ok in enumerate(block_complete) if not ok]
+    if incomplete:
+        blk = comps[incomplete[0]]
+        rel2 = {((y, x) if (x in blk and y in blk) else (x, y)) for x, y in base.rel}
+        order2 = StrictPartialOrder(g.n, frozenset(rel2))
+        assert is_associated(g, order2)
+        assert order2 != base and order2 != base.dual()
+        a, b = min((a, b) for a in blk for b in blk if a < b and not g.adjacent(a, b))
+        x, y = (a, b) if base.less(a, b) else (b, a)
+        w = min(v for v in range(g.n) if v not in blk)
+        return UniquenessVerdict(
+            unique=False, wq_components=wq_count, witness=(base, order2), triple=(x, y, w)
+        )
+    order1 = stacked_order(g, comps, list(range(len(comps))))
+    order2 = stacked_order(g, comps, [1, 0] + list(range(2, len(comps))))
+    assert order2 != order1 and order2 != order1.dual()
+    return UniquenessVerdict(
+        unique=False,
+        wq_components=wq_count,
+        witness=(order1, order2),
+        triple=(min(comps[0]), min(comps[1]), min(comps[2])),
+    )
+
+
+def reference_decide(g):
+    rep = recognize(g)
+    pg = pair_graph(g)
+    comps = components(g)
+    if len(comps) > 1:
+        return reference_disconnected_verdict(
+            g, comps, representation_to_order(rep), pg.component_count
+        )
+    if g.is_complete():
+        return UniquenessVerdict(
+            unique=True, wq_components=pg.component_count, order=StrictPartialOrder(g.n, frozenset())
+        )
+    cert = _scan_buried(g)
+    assert (cert is None) == (pg.component_count == 2)
+    if cert is None:
+        chosen = pg.component_of[pg.pairs[0]]
+        order = StrictPartialOrder(
+            g.n, frozenset(p for p in pg.pairs if pg.component_of[p] == chosen)
+        )
+        return UniquenessVerdict(unique=True, wq_components=pg.component_count, order=order)
+    order1, order2, triple = reference_two_orders_from_buried(
+        g, cert, representation_to_order(rep)
+    )
+    return UniquenessVerdict(
+        unique=False,
+        wq_components=pg.component_count,
+        witness=(order1, order2),
+        triple=triple,
+        buried=cert,
+    )
+
+
+def assert_same_verdict(g, got, want):
+    for field in dataclasses.fields(UniquenessVerdict):
+        assert getattr(got, field.name) == getattr(want, field.name), (field.name, sorted(g.edges))
+    assert verdict_to_jsonable(got) == verdict_to_jsonable(want)
+
+
+def relabeled_disjoint_unions(count, seed):
+    """Disjoint unions of 1-4 random interval graphs (n 1-8) or cliques
+    (n 1-3), vertices shuffled across the parts."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        parts = [
+            complete_graph(rng.randint(1, 3)) if rng.random() < 0.3
+            else random_interval_graph(rng.randint(1, 8), rng.randrange(10**9))[0]
+            for _ in range(rng.randint(1, 4))
+        ]
+        perm = list(range(sum(p.n for p in parts)))
+        rng.shuffle(perm)
+        edges, offset = [], 0
+        for p in parts:
+            edges += [(perm[offset + u], perm[offset + v]) for u, v in p.edges]
+            offset += p.n
+        yield graph_from_edges(len(perm), edges)
 
 
 def nonadjacent_pairs(g):
@@ -399,6 +535,13 @@ class TestTwoOrders:
         assert is_associated(g, order1) and is_associated(g, order2)
         assert order2 != order1 and order2 != order1.dual()
 
+    def test_triple_is_read_off_the_members(self):
+        g = star3()
+        cert = find_buried(g)
+        base = representation_to_order(recognize(g))
+        forged = dataclasses.replace(cert, witness_outside=0)
+        assert two_orders_from_buried(g, forged, base) == two_orders_from_buried(g, cert, base)
+
     def test_base_must_be_associated(self):
         g = star3()
         cert = find_buried(g)
@@ -486,6 +629,30 @@ class TestDecideUnique:
         assert elapsed < 8, elapsed
         assert verdict.unique
         assert is_associated(g, verdict.order)
+
+
+class TestAgainstReferenceDecision:
+    def test_interval_graphs_exhaustive_n5_and_disconnected_n6(self):
+        # every disconnected one is also checked against the enumeration
+        disconnected = 0
+        for n in range(7):
+            for g in all_graphs(n):
+                connected = len(components(g)) <= 1
+                if (n == 6 and connected) or isinstance(recognize(g), Obstruction):
+                    continue
+                verdict = decide_unique(g)
+                assert_same_verdict(g, verdict, reference_decide(g))
+                if not connected:
+                    assert verdict.unique == oracle_unique(g), sorted(g.edges)
+                    disconnected += 1
+        assert disconnected == 5164
+
+    def test_relabeled_disjoint_unions(self):
+        disconnected = 0
+        for g in relabeled_disjoint_unions(600, 6):
+            assert_same_verdict(g, decide_unique(g), reference_decide(g))
+            disconnected += len(components(g)) > 1
+        assert disconnected == 451
 
 
 class TestVerdictJson:

@@ -189,6 +189,16 @@ class TestTriangulated:
         assert obs.cycle == (0, 1, 2, 3)
         assert validate_obstruction(c4(), obs)
 
+    def test_forged_cycles_are_rejected(self):
+        # -1 would wrap to vertex 3 and 7 would overrun the adjacency lists
+        for cycle in ((-1, 0, 1, 2), (7, 0, 1, 2), (0, 2, 1, 3)):
+            assert not validate_obstruction(c4(), Obstruction("chordless_cycle", cycle)), cycle
+        # 1-3 is a chord
+        assert not validate_obstruction(
+            graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]),
+            Obstruction("chordless_cycle", (0, 1, 2, 3)),
+        )
+
     def test_net_graph_is_triangulated(self):
         assert check_triangulated(net_graph()) is None
 
@@ -286,6 +296,12 @@ class TestAsteroidalTriples:
 
     def test_complete_graph_has_none(self):
         assert find_asteroidal_triple(k3()) is None
+
+    def test_forged_triple_out_of_range_is_rejected(self):
+        paths = find_asteroidal_triple(net_graph()).witness_paths
+        for triple in ((3, 4, 9), (-1, 4, 5)):
+            forged = Obstruction("asteroidal_triple", triple=triple, witness_paths=paths)
+            assert not validate_obstruction(net_graph(), forged), triple
 
     def test_p4_has_none(self):
         assert find_asteroidal_triple(p4()) is None
