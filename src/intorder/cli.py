@@ -352,7 +352,7 @@ def _check_certificates(max_n: int) -> str | None:
                 o1, o2 = verdict.witness
                 if not (is_associated(g, o1) and is_associated(g, o2)):
                     return f"witness orders not associated on edges={sorted(g.edges)}"
-                if o2 == o1 or o2 == o1.dual():
+                if o2.succ in (o1.succ, o1.pred):
                     return f"witness orders not genuinely different on edges={sorted(g.edges)}"
                 if verdict.buried is not None and not is_buried(g, verdict.buried.members):
                     return f"buried certificate invalid on edges={sorted(g.edges)}"

@@ -242,28 +242,39 @@ class StrictPartialOrder:
 
     The stored pair set always equals its own transitive closure; this is
     validated on construction, so every accepted instance is a genuine
-    strict partial order.
+    strict partial order. Construction also builds `succ` and `pred`, the
+    vertices above and below each vertex as `Graph.masks`-style int
+    bitsets; they are plain attributes, not fields, so equality, hashing
+    and `repr` see only `n` and `rel`.
     """
 
     n: int
     rel: frozenset[VertexPair]
 
     def __post_init__(self):
-        succ: dict[int, set[int]] = {}
+        succ = [0] * self.n
+        pred = [0] * self.n
         for u, v in self.rel:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise InputError(f"relation pair ({u}, {v}) out of range for n={self.n}")
             if u == v:
                 raise InputError(f"relation must be irreflexive; got ({u}, {u})")
-            if (v, u) in self.rel:
+            succ[u] |= 1 << v
+            pred[v] |= 1 << u
+        for u in range(self.n):
+            if succ[u] & pred[u]:
+                v = next(bit_indices(succ[u] & pred[u]))
                 raise InputError(f"relation must be antisymmetric; got both ({u},{v}) and ({v},{u})")
-            succ.setdefault(u, set()).add(v)
-        for u, v in self.rel:
-            for w in succ.get(v, ()):
-                if (u, w) not in self.rel:
+        for u in range(self.n):
+            above = succ[u]
+            for v in bit_indices(above):
+                if succ[v] & ~above:
+                    w = next(bit_indices(succ[v] & ~above))
                     raise InputError(
                         f"relation is not transitively closed: ({u},{v}) and ({v},{w}) but not ({u},{w})"
                     )
+        object.__setattr__(self, "succ", tuple(succ))
+        object.__setattr__(self, "pred", tuple(pred))
 
     def less(self, u: int, v: int) -> bool:
         return (u, v) in self.rel
@@ -313,10 +324,15 @@ def incomparability_graph(o: StrictPartialOrder) -> Graph:
 
 
 def is_associated(g: Graph, o: StrictPartialOrder) -> bool:
-    """True when g is exactly the incomparability graph of o (labels ignored)."""
+    """True when g is exactly the incomparability graph of o (labels ignored):
+    the vertices comparable to each u are those outside its closed
+    neighbourhood."""
     if g.n != o.n:
         raise InputError(f"vertex count mismatch: graph has {g.n}, order has {o.n}")
-    return incomparability_graph(o).edges == g.edges
+    everyone = (1 << g.n) - 1
+    return all(
+        o.succ[u] | o.pred[u] == everyone & ~(m | 1 << u) for u, m in enumerate(g.masks)
+    )
 
 
 # ---------------------------------------------------------------------------

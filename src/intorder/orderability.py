@@ -18,9 +18,12 @@ The first two run on the neighbourhood bitsets `Graph.masks` caches. The
 pair graph is flood-filled by one-coordinate steps (Golumbic's implication
 classes of the complement) plus a diagonal step across each induced
 four-cycle, with the unvisited pairs kept as one bitset per row and one per
-column. The buried search grows, from each non-adjacent pair, the least
-module holding it; that set is buried exactly when its remainder is
-nonempty, and if no pair yields one then no buried subgraph exists at all.
+column. A chordal graph has no induced four-cycle, so the diagonal step
+runs only when one chordality sweep fails; every interval graph, and so
+every input `decide_unique` accepts, skips it. The buried search grows,
+from each non-adjacent pair, the least module holding it; that set is
+buried exactly when its remainder is nonempty, and if no pair yields one
+then no buried subgraph exists at all.
 At the fixpoint the remainder is V - members - touched (touched being the
 union of the members' neighbourhoods), and both of those only grow, so a
 closure is dropped as soon as they cover V. Only the first closure that
@@ -46,7 +49,7 @@ from .graphs import (
     components,
     is_associated,
 )
-from .recognition import Obstruction, recognize
+from .recognition import Obstruction, _is_chordal, recognize
 from .representation import representation_to_order
 
 VertexPair = tuple[int, int]
@@ -81,13 +84,16 @@ def pair_graph(g: Graph) -> PairGraph:
     non-adjacent (c, d) with c, d in N(a) ∩ N(b). Any other link (a, b)–(c, d)
     factors through (c, b) or (a, d) unless c ~ b and a ~ d, and then
     a–c–b–d is an induced four-cycle: the diagonal case. So the components
-    are those of the full link relation on every graph.
+    are those of the full link relation on every graph. A chordal graph has
+    no induced four-cycle, so the diagonal step runs only when one
+    `_is_chordal` sweep fails; every interval graph skips it.
 
     The unvisited pairs are indexed twice: `row[a]` holds the b and `col[b]`
     the a of each unvisited (a, b). The steps from (a, b) are then the bits
     of `masks[a] & col[b]`, of `masks[b] & row[a]` and, for each c in
     `common = masks[a] & masks[b]`, of `common & row[c]`."""
     masks = g.masks
+    diagonal = not _is_chordal(masks)
     everyone = (1 << g.n) - 1
     row = [everyone & ~(m | 1 << a) for a, m in enumerate(masks)]
     col = row[:]  # non-adjacency is symmetric
@@ -112,7 +118,7 @@ def pair_graph(g: Graph) -> PairGraph:
                     visit(c, 1 << b)
                 if masks[b] & row[a]:
                     visit(a, masks[b] & row[a])
-                common = masks[a] & masks[b]
+                common = masks[a] & masks[b] if diagonal else 0
                 for c in bit_indices(common):
                     if common & row[c]:
                         visit(c, common & row[c])
@@ -365,7 +371,7 @@ def _reversal_witness(
     order1 = _associated_order(g, rel1, "order made convex around the set")
     rel2 = {((y, x) if x in members and y in members else (x, y)) for x, y in rel1}
     order2 = _associated_order(g, rel2, "order reversed inside the set")
-    if order2 == order1 or order2 == order1.dual():
+    if order2.succ in (order1.succ, order1.pred):
         raise InternalInconsistencyError(
             "reversing inside the set failed to produce a genuinely new order"
         )

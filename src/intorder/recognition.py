@@ -149,24 +149,25 @@ def _is_chordal(masks: tuple[int, ...]) -> bool:
     n = len(masks)
     buckets = [(1 << n) - 1] + [0] * n
     count = [0] * n
-    position = [0] * n
+    seen_at = [0] * n  # bit i of seen_at[w]: w is adjacent to the i-th visit
+    visit_order = [0] * n
     visited = top = 0
     for step in range(n):
         while not buckets[top]:
             top -= 1
         v = (buckets[top] & -buckets[top]).bit_length() - 1
         buckets[top] ^= 1 << v
-        earlier = masks[v] & visited
-        if earlier:
-            latest = max(bit_indices(earlier), key=position.__getitem__)
-            if earlier & ~masks[latest] & ~(1 << latest):
+        if seen_at[v]:
+            latest = visit_order[seen_at[v].bit_length() - 1]
+            if masks[v] & visited & ~masks[latest] & ~(1 << latest):
                 return False
-        position[v] = step
+        visit_order[step] = v
         visited |= 1 << v
         for w in bit_indices(masks[v] & ~visited):
             buckets[count[w]] ^= 1 << w
             count[w] += 1
             buckets[count[w]] |= 1 << w
+            seen_at[w] |= 1 << step
         top += 1
     return True
 

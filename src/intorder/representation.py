@@ -9,12 +9,13 @@ on input and split apart by ``normalize_distinguishing``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, InternalInconsistencyError
-from .graphs import Graph, StrictPartialOrder
+from .graphs import Graph, StrictPartialOrder, bit_indices
 
 
 def _as_fraction(value) -> Fraction:
@@ -105,12 +106,14 @@ def verify_representation(g: Graph, r: ClosedRepresentation) -> bool:
 
 
 def representation_to_order(r: ClosedRepresentation) -> StrictPartialOrder:
-    """The order in which u precedes v iff u's interval lies wholly before v's."""
+    """The order in which u precedes v iff u's interval lies wholly before v's.
+
+    With the vertices sorted by left endpoint once, the successors of u are
+    the suffix whose left endpoints exceed right(u)."""
+    by_left = sorted(range(r.n), key=r.left.__getitem__)
+    lefts = [r.left[v] for v in by_left]
     rel = frozenset(
-        (u, v)
-        for u in range(r.n)
-        for v in range(r.n)
-        if u != v and r.wholly_before(u, v)
+        (u, v) for u in range(r.n) for v in by_left[bisect_right(lefts, r.right[u]):]
     )
     try:
         return StrictPartialOrder(r.n, rel)
@@ -120,29 +123,19 @@ def representation_to_order(r: ClosedRepresentation) -> StrictPartialOrder:
         ) from exc
 
 
-def _predecessor_sets(o: StrictPartialOrder) -> list[frozenset[int]]:
-    return [
-        frozenset(u for u in range(o.n) if o.less(u, v))
-        for v in range(o.n)
-    ]
-
-
 def find_two_plus_two(o: StrictPartialOrder) -> tuple[int, int, int, int] | None:
     """A witness (a, b, c, d) with a < b and c < d forming two disjoint
     comparable pairs with no relations across, or None.
 
     Uses the down-set characterization: such a pattern exists iff two
-    predecessor sets are incomparable under inclusion.
+    predecessor sets `o.pred` are incomparable under inclusion; a and c are
+    the least vertices of the two differences.
     """
-    preds = _predecessor_sets(o)
     for b in range(o.n):
         for d in range(o.n):
-            pb, pd = preds[b], preds[d]
-            if pb <= pd or pd <= pb:
-                continue
-            a = min(pb - pd)
-            c = min(pd - pb)
-            return (a, b, c, d)
+            only_b, only_d = o.pred[b] & ~o.pred[d], o.pred[d] & ~o.pred[b]
+            if only_b and only_d:
+                return (next(bit_indices(only_b)), b, next(bit_indices(only_d)), d)
     return None
 
 
@@ -166,15 +159,14 @@ def order_to_representation(o: StrictPartialOrder) -> ClosedRepresentation:
             "not an interval order: "
             f"{a}<{b} and {c}<{d} are disjoint comparable pairs with all cross pairs incomparable"
         )
-    preds = _predecessor_sets(o)
-    chain = sorted(set(preds), key=len)
+    chain = sorted(set(o.pred), key=int.bit_count)
     rank = {down: i for i, down in enumerate(chain)}
     m = len(chain)
     lefts = []
     rights = []
     for v in range(o.n):
-        lefts.append(Fraction(rank[preds[v]]))
-        containing = [i for i, down in enumerate(chain) if v in down]
+        lefts.append(Fraction(rank[o.pred[v]]))
+        containing = [i for i, down in enumerate(chain) if down >> v & 1]
         rights.append(Fraction(containing[0] - 1 if containing else m))
     return ClosedRepresentation(o.n, tuple(lefts), tuple(rights))
 

@@ -1,4 +1,7 @@
+import dataclasses
 import random
+import re
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -21,6 +24,101 @@ from intorder import (
     refine_to_minimal,
     universal_vertices,
 )
+from intorder.gadgets import random_interval_graph
+from intorder.representation import representation_to_order
+
+
+# Reference implementations: order validation and association written on
+# pair sets. The library checks the same properties on successor bitsets.
+
+def pair_set_order_check(n, rel):
+    """Raise InputError unless `rel` is a strict partial order on 0..n-1,
+    scanning the pairs as tuples."""
+    succ = {}
+    for u, v in rel:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"relation pair ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise InputError(f"relation must be irreflexive; got ({u}, {u})")
+        if (v, u) in rel:
+            raise InputError(f"relation must be antisymmetric; got both ({u},{v}) and ({v},{u})")
+        succ.setdefault(u, set()).add(v)
+    for u, v in rel:
+        for w in succ.get(v, ()):
+            if (u, w) not in rel:
+                raise InputError(
+                    f"relation is not transitively closed: ({u},{v}) and ({v},{w}) but not ({u},{w})"
+                )
+
+
+def pair_set_is_associated(g, o):
+    return incomparability_graph(o).edges == g.edges
+
+
+def assert_message_names_a_real_violation(n, rel, message):
+    """The pairs a rejection message names must break the property it states."""
+    nums = [int(x) for x in re.findall(r"-?\d+", message)]
+    if "out of range" in message:
+        u, v = nums[0], nums[1]
+        assert (u, v) in rel and not (0 <= u < n and 0 <= v < n), message
+    elif "irreflexive" in message:
+        assert nums[0] == nums[1] and (nums[0], nums[0]) in rel, message
+    elif "antisymmetric" in message:
+        u, v = nums[0], nums[1]
+        assert u != v and (u, v) in rel and (v, u) in rel, message
+    else:
+        assert "transitively closed" in message, message
+        u, v, v2, w, u2, w2 = nums
+        assert (v, u2, w2) == (v2, u, w), message
+        assert (u, v) in rel and (v, w) in rel and (u, w) not in rel, message
+
+
+def assert_same_verdict_as_pair_sets(n, rel):
+    try:
+        pair_set_order_check(n, rel)
+        expected = None
+    except InputError as exc:
+        expected = exc
+    try:
+        o = StrictPartialOrder(n, rel)
+    except InputError as exc:
+        assert expected is not None, (n, sorted(rel), str(exc))
+        assert_message_names_a_real_violation(n, rel, str(exc))
+        # transitivity is reported only once every pair passes the others
+        closed = "transitively closed"
+        assert (closed in str(exc)) == (closed in str(expected)), (str(exc), str(expected))
+        return None
+    assert expected is None, (n, sorted(rel), str(expected))
+    for u in range(n):
+        assert o.succ[u] == sum(1 << v for v in range(n) if (u, v) in rel)
+        assert o.pred[u] == sum(1 << v for v in range(n) if (v, u) in rel)
+    return o
+
+
+def forged_relations(count, seed):
+    """Valid orders with one pair added, removed or reversed, plus pairs out
+    of range and reflexive pairs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 9)
+        layout = list(range(n))
+        rng.shuffle(layout)
+        pairs = {(layout[i], layout[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.4}
+        rel = set(order_from_pairs(n, pairs).rel)
+        kind = rng.randrange(6)
+        if kind == 0 and rel:
+            rel.discard(rng.choice(sorted(rel)))
+        elif kind == 1:
+            rel.add((rng.randrange(n), rng.randrange(n)))
+        elif kind == 2 and rel:
+            u, v = rng.choice(sorted(rel))
+            rel.add((v, u))
+        elif kind == 3:
+            rel.add((rng.choice([-1, n, n + 3]), rng.randrange(n)))
+        elif kind == 4:
+            rel.add((rng.randrange(n), rng.choice([-2, n])))
+        yield n, frozenset(rel)
 
 
 class TestGraphConstruction:
@@ -157,6 +255,30 @@ class TestOrders:
     def test_closure_is_noop_on_valid_orders(self, o):
         assert order_from_pairs(o.n, o.rel).rel == o.rel
 
+    def test_matches_pair_set_check_on_every_relation_n4(self):
+        accepted = 0
+        for n in range(5):
+            cells = list(product(range(n), repeat=2))
+            for chosen in product((False, True), repeat=len(cells)):
+                rel = frozenset(c for c, keep in zip(cells, chosen) if keep)
+                accepted += assert_same_verdict_as_pair_sets(n, rel) is not None
+        # labeled posets on 0, 1, 2, 3 and 4 points
+        assert accepted == 1 + 1 + 3 + 19 + 219
+
+    def test_matches_pair_set_check_on_forged_relations(self):
+        rejected = 0
+        for n, rel in forged_relations(2000, 31):
+            rejected += assert_same_verdict_as_pair_sets(n, rel) is None
+        assert 500 < rejected < 1900, rejected
+
+    def test_bitsets_are_not_fields(self):
+        o = order_from_pairs(3, [(0, 1), (1, 2)])
+        assert [f.name for f in dataclasses.fields(o)] == ["n", "rel"]
+        assert repr(o) == f"StrictPartialOrder(n=3, rel={o.rel!r})"
+        assert o == StrictPartialOrder(3, frozenset(o.rel))
+        assert hash(o) == hash(StrictPartialOrder(3, frozenset(o.rel)))
+        assert (o.succ, o.pred) == ((0b110, 0b100, 0), (0, 0b001, 0b011))
+
 
 class TestIncomparability:
     def test_chain_gives_empty_graph(self):
@@ -193,6 +315,23 @@ class TestAssociation:
     def test_size_mismatch(self):
         with pytest.raises(InputError):
             is_associated(k3(), StrictPartialOrder(4, frozenset()))
+
+    def test_matches_incomparability_graph_on_seeded_pairs(self):
+        rng = random.Random(47)
+        answers = []
+        for _ in range(400):
+            g, rep = random_interval_graph(rng.randint(1, 14), rng.randrange(10**9))
+            order = representation_to_order(rep)
+            u, v = rng.randrange(g.n), rng.randrange(g.n)
+            edited = g if u == v else graph_from_edges(
+                g.n, g.edges ^ {(min(u, v), max(u, v))}
+            )
+            other = random_graph(g.n, rng.random(), rng)
+            for graph in (g, edited, other, incomparability_graph(order.dual())):
+                answers.append(is_associated(graph, order))
+                assert answers[-1] == pair_set_is_associated(graph, order), (
+                    sorted(graph.edges), sorted(order.rel))
+        assert 0.3 < sum(answers) / len(answers) < 0.8
 
 
 class TestUniversalVertices:

@@ -469,6 +469,21 @@ class TestAgainstReferences:
                 cd = rng.choice(same if rng.random() < 0.8 else pg.pairs)
                 assert pair_path(pg, ab, cd) == all_pairs_pair_path(pg, ab, cd)
 
+    def test_pair_graph_on_relabeled_interval_graphs_n30_to_60(self):
+        # chordal inputs skip the diagonal step; the union-find links every
+        # two pairs, four-cycle or not
+        rng = random.Random(3060)
+        counts = set()
+        for _ in range(40):
+            g, _ = random_interval_graph(rng.randint(30, 60), rng.randrange(10**9))
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g = graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+            pg = pair_graph(g)
+            assert pg == all_pairs_pair_graph(g), sorted(g.edges)
+            counts.add(pg.component_count)
+        assert 2 in counts and max(counts) > 2, counts
+
     def test_scan_exhaustive_n6(self):
         found = 0
         for n in range(7):
@@ -629,6 +644,21 @@ class TestDecideUnique:
         assert elapsed < 8, elapsed
         assert verdict.unique
         assert is_associated(g, verdict.order)
+
+    def test_edgeless_n300_within_budget(self):
+        g = graph_from_edges(300, [])
+        start = time.perf_counter()
+        verdict = decide_unique(g)
+        elapsed = time.perf_counter() - start
+        # about 0.35 s on a 2-core host; validating the 44,850-pair orders
+        # pair by pair, and building the dual to compare, took 3.9 s
+        assert elapsed < 2, elapsed
+        assert not verdict.unique
+        order1, order2 = verdict.witness
+        for order in (order1, order2):
+            assert StrictPartialOrder(order.n, frozenset(order.rel)) == order
+            assert is_associated(g, order)
+        assert order2 != order1 and order2 != order1.dual()
 
 
 class TestAgainstReferenceDecision:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -25,6 +26,53 @@ from intorder.representation import (
     representation_from_jsonable,
     representation_to_jsonable,
 )
+
+
+# Reference implementations: precedence and predecessor sets compared pair
+# by pair. The library sorts left endpoints once and reads `o.pred` bitsets.
+
+def fraction_representation_to_order(r):
+    return frozenset(
+        (u, v) for u in range(r.n) for v in range(r.n) if u != v and r.right[u] < r.left[v]
+    )
+
+
+def predecessor_sets(o):
+    return [frozenset(u for u in range(o.n) if o.less(u, v)) for v in range(o.n)]
+
+
+def set_based_find_two_plus_two(o):
+    preds = predecessor_sets(o)
+    for b in range(o.n):
+        for d in range(o.n):
+            pb, pd = preds[b], preds[d]
+            if not (pb <= pd or pd <= pb):
+                return (min(pb - pd), b, min(pd - pb), d)
+    return None
+
+
+def set_based_order_to_representation(o):
+    preds = predecessor_sets(o)
+    chain = sorted(set(preds), key=len)
+    rank = {down: i for i, down in enumerate(chain)}
+    lefts = [Fraction(rank[preds[v]]) for v in range(o.n)]
+    rights = []
+    for v in range(o.n):
+        containing = [i for i, down in enumerate(chain) if v in down]
+        rights.append(Fraction(containing[0] - 1 if containing else len(chain)))
+    return ClosedRepresentation(o.n, tuple(lefts), tuple(rights))
+
+
+def all_orders(max_n):
+    """Every strict partial order on 0..n-1 for n <= max_n."""
+    for n in range(max_n + 1):
+        cells = [(u, v) for u in range(n) for v in range(n) if u != v]
+        for chosen in product((False, True), repeat=len(cells)):
+            rel = frozenset(c for c, keep in zip(cells, chosen) if keep)
+            try:
+                yield StrictPartialOrder(n, rel)
+            except InputError:
+                pass
 
 
 def single_nonedge4_representation() -> ClosedRepresentation:
@@ -101,6 +149,22 @@ class TestPrecedenceOrder:
         rep = representation_from_intervals([(0, 1), (2, 3), (4, 5)])
         assert representation_to_order(rep).rel == frozenset({(0, 1), (1, 2), (0, 2)})
 
+    def test_matches_fraction_comparisons_with_touching_and_point_intervals(self):
+        rng = random.Random(61)
+        touching = points = 0
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            ends = []
+            for _ in range(n):
+                left = Fraction(rng.randrange(10), rng.randint(1, 3))
+                right = left if rng.random() < 0.2 else left + Fraction(rng.randrange(1, 8), rng.randint(1, 3))
+                ends.append((left, right))
+            rep = representation_from_intervals(ends)
+            points += any(x == y for x, y in ends)
+            touching += any(x[1] == y[0] for x in ends for y in ends if x is not y)
+            assert representation_to_order(rep).rel == fraction_representation_to_order(rep), ends
+        assert touching > 100 and points > 100, (touching, points)
+
 
 class TestIntervalOrders:
     def test_two_disjoint_chains_rejected(self):
@@ -130,6 +194,26 @@ class TestIntervalOrders:
         assert is_interval_order(o) == (not brute(o))
 
 
+    def test_witness_matches_predecessor_sets(self):
+        # every order with n <= 4, then seeded orders with n 5-12 where the
+        # differences of predecessor sets can hold several vertices
+        rng = random.Random(83)
+        seeded = []
+        for _ in range(300):
+            n = rng.randint(5, 12)
+            layout = rng.sample(range(n), n)
+            p = rng.uniform(0.1, 0.5)
+            seeded.append(order_from_pairs(n, [
+                (layout[i], layout[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p
+            ]))
+        found = 0
+        for o in [*all_orders(4), *seeded]:
+            witness = find_two_plus_two(o)
+            assert witness == set_based_find_two_plus_two(o), sorted(o.rel)
+            found += witness is not None
+        assert found > 150, found
+
+
 class TestOrderToRepresentation:
     def test_antichain_intervals_pairwise_meet(self):
         rep = order_to_representation(StrictPartialOrder(3, frozenset()))
@@ -150,6 +234,11 @@ class TestOrderToRepresentation:
         with pytest.raises(InputError) as err:
             order_to_representation(o)
         assert "0<1" in str(err.value) and "2<3" in str(err.value)
+
+    def test_matches_predecessor_sets_on_every_interval_order_n4(self):
+        for o in all_orders(4):
+            if is_interval_order(o):
+                assert order_to_representation(o) == set_based_order_to_representation(o), sorted(o.rel)
 
     def test_round_trip_seeded(self):
         rng = random.Random(99)
