@@ -131,62 +131,71 @@ def _fmt_endpoint(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def _emit(payload: dict, text_lines: list[str], as_json: bool) -> None:
+def _emit(as_json: bool, payload, text) -> None:
+    """Print `payload()` as JSON with --json, else the lines of `text()`;
+    only the output that is printed gets built."""
     if as_json:
-        print(json.dumps(payload))
+        print(json.dumps(payload()))
     else:
-        for line in text_lines:
+        for line in text():
             print(line)
+
+
+def _names(name, vertices) -> str:
+    return " ".join(str(name(v)) for v in vertices)
 
 
 def _cmd_recognize(g: Graph, args) -> int:
     result = recognize(g)
     name = g.label_of
     if isinstance(result, Obstruction):
-        payload = obstruction_to_jsonable(result, name)
-        lines = ["interval graph: no"]
-        if result.kind == "chordless_cycle":
-            lines.append("chordless cycle: " + " ".join(str(name(v)) for v in result.cycle))
-        else:
-            lines.append("asteroidal triple: " + " ".join(str(name(v)) for v in result.triple))
-            for path in result.witness_paths:
-                lines.append("witness path: " + " ".join(str(name(v)) for v in path))
-        _emit(payload, lines, args.json)
+        def text():
+            yield "interval graph: no"
+            if result.kind == "chordless_cycle":
+                yield "chordless cycle: " + _names(name, result.cycle)
+            else:
+                yield "asteroidal triple: " + _names(name, result.triple)
+                for path in result.witness_paths:
+                    yield "witness path: " + _names(name, path)
+
+        _emit(args.json, lambda: obstruction_to_jsonable(result, name), text)
         return 1
-    payload = representation_to_jsonable(result)
-    lines = ["interval graph: yes"]
-    for v in range(g.n):
-        lines.append(
-            f"{name(v)}: [{_fmt_endpoint(result.left[v])}, {_fmt_endpoint(result.right[v])}]"
-        )
-    _emit(payload, lines, args.json)
+
+    def text():
+        yield "interval graph: yes"
+        for v in range(g.n):
+            yield f"{name(v)}: [{_fmt_endpoint(result.left[v])}, {_fmt_endpoint(result.right[v])}]"
+
+    _emit(args.json, lambda: representation_to_jsonable(result), text)
     return 0
 
 
 def _order_text(order, name) -> str:
-    return " ".join(f"{name(u)}<{name(v)}" for u, v in sorted(order.rel)) or "(antichain)"
+    return " ".join(f"{name(u)}<{name(v)}" for u, v in order.pairs()) or "(antichain)"
 
 
 def _cmd_decide(g: Graph, args) -> int:
     verdict = decide_unique(g)
     name = g.label_of
-    payload = verdict_to_jsonable(verdict, name)
-    lines = [f"uniquely orderable: {'yes' if verdict.unique else 'no'}"]
-    if verdict.order is not None:
-        lines.append("order: " + _order_text(verdict.order, name))
-    if verdict.witness is not None:
-        lines.append("order1: " + _order_text(verdict.witness[0], name))
-        lines.append("order2: " + _order_text(verdict.witness[1], name))
-        lines.append("disagreement triple: " + " ".join(str(name(v)) for v in verdict.triple))
-    if verdict.buried is not None:
-        cert = verdict.buried
-        lines.append(
-            "buried B: " + " ".join(str(name(v)) for v in sorted(cert.members))
-            + " | K: " + " ".join(str(name(v)) for v in sorted(cert.separators))
-            + " | R: " + " ".join(str(name(v)) for v in sorted(cert.outside))
-        )
-    lines.append(f"wq components: {verdict.wq_components}")
-    _emit(payload, lines, args.json)
+
+    def text():
+        yield f"uniquely orderable: {'yes' if verdict.unique else 'no'}"
+        if verdict.order is not None:
+            yield "order: " + _order_text(verdict.order, name)
+        if verdict.witness is not None:
+            yield "order1: " + _order_text(verdict.witness[0], name)
+            yield "order2: " + _order_text(verdict.witness[1], name)
+            yield "disagreement triple: " + _names(name, verdict.triple)
+        if verdict.buried is not None:
+            cert = verdict.buried
+            yield (
+                "buried B: " + _names(name, sorted(cert.members))
+                + " | K: " + _names(name, sorted(cert.separators))
+                + " | R: " + _names(name, sorted(cert.outside))
+            )
+        yield f"wq components: {verdict.wq_components}"
+
+    _emit(args.json, lambda: verdict_to_jsonable(verdict, name), text)
     return 0 if verdict.unique else 1
 
 
@@ -194,36 +203,45 @@ def _cmd_buried(g: Graph, args) -> int:
     cert = find_buried(g)
     name = g.label_of
     if cert is None:
-        _emit({"found": False}, ["buried subgraph: none"], args.json)
+        _emit(args.json, lambda: {"found": False}, lambda: ["buried subgraph: none"])
         return 1
-    payload = {"found": True, "pair": [name(cert.pair[0]), name(cert.pair[1])]}
-    payload.update(buried_to_jsonable(cert, name))
-    payload["witness_nonedge"] = [name(cert.witness_nonedge[0]), name(cert.witness_nonedge[1])]
-    payload["witness_outside"] = name(cert.witness_outside)
-    lines = [
-        "buried subgraph: found",
-        "B: " + " ".join(str(name(v)) for v in sorted(cert.members)),
-        "K: " + " ".join(str(name(v)) for v in sorted(cert.separators)),
-        "R: " + " ".join(str(name(v)) for v in sorted(cert.outside)),
-        f"grown from: {name(cert.pair[0])} {name(cert.pair[1])}",
-    ]
-    _emit(payload, lines, args.json)
+
+    def payload():
+        out = {"found": True, "pair": [name(cert.pair[0]), name(cert.pair[1])]}
+        out.update(buried_to_jsonable(cert, name))
+        out["witness_nonedge"] = [name(cert.witness_nonedge[0]), name(cert.witness_nonedge[1])]
+        out["witness_outside"] = name(cert.witness_outside)
+        return out
+
+    def text():
+        yield "buried subgraph: found"
+        yield "B: " + _names(name, sorted(cert.members))
+        yield "K: " + _names(name, sorted(cert.separators))
+        yield "R: " + _names(name, sorted(cert.outside))
+        yield f"grown from: {name(cert.pair[0])} {name(cert.pair[1])}"
+
+    _emit(args.json, payload, text)
     return 0
 
 
 def _cmd_wq(g: Graph, args) -> int:
     pg = pair_graph(g)
     name = g.label_of
-    payload = {
-        "pairs": [[name(a), name(b)] for a, b in pg.pairs],
-        "component_ids": [pg.component_of[p] for p in pg.pairs],
-        "component_count": pg.component_count,
-    }
-    lines = [f"non-adjacent ordered pairs: {len(pg.pairs)}",
-             f"components: {pg.component_count}"]
-    for p in pg.pairs:
-        lines.append(f"({name(p[0])}, {name(p[1])}) -> component {pg.component_of[p]}")
-    _emit(payload, lines, args.json)
+
+    def payload():
+        return {
+            "pairs": [[name(a), name(b)] for a, b in pg.pairs],
+            "component_ids": [pg.component_of[p] for p in pg.pairs],
+            "component_count": pg.component_count,
+        }
+
+    def text():
+        yield f"non-adjacent ordered pairs: {len(pg.pairs)}"
+        yield f"components: {pg.component_count}"
+        for p in pg.pairs:
+            yield f"({name(p[0])}, {name(p[1])}) -> component {pg.component_of[p]}"
+
+    _emit(args.json, payload, text)
     return 0
 
 
@@ -233,23 +251,26 @@ def _cmd_orders(g: Graph, args) -> int:
     enumeration = enumerate_associated_orders(g, max_n=args.max_n)
     name = g.label_of
     unique = bool(enumeration.orders) and enumeration.dual_classes == 1
-    payload: dict = {
-        "count": len(enumeration.orders),
-        "dual_classes": enumeration.dual_classes,
-        "unique": unique,
-    }
-    lines = [
-        f"associated orders: {len(enumeration.orders)}",
-        f"duality classes: {enumeration.dual_classes}",
-        f"uniquely orderable: {'yes' if unique else 'no'}",
-    ]
-    if args.enumerate:
-        payload["orders"] = [
-            [[name(u), name(v)] for u, v in sorted(o.rel)] for o in enumeration.orders
-        ]
-        for o in enumeration.orders:
-            lines.append("order: " + _order_text(o, name))
-    _emit(payload, lines, args.json)
+
+    def payload():
+        out: dict = {
+            "count": len(enumeration.orders),
+            "dual_classes": enumeration.dual_classes,
+            "unique": unique,
+        }
+        if args.enumerate:
+            out["orders"] = [[[name(u), name(v)] for u, v in o.pairs()] for o in enumeration.orders]
+        return out
+
+    def text():
+        yield f"associated orders: {len(enumeration.orders)}"
+        yield f"duality classes: {enumeration.dual_classes}"
+        yield f"uniquely orderable: {'yes' if unique else 'no'}"
+        if args.enumerate:
+            for o in enumeration.orders:
+                yield "order: " + _order_text(o, name)
+
+    _emit(args.json, payload, text)
     return 0 if unique else 1
 
 
@@ -261,18 +282,18 @@ def _cmd_gadget(args) -> int:
     stages = args.stages if args.stages is not None else len(values)
     spec = GadgetSpec(values, stages)
     out = build_gadget(spec)
-    payload = gadget_to_jsonable(out)
     name = out.graph.label_of
-    lines = [
-        f"vertices: {out.graph.n}",
-        "predicted B: " + " ".join(str(name(v)) for v in sorted(out.predicted_members)),
-        "predicted K: " + " ".join(str(name(v)) for v in sorted(out.predicted_separators)),
-        "predicted R: " + " ".join(str(name(v)) for v in sorted(out.predicted_outside)),
-    ]
-    for v in range(out.graph.n):
+
+    def text():
+        yield f"vertices: {out.graph.n}"
+        yield "predicted B: " + _names(name, sorted(out.predicted_members))
+        yield "predicted K: " + _names(name, sorted(out.predicted_separators))
+        yield "predicted R: " + _names(name, sorted(out.predicted_outside))
         rep = out.representation
-        lines.append(f"{name(v)}: [{_fmt_endpoint(rep.left[v])}, {_fmt_endpoint(rep.right[v])}]")
-    _emit(payload, lines, args.json)
+        for v in range(out.graph.n):
+            yield f"{name(v)}: [{_fmt_endpoint(rep.left[v])}, {_fmt_endpoint(rep.right[v])}]"
+
+    _emit(args.json, lambda: gadget_to_jsonable(out), text)
     return 0
 
 

@@ -42,8 +42,14 @@ class Graph:
                 raise InputError(
                     f"edge ({u}, {v}) is not canonical or out of range for n={self.n}"
                 )
-        if self.labels is not None and len(self.labels) != self.n:
-            raise InputError("labels must have one entry per vertex (None for unnamed)")
+        if self.labels is not None:
+            if len(self.labels) != self.n:
+                raise InputError("labels must have one entry per vertex (None for unnamed)")
+            # a certificate names vertices by label, so a shared label makes it unreadable
+            owner: dict[str, int] = {}
+            for v, label in enumerate(self.labels):
+                if label is not None and owner.setdefault(label, v) != v:
+                    raise InputError(f"label {label!r} names both vertex {owner[label]} and vertex {v}")
 
     @cached_property
     def adj(self) -> tuple[frozenset[int], ...]:
@@ -63,6 +69,12 @@ class Graph:
             bits[u] |= 1 << v
             bits[v] |= 1 << u
         return tuple(bits)
+
+    @cached_property
+    def chordal_cliques(self) -> tuple[int, ...] | None:
+        """The maximal cliques as `masks`-style bitsets when the graph is
+        chordal, else None: one `_chordal_sweep`, run once per graph."""
+        return _chordal_sweep(self.masks)
 
     def adjacent(self, u: int, v: int) -> bool:
         """Reflexive adjacency: true when u == v or {u, v} is an edge."""
@@ -95,6 +107,61 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _chordal_sweep(masks: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Maximum cardinality search plus the perfect-elimination check; on a
+    chordal graph, its maximal cliques as bitsets in visit order.
+
+    The search visits next an unvisited vertex with the most visited
+    neighbours, least vertex first. Unvisited vertices sit in buckets of
+    bitsets by that count, and a visit lifts its unvisited neighbours one
+    bucket up with one AND per bucket, from the top down. The graph is
+    chordal iff, for every vertex, its earlier-visited neighbours other than
+    the latest of them all lie in that latest one's neighbourhood (Tarjan
+    and Yannakakis 1984); otherwise the sweep returns None. The latest one
+    is found by scanning the visits backwards: usually one step, at most n
+    (a star's leaves scan back to the centre). On a chordal graph each
+    visit with its earlier-visited neighbours is a clique, and it is
+    maximal exactly when the next visit's count of visited neighbours fails
+    to rise, or when it is the last visit (Blair and Peyton 1993).
+    """
+    n = len(masks)
+    buckets = [(1 << n) - 1] + [0] * n
+    visit_order = [0] * n
+    cliques: list[int] = []
+    clique, previous = 0, -1  # the last visit's clique and count
+    visited = top = 0
+    for step in range(n):
+        while not buckets[top]:
+            top -= 1
+        if top <= previous:
+            cliques.append(clique)
+        v = (buckets[top] & -buckets[top]).bit_length() - 1
+        buckets[top] ^= 1 << v
+        earlier = masks[v] & visited
+        if earlier:
+            j = step - 1
+            while not earlier >> visit_order[j] & 1:
+                j -= 1
+            latest = visit_order[j]
+            if earlier & ~masks[latest] & ~(1 << latest):
+                return None
+        clique, previous = earlier | 1 << v, top
+        visit_order[step] = v
+        visited |= 1 << v
+        fresh, k = masks[v] & ~visited, top
+        while fresh:
+            lifted = buckets[k] & fresh
+            if lifted:
+                buckets[k] ^= lifted
+                buckets[k + 1] |= lifted
+                fresh ^= lifted
+            k -= 1
+        top += 1
+    if n:
+        cliques.append(clique)
+    return tuple(cliques)
+
+
 def graph_from_edges(
     n: int,
     edge_list: Iterable[Sequence[int]],
@@ -109,12 +176,16 @@ def graph_from_edges(
     edges: set[VertexPair] = set()
     for pair in edge_list:
         u, v = pair
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"edge endpoint out of range for n={n}: ({u}, {v})")
-        if u == v:
-            raise InputError(f"explicit self-loop ({u}, {v}) rejected; adjacency is reflexive implicitly")
+        _check_endpoints(n, u, v)
         edges.add(_canonical_edge(u, v))
     return Graph(n, frozenset(edges), tuple(labels) if labels is not None else None)
+
+
+def _check_endpoints(n: int, u: int, v: int) -> None:
+    if not (0 <= u < n and 0 <= v < n):
+        raise InputError(f"edge endpoint out of range for n={n}: ({u}, {v})")
+    if u == v:
+        raise InputError(f"explicit self-loop ({u}, {v}) rejected; adjacency is reflexive implicitly")
 
 
 def complete_graph(n: int) -> Graph:
@@ -282,6 +353,10 @@ class StrictPartialOrder:
     def comparable(self, u: int, v: int) -> bool:
         return (u, v) in self.rel or (v, u) in self.rel
 
+    def pairs(self) -> Iterator[VertexPair]:
+        """The pairs of `rel` in sorted order, read off `succ`."""
+        return ((u, v) for u in range(self.n) for v in bit_indices(self.succ[u]))
+
     def dual(self) -> "StrictPartialOrder":
         return StrictPartialOrder(self.n, frozenset((v, u) for u, v in self.rel))
 
@@ -360,11 +435,21 @@ def graph_from_jsonable(obj) -> Graph:
         raise InputError("graph JSON field 'n' must be an integer")
     if not isinstance(raw_edges, list):
         raise InputError("graph JSON field 'edges' must be a list of pairs")
-    edges = []
+    # one pass over the entries; as before, a bad shape anywhere is reported
+    # before the labels, and the first bad endpoint after them
+    edges: set[VertexPair] = set()
+    first_bad = None
     for item in raw_edges:
-        if not (isinstance(item, list) and len(item) == 2 and all(isinstance(x, int) and not isinstance(x, bool) for x in item)):
+        if not (isinstance(item, list) and len(item) == 2):
             raise InputError(f"malformed edge entry: {item!r}")
-        edges.append((item[0], item[1]))
+        u, v = item
+        if not (isinstance(u, int) and isinstance(v, int)) or isinstance(u, bool) or isinstance(v, bool):
+            raise InputError(f"malformed edge entry: {item!r}")
+        if first_bad is None and not (0 <= u < n and 0 <= v < n and u != v):
+            first_bad = (u, v)
+        edges.add((u, v) if u < v else (v, u))
+    if n < 0:
+        raise InputError("vertex count must be nonnegative")
     labels = None
     if "labels" in obj:
         raw = obj["labels"]
@@ -379,8 +464,10 @@ def graph_from_jsonable(obj) -> Graph:
             if not (0 <= idx < n):
                 raise InputError(f"label key {key!r} out of range")
             filled[idx] = str(val)
-        labels = filled
-    return graph_from_edges(n, edges, labels)
+        labels = tuple(filled)
+    if first_bad is not None:
+        _check_endpoints(n, *first_bad)
+    return Graph(n, frozenset(edges), labels)
 
 
 def parse_graph_json(text: str) -> Graph:

@@ -19,8 +19,9 @@ pair graph is flood-filled by one-coordinate steps (Golumbic's implication
 classes of the complement) plus a diagonal step across each induced
 four-cycle, with the unvisited pairs kept as one bitset per row and one per
 column. A chordal graph has no induced four-cycle, so the diagonal step
-runs only when one chordality sweep fails; every interval graph, and so
-every input `decide_unique` accepts, skips it. The buried search grows,
+runs only when the chordality sweep cached as `Graph.chordal_cliques`
+fails; every interval graph, and so every input `decide_unique` accepts,
+skips it, and reads the sweep `recognize` already ran. The buried search grows,
 from each non-adjacent pair, the least module holding it; that set is
 buried exactly when its remainder is nonempty, and if no pair yields one
 then no buried subgraph exists at all.
@@ -49,7 +50,7 @@ from .graphs import (
     components,
     is_associated,
 )
-from .recognition import Obstruction, _is_chordal, recognize
+from .recognition import Obstruction, recognize
 from .representation import representation_to_order
 
 VertexPair = tuple[int, int]
@@ -85,15 +86,16 @@ def pair_graph(g: Graph) -> PairGraph:
     factors through (c, b) or (a, d) unless c ~ b and a ~ d, and then
     a–c–b–d is an induced four-cycle: the diagonal case. So the components
     are those of the full link relation on every graph. A chordal graph has
-    no induced four-cycle, so the diagonal step runs only when one
-    `_is_chordal` sweep fails; every interval graph skips it.
+    no induced four-cycle, so the diagonal step runs only when the cached
+    sweep `Graph.chordal_cliques` fails; every interval graph skips it, and
+    after `recognize` the sweep is not run again.
 
     The unvisited pairs are indexed twice: `row[a]` holds the b and `col[b]`
     the a of each unvisited (a, b). The steps from (a, b) are then the bits
     of `masks[a] & col[b]`, of `masks[b] & row[a]` and, for each c in
     `common = masks[a] & masks[b]`, of `common & row[c]`."""
     masks = g.masks
-    diagonal = not _is_chordal(masks)
+    diagonal = g.chordal_cliques is None
     everyone = (1 << g.n) - 1
     row = [everyone & ~(m | 1 << a) for a, m in enumerate(masks)]
     col = row[:]  # non-adjacency is symmetric
@@ -503,7 +505,7 @@ def decide_unique(g: Graph) -> UniquenessVerdict:
 # ---------------------------------------------------------------------------
 
 def _order_pairs_jsonable(order: StrictPartialOrder, name) -> list:
-    return [[name(u), name(v)] for u, v in sorted(order.rel)]
+    return [[name(u), name(v)] for u, v in order.pairs()]
 
 
 def buried_to_jsonable(cert: BuriedCertificate, label=None) -> dict:

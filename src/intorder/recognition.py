@@ -1,21 +1,24 @@
 """Interval graph recognition with positive or negative certificates.
 
-The positive route enumerates maximal cliques and searches for the
-lexicographically least ordering in which every vertex's cliques occupy
-consecutive positions (Booth and Lueker's consecutive-ones problem). Each
-vertex's interval is its first and last clique position in that ordering,
-so the printed intervals are fixed by it; the representation is verified
-before being returned. When no ordering exists the graph is not interval
-(Lekkerkerker and Boland), and a negative certificate is extracted: first
-the shortest, then least, chordless cycle of length >= 4, otherwise the
-least asteroidal triple. The cycle takes three steps on adjacency bitsets:
-a maximum cardinality search with the perfect-elimination check returns
-None on a chordal graph without looking at any path; otherwise one BFS per
-induced path a-b-c gives the shortest cycle length, since a chordless
-cycle through a-b-c is b plus an induced a-c path avoiding N[b]; and one
-depth-first search for that length from that cycle's least vertex returns
-the least cycle. If neither certificate exists while the ordering failed,
-an internal error is raised rather than guessing.
+Everything starts from one maximum cardinality search, cached on the graph
+as `Graph.chordal_cliques`: it decides chordality (Tarjan and Yannakakis)
+and, on a chordal graph, yields the maximal cliques (Blair and Peyton), so
+no clique enumeration runs on the way to a verdict. On a chordal graph the
+positive route searches for the lexicographically least ordering of the
+cliques in which every vertex's cliques occupy consecutive positions
+(Booth and Lueker's consecutive-ones problem). Each vertex's interval is
+its first and last clique position in that ordering, so the printed
+intervals are fixed by it; the representation is verified before being
+returned. When the sweep fails, or no ordering exists, the graph is not
+interval (Lekkerkerker and Boland), and a negative certificate is
+extracted: first the shortest, then least, chordless cycle of length >= 4,
+otherwise the least asteroidal triple. The cycle takes two more steps on
+adjacency bitsets: one BFS per induced path a-b-c gives the shortest cycle
+length, since a chordless cycle through a-b-c is b plus an induced a-c
+path avoiding N[b]; and one depth-first search for that length from that
+cycle's least vertex returns the least cycle. The triple is read off one
+table of component bitsets per vertex. If neither certificate exists while
+the ordering failed, an internal error is raised rather than guessing.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import InputError, InternalInconsistencyError
 from .graphs import Graph, bit_indices, validate_path
@@ -54,12 +56,22 @@ class Obstruction:
 def maximal_cliques(g: Graph) -> list[frozenset[int]]:
     """All maximal cliques, sorted by their sorted vertex tuples.
 
-    Bron–Kerbosch with pivoting on `Graph.masks` bitsets, one explicit stack
-    frame (clique, candidates, excluded, branches left) per open call, so the
-    depth is not bounded by the recursion limit. The pivot is the least vertex
-    of candidates ∪ excluded with the most neighbours among the candidates.
+    On a chordal graph, every interval graph among them, they are read off
+    the cached maximum cardinality search `Graph.chordal_cliques`; only a
+    graph that is not chordal runs `_bron_kerbosch`.
     """
-    masks = g.masks
+    found = g.chordal_cliques
+    if found is None:
+        found = _bron_kerbosch(g.masks)
+    return sorted((frozenset(bit_indices(r)) for r in found), key=sorted)
+
+
+def _bron_kerbosch(masks: tuple[int, ...]) -> list[int]:
+    """The maximal cliques as bitsets, by Bron–Kerbosch with pivoting: one
+    explicit stack frame (clique, candidates, excluded, branches left) per
+    open call, so the depth is not bounded by the recursion limit. The
+    pivot is the least vertex of candidates ∪ excluded with the most
+    neighbours among the candidates."""
     found: list[int] = []
     stack: list[tuple[int, int, int, int]] = []
 
@@ -70,8 +82,8 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
         pivot = max(bit_indices(p | x), key=lambda w: (masks[w] & p).bit_count())
         stack.append((r, p, x, p & ~masks[pivot]))
 
-    if g.n:
-        open_call(0, (1 << g.n) - 1, 0)
+    if masks:
+        open_call(0, (1 << len(masks)) - 1, 0)
     while stack:
         r, p, x, todo = stack.pop()
         if todo:
@@ -79,7 +91,7 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
             v = low.bit_length() - 1
             stack.append((r, p ^ low, x | low, todo ^ low))
             open_call(r | low, p & masks[v], x & masks[v])
-    return sorted((frozenset(bit_indices(r)) for r in found), key=sorted)
+    return found
 
 
 def _consecutive_clique_order(cliques: list[frozenset[int]], n: int) -> list[int] | None:
@@ -135,41 +147,6 @@ def _neighbours_of(masks: tuple[int, ...], vertices: int) -> int:
     for v in bit_indices(vertices):
         reach |= masks[v]
     return reach
-
-
-def _is_chordal(masks: tuple[int, ...]) -> bool:
-    """Maximum cardinality search plus the perfect-elimination check.
-
-    The search visits next an unvisited vertex with the most visited
-    neighbours (buckets of bitsets by that count, least vertex first). The
-    graph is chordal iff, for every vertex, its earlier-visited neighbours
-    other than the latest of them all lie in that latest one's neighbourhood
-    (Tarjan and Yannakakis 1984).
-    """
-    n = len(masks)
-    buckets = [(1 << n) - 1] + [0] * n
-    count = [0] * n
-    seen_at = [0] * n  # bit i of seen_at[w]: w is adjacent to the i-th visit
-    visit_order = [0] * n
-    visited = top = 0
-    for step in range(n):
-        while not buckets[top]:
-            top -= 1
-        v = (buckets[top] & -buckets[top]).bit_length() - 1
-        buckets[top] ^= 1 << v
-        if seen_at[v]:
-            latest = visit_order[seen_at[v].bit_length() - 1]
-            if masks[v] & visited & ~masks[latest] & ~(1 << latest):
-                return False
-        visit_order[step] = v
-        visited |= 1 << v
-        for w in bit_indices(masks[v] & ~visited):
-            buckets[count[w]] ^= 1 << w
-            count[w] += 1
-            buckets[count[w]] |= 1 << w
-            seen_at[w] |= 1 << step
-        top += 1
-    return True
 
 
 def _shortest_hole(masks: tuple[int, ...]) -> tuple[int, int]:
@@ -256,7 +233,9 @@ def check_triangulated(g: Graph) -> Obstruction | None:
 
     1. A chordal graph has a perfect elimination ordering, and maximum
        cardinality search finds one whenever one exists, so one sweep plus
-       the elimination check decides chordality.
+       the elimination check decides chordality. That sweep is
+       `Graph.chordal_cliques`, cached on the graph, so `recognize` and
+       `pair_graph` read the same one.
     2. A chordless cycle through a-b-c with b its minimum vertex is b plus
        an induced a-c path through vertices above b that avoids N[b];
        conversely a shortest such path is induced and, with b, closes a
@@ -266,34 +245,39 @@ def check_triangulated(g: Graph) -> Obstruction | None:
     3. One depth-first search from that vertex, for that length, returns
        the least cycle.
     """
-    masks = g.masks
-    if _is_chordal(masks):
+    if g.chordal_cliques is not None:
         return None
+    masks = g.masks
     length, c0 = _shortest_hole(masks)
+    if c0 < 0:
+        raise InternalInconsistencyError(
+            "the chordality sweep failed, yet no chordless cycle was found"
+        )
     return Obstruction(kind=CHORDLESS_CYCLE, cycle=_least_hole(masks, length, c0))
 
 
-def _components_avoiding(g: Graph, banned: frozenset[int]) -> list[int]:
-    """Component ids per vertex in the subgraph avoiding `banned` (-1 inside)."""
-    comp = [-1] * g.n
-    cid = 0
-    for s in range(g.n):
-        if s in banned or comp[s] != -1:
-            continue
-        comp[s] = cid
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in sorted(g.adj[v]):
-                if w not in banned and comp[w] == -1:
-                    comp[w] = cid
-                    queue.append(w)
-        cid += 1
-    return comp
+def _component_table(masks: tuple[int, ...], z: int) -> list[int]:
+    """For each vertex v, the bitset of v's component in G - N[z], or 0 when
+    v lies in N[z]. Vertices of one component share one int."""
+    n = len(masks)
+    left = ((1 << n) - 1) & ~(masks[z] | 1 << z)
+    table = [0] * n
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            frontier = _neighbours_of(masks, frontier) & left & ~comp
+            comp |= frontier
+        left &= ~comp
+        for v in bit_indices(comp):
+            table[v] = comp
+    return table
 
 
-def _shortest_path_avoiding(g: Graph, src: int, dst: int, banned: frozenset[int]) -> tuple[int, ...]:
+def _shortest_path_avoiding(masks: tuple[int, ...], src: int, dst: int, banned: int) -> tuple[int, ...]:
+    """BFS from src to dst outside the bitset `banned`, neighbours tried in
+    ascending order, each vertex keeping its first discoverer as parent."""
     parent = {src: None}
+    seen = 1 << src
     queue = deque([src])
     while queue:
         v = queue.popleft()
@@ -304,12 +288,13 @@ def _shortest_path_avoiding(g: Graph, src: int, dst: int, banned: frozenset[int]
                 path.append(cur)
                 cur = parent[cur]
             return tuple(reversed(path))
-        for w in sorted(g.adj[v]):
-            if w not in banned and w not in parent:
-                parent[w] = v
-                queue.append(w)
+        fresh = masks[v] & ~banned & ~seen
+        seen |= fresh
+        for w in bit_indices(fresh):
+            parent[w] = v
+            queue.append(w)
     raise InternalInconsistencyError(
-        f"no path from {src} to {dst} avoiding {sorted(banned)} despite component check"
+        f"no path from {src} to {dst} avoiding {list(bit_indices(banned))} despite component check"
     )
 
 
@@ -319,51 +304,53 @@ def find_asteroidal_triple(g: Graph) -> Obstruction | None:
     A triple of pairwise non-adjacent vertices qualifies when every two of
     them are connected by a path avoiding the closed neighborhood of the
     third (reflexivity puts the third vertex itself in that neighborhood).
+    With `comp[z][v]` the component bitset of v in G - N[z], the z that
+    complete a non-adjacent pair x < y are the bits of
+    `comp[y][x] & comp[x][y]` above y (both exclude N[x] and N[y]); pairs
+    run in lexicographic order and z ascending, and each z is tested for an
+    x-y path avoiding N[z], so the first hit is the least triple.
     """
-    comp_avoiding = {
-        z: _components_avoiding(g, g.closed_neighborhood(z)) for z in range(g.n)
-    }
-
-    def connected_avoiding(a: int, b: int, z: int) -> bool:
-        comp = comp_avoiding[z]
-        return comp[a] != -1 and comp[a] == comp[b]
-
-    for x, y, z in combinations(range(g.n), 3):
-        if g.adjacent(x, y) or g.adjacent(x, z) or g.adjacent(y, z):
-            continue
-        if (
-            connected_avoiding(x, y, z)
-            and connected_avoiding(x, z, y)
-            and connected_avoiding(y, z, x)
-        ):
-            paths = (
-                _shortest_path_avoiding(g, x, y, g.closed_neighborhood(z)),
-                _shortest_path_avoiding(g, x, z, g.closed_neighborhood(y)),
-                _shortest_path_avoiding(g, y, z, g.closed_neighborhood(x)),
-            )
-            return Obstruction(kind=ASTEROIDAL_TRIPLE, triple=(x, y, z), witness_paths=paths)
+    masks = g.masks
+    everyone = (1 << g.n) - 1
+    comp = [_component_table(masks, z) for z in range(g.n)]
+    for x in range(g.n):
+        for y in bit_indices(everyone & ~masks[x] & ~((2 << x) - 1)):
+            for z in bit_indices(comp[y][x] & comp[x][y] & ~((2 << y) - 1)):
+                if comp[z][x] >> y & 1:
+                    closed = [masks[v] | 1 << v for v in (x, y, z)]
+                    paths = (
+                        _shortest_path_avoiding(masks, x, y, closed[2]),
+                        _shortest_path_avoiding(masks, x, z, closed[1]),
+                        _shortest_path_avoiding(masks, y, z, closed[0]),
+                    )
+                    return Obstruction(kind=ASTEROIDAL_TRIPLE, triple=(x, y, z), witness_paths=paths)
     return None
 
 
 def recognize(g: Graph) -> ClosedRepresentation | Obstruction:
-    """A verified representation, or a re-validated obstruction."""
-    cliques = maximal_cliques(g)
-    order = _consecutive_clique_order(cliques, g.n)
-    if order is not None:
-        first: dict[int, int] = {}
-        last = [0] * g.n
-        for pos, i in enumerate(order):
-            for v in cliques[i]:
-                first.setdefault(v, pos)
-                last[v] = pos
-        rep = ClosedRepresentation(
-            g.n, tuple(Fraction(first[v]) for v in range(g.n)), tuple(map(Fraction, last))
-        )
-        if not verify_representation(g, rep):
-            raise InternalInconsistencyError(
-                "clique ordering produced a representation that fails verification"
+    """A verified representation, or a re-validated obstruction.
+
+    A graph that fails the chordality sweep goes straight to its chordless
+    cycle; only a chordal graph has its cliques read and ordered."""
+    if g.chordal_cliques is not None:
+        cliques = maximal_cliques(g)
+        order = _consecutive_clique_order(cliques, g.n)
+        if order is not None:
+            first: dict[int, int] = {}
+            last = [0] * g.n
+            for pos, i in enumerate(order):
+                for v in cliques[i]:
+                    first.setdefault(v, pos)
+                    last[v] = pos
+            point = [Fraction(pos) for pos in range(len(order))]
+            rep = ClosedRepresentation(
+                g.n, tuple(point[first[v]] for v in range(g.n)), tuple(point[pos] for pos in last)
             )
-        return rep
+            if not verify_representation(g, rep):
+                raise InternalInconsistencyError(
+                    "clique ordering produced a representation that fails verification"
+                )
+            return rep
     obstruction = check_triangulated(g)
     if obstruction is None:
         obstruction = find_asteroidal_triple(g)

@@ -9,7 +9,7 @@ on input and split apart by ``normalize_distinguishing``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -90,19 +90,33 @@ def induced_graph(r: ClosedRepresentation, labels=None) -> Graph:
 
 
 def verify_representation(g: Graph, r: ClosedRepresentation) -> bool:
-    """True iff adjacency in g matches interval intersection exactly."""
+    """True iff adjacency in g matches interval intersection exactly.
+
+    u meets v iff left(v) <= right(u) and right(v) >= left(u). With the
+    vertices sorted once by left and once by right endpoint, the first set
+    is a prefix of the left order and the second a suffix of the right
+    order, so each closed neighbourhood `masks[u] | 1 << u` is compared with
+    one AND of two precomputed bitsets."""
     if g.n != r.n:
         raise InputError(f"vertex count mismatch: graph has {g.n}, representation has {r.n}")
     # one common denominator turns every endpoint comparison into an int one
     scale = math.lcm(*(x.denominator for x in r.left + r.right))
     left = [x.numerator * (scale // x.denominator) for x in r.left]
     right = [x.numerator * (scale // x.denominator) for x in r.right]
-    for u in range(g.n):
-        adj_u, left_u, right_u = g.adj[u], left[u], right[u]
-        for v in range(u + 1, g.n):
-            if (v in adj_u) != (left_u <= right[v] and left[v] <= right_u):
-                return False
-    return True
+    by_left = sorted(range(r.n), key=left.__getitem__)
+    by_right = sorted(range(r.n), key=right.__getitem__)
+    lefts = [left[v] for v in by_left]
+    rights = [right[v] for v in by_right]
+    prefix = [0]  # prefix[k]: the first k vertices by left endpoint
+    for v in by_left:
+        prefix.append(prefix[-1] | 1 << v)
+    suffix = [0] * (r.n + 1)  # suffix[k]: all but the first k vertices by right endpoint
+    for k in range(r.n - 1, -1, -1):
+        suffix[k] = suffix[k + 1] | 1 << by_right[k]
+    return all(
+        m | 1 << u == prefix[bisect_right(lefts, right[u])] & suffix[bisect_left(rights, left[u])]
+        for u, m in enumerate(g.masks)
+    )
 
 
 def representation_to_order(r: ClosedRepresentation) -> StrictPartialOrder:

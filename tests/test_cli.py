@@ -161,6 +161,18 @@ class TestInputHandling:
         code, _, err = run(["decide", "--json"], json.dumps({"n": 2, "edges": [[0, 0]]}))
         assert code == 2 and "self-loop" in err
 
+    def test_shared_label_is_an_input_error(self):
+        text = json.dumps({"n": 3, "edges": [[0, 1]], "labels": {"0": "a", "2": "a"}})
+        for command in ("recognize", "decide", "buried", "wq"):
+            code, out, err = run([command, "--json"], text)
+            assert (code, out) == (2, ""), command
+            assert err == "input error: label 'a' names both vertex 0 and vertex 2\n"
+
+    def test_negative_count_with_labels(self):
+        text = json.dumps({"n": -1, "edges": [], "labels": {"0": "a"}})
+        code, out, err = run(["decide", "--json"], text)
+        assert (code, out, err) == (2, "", "input error: vertex count must be nonnegative\n")
+
     def test_undecodable_file_is_an_input_error(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_bytes(b"\xff\xfe3\n0 1\n")

@@ -8,6 +8,7 @@ from hypothesis import given
 
 from conftest import single_nonedge4, graphs, k3, p4, partial_orders, random_graph, random_walk, star3, two_k2, empty3
 from intorder import (
+    Graph,
     InputError,
     StrictPartialOrder,
     complement,
@@ -49,6 +50,53 @@ def pair_set_order_check(n, rel):
                 raise InputError(
                     f"relation is not transitively closed: ({u},{v}) and ({v},{w}) but not ({u},{w})"
                 )
+
+
+def three_pass_graph_from_jsonable(obj):
+    """Reference for `graph_from_jsonable`: every entry's shape first, then
+    the labels, then the vertex count and each edge's range and self-loop
+    as `graph_from_edges` checks them. The library checks each entry once;
+    it reports a negative count before the labels and rejects two vertices
+    sharing a label, and every other message must be this one's."""
+    if not isinstance(obj, dict):
+        raise InputError("graph JSON must be an object")
+    try:
+        n = obj["n"]
+        raw_edges = obj["edges"]
+    except KeyError as missing:
+        raise InputError(f"graph JSON missing key {missing}") from None
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InputError("graph JSON field 'n' must be an integer")
+    if not isinstance(raw_edges, list):
+        raise InputError("graph JSON field 'edges' must be a list of pairs")
+    edges = []
+    for item in raw_edges:
+        if not (isinstance(item, list) and len(item) == 2
+                and all(isinstance(x, int) and not isinstance(x, bool) for x in item)):
+            raise InputError(f"malformed edge entry: {item!r}")
+        edges.append((item[0], item[1]))
+    labels = None
+    if "labels" in obj:
+        raw = obj["labels"]
+        if not isinstance(raw, dict):
+            raise InputError("graph JSON field 'labels' must be an object")
+        labels = [None] * n
+        for key, val in raw.items():
+            try:
+                idx = int(key)
+            except ValueError:
+                raise InputError(f"label key {key!r} is not a vertex index") from None
+            if not (0 <= idx < n):
+                raise InputError(f"label key {key!r} out of range")
+            labels[idx] = str(val)
+    return graph_from_edges(n, edges, labels)
+
+
+def parse_outcome(parse, obj):
+    try:
+        return parse(obj)
+    except InputError as exc:
+        return f"input error: {exc}"
 
 
 def pair_set_is_associated(g, o):
@@ -271,6 +319,10 @@ class TestOrders:
             rejected += assert_same_verdict_as_pair_sets(n, rel) is None
         assert 500 < rejected < 1900, rejected
 
+    @given(partial_orders())
+    def test_pairs_are_the_sorted_relation(self, o):
+        assert list(o.pairs()) == sorted(o.rel)
+
     def test_bitsets_are_not_fields(self):
         o = order_from_pairs(3, [(0, 1), (1, 2)])
         assert [f.name for f in dataclasses.fields(o)] == ["n", "rel"]
@@ -372,3 +424,60 @@ class TestSubgraphsAndSerialization:
             parse_edgelist("3\n0 1 2\n")
         with pytest.raises(InputError):
             parse_edgelist("")
+
+    def test_malformed_graph_json_table(self):
+        out_of_range = "edge endpoint out of range for n=3: (0, 5)"
+        table = [
+            ([], "graph JSON must be an object"),
+            ({"edges": []}, "graph JSON missing key 'n'"),
+            ({"n": 3}, "graph JSON missing key 'edges'"),
+            ({"n": "3", "edges": []}, "graph JSON field 'n' must be an integer"),
+            ({"n": True, "edges": []}, "graph JSON field 'n' must be an integer"),
+            ({"n": 3, "edges": {}}, "graph JSON field 'edges' must be a list of pairs"),
+            ({"n": 3, "edges": [[0]]}, "malformed edge entry: [0]"),
+            ({"n": 3, "edges": [(0, 1)]}, "malformed edge entry: (0, 1)"),
+            ({"n": 3, "edges": [[0, True]]}, "malformed edge entry: [0, True]"),
+            ({"n": 3, "edges": [[0, 1.0]]}, "malformed edge entry: [0, 1.0]"),
+            ({"n": 3, "edges": [[0, 5], "x"]}, "malformed edge entry: 'x'"),
+            ({"n": -1, "edges": [[0, 5], [0]]}, "malformed edge entry: [0]"),
+            ({"n": 3, "edges": [[0, 5]]}, out_of_range),
+            ({"n": 3, "edges": [[0, 5], [1, 1]]}, out_of_range),
+            ({"n": 3, "edges": [[-1, 0]]}, "edge endpoint out of range for n=3: (-1, 0)"),
+            ({"n": 3, "edges": [[1, 1], [0, 5]]},
+             "explicit self-loop (1, 1) rejected; adjacency is reflexive implicitly"),
+            ({"n": 3, "edges": [[0, 5]], "labels": {"x": "a"}}, "label key 'x' is not a vertex index"),
+            ({"n": 3, "edges": [[0, 5]], "labels": {"3": "a"}}, "label key '3' out of range"),
+            ({"n": 3, "edges": [], "labels": []}, "graph JSON field 'labels' must be an object"),
+            ({"n": -1, "edges": []}, "vertex count must be nonnegative"),
+            ({"n": -1, "edges": [[0, 1]]}, "vertex count must be nonnegative"),
+        ]
+        for obj, message in table:
+            assert parse_outcome(graph_from_jsonable, obj) == f"input error: {message}", obj
+            assert parse_outcome(three_pass_graph_from_jsonable, obj) == f"input error: {message}", obj
+
+    def test_negative_count_reported_before_the_labels(self):
+        obj = {"n": -1, "edges": [], "labels": {"0": "a"}}
+        assert parse_outcome(graph_from_jsonable, obj) == "input error: vertex count must be nonnegative"
+        assert parse_outcome(three_pass_graph_from_jsonable, obj) == "input error: label key '0' out of range"
+
+    def test_shared_label_rejected(self):
+        obj = {"n": 3, "edges": [[0, 1]], "labels": {"0": "a", "2": "a"}}
+        message = "input error: label 'a' names both vertex 0 and vertex 2"
+        # the check sits in Graph itself, so every way of building a graph has it
+        assert parse_outcome(graph_from_jsonable, obj) == message
+        assert parse_outcome(three_pass_graph_from_jsonable, obj) == message
+        with pytest.raises(InputError, match="names both vertex 1 and vertex 3"):
+            Graph(4, frozenset(), ("x", "y", None, "y"))
+        # any number of vertices may be unnamed
+        assert Graph(4, frozenset(), ("x", None, "y", None)).labels == ("x", None, "y", None)
+
+    def test_valid_graphs_parse_as_before(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            n = rng.randint(0, 12)
+            entries = [[rng.randrange(n), rng.randrange(n)] for _ in range(rng.randint(0, 20))] if n else []
+            entries = [e for e in entries if e[0] != e[1]]
+            obj = {"n": n, "edges": entries}
+            if n and rng.random() < 0.5:
+                obj["labels"] = {str(v): f"v{v}" for v in rng.sample(range(n), rng.randint(0, n))}
+            assert graph_from_jsonable(obj) == three_pass_graph_from_jsonable(obj)

@@ -31,7 +31,8 @@ from intorder import (
     two_orders_from_buried,
     verdict_to_jsonable,
 )
-from intorder.gadgets import all_graphs, random_interval_graph
+from intorder import graphs as graphs_module
+from intorder.gadgets import all_graphs, build_gadget, GadgetSpec, random_interval_graph
 from intorder.oracle import oracle_unique
 from intorder.orderability import _scan_buried
 from intorder.recognition import Obstruction, recognize
@@ -644,6 +645,28 @@ class TestDecideUnique:
         assert elapsed < 8, elapsed
         assert verdict.unique
         assert is_associated(g, verdict.order)
+
+    def test_one_chordality_sweep_per_decision(self, monkeypatch):
+        sweeps = []
+        original = graphs_module._chordal_sweep
+        monkeypatch.setattr(graphs_module, "_chordal_sweep",
+                            lambda masks: sweeps.append(len(masks)) or original(masks))
+        cases = [
+            single_nonedge4(),  # unique
+            star3(),  # a buried subgraph
+            complete_graph(4),
+            graph_from_edges(5, [(0, 1), (2, 3)]),  # disconnected
+            random_interval_graph(40, 3)[0],
+            build_gadget(GadgetSpec((2, 0, 1), 3)).graph,
+        ]
+        for g in cases:
+            sweeps.clear()
+            decide_unique(g)
+            assert sweeps == [g.n]
+        sweeps.clear()
+        with pytest.raises(NotIntervalGraphError):
+            decide_unique(c4())
+        assert sweeps == [4]
 
     def test_edgeless_n300_within_budget(self):
         g = graph_from_edges(300, [])

@@ -1,10 +1,15 @@
 import random
 import sys
 import time
+from collections import deque
+from itertools import combinations
+
+import pytest
 
 from conftest import c4, single_nonedge4, net_graph, k3, p4, random_graph
 from intorder import (
     ClosedRepresentation,
+    InternalInconsistencyError,
     Obstruction,
     check_triangulated,
     enumerate_associated_orders,
@@ -19,7 +24,9 @@ from intorder import (
     validate_obstruction,
     verify_representation,
 )
+from intorder import recognition as recognition_module
 from intorder.gadgets import all_graphs, random_interval_graph
+from intorder.graphs import bit_indices
 from intorder.recognition import _consecutive_clique_order
 
 
@@ -93,6 +100,95 @@ def recursive_maximal_cliques(g):
     if g.n:
         expand(set(), set(range(g.n)), set())
     return sorted(found, key=sorted)
+
+
+def sweep_is_chordal(masks):
+    """Reference chordality test: maximum cardinality search with a count
+    per vertex, plus the perfect-elimination check on the latest earlier
+    neighbour found from a bitset of visit steps. `Graph.chordal_cliques`
+    runs the same search with bucket-level updates and also reads off the
+    maximal cliques; it must be None exactly when this returns False."""
+    n = len(masks)
+    buckets = [(1 << n) - 1] + [0] * n
+    count = [0] * n
+    seen_at = [0] * n  # bit i of seen_at[w]: w is adjacent to the i-th visit
+    visit_order = [0] * n
+    visited = top = 0
+    for step in range(n):
+        while not buckets[top]:
+            top -= 1
+        v = (buckets[top] & -buckets[top]).bit_length() - 1
+        buckets[top] ^= 1 << v
+        if seen_at[v]:
+            latest = visit_order[seen_at[v].bit_length() - 1]
+            if masks[v] & visited & ~masks[latest] & ~(1 << latest):
+                return False
+        visit_order[step] = v
+        visited |= 1 << v
+        for w in bit_indices(masks[v] & ~visited):
+            buckets[count[w]] ^= 1 << w
+            count[w] += 1
+            buckets[count[w]] |= 1 << w
+            seen_at[w] |= 1 << step
+        top += 1
+    return True
+
+
+def set_based_asteroidal_triple(g):
+    """Reference for `find_asteroidal_triple`: every triple in
+    lexicographic order against per-vertex component ids, and witness
+    paths by a BFS over sorted neighbour sets."""
+
+    def components_avoiding(banned):
+        comp = [-1] * g.n
+        cid = 0
+        for s in range(g.n):
+            if s in banned or comp[s] != -1:
+                continue
+            comp[s] = cid
+            queue = deque([s])
+            while queue:
+                v = queue.popleft()
+                for w in sorted(g.adj[v]):
+                    if w not in banned and comp[w] == -1:
+                        comp[w] = cid
+                        queue.append(w)
+            cid += 1
+        return comp
+
+    def shortest_path_avoiding(src, dst, banned):
+        parent = {src: None}
+        queue = deque([src])
+        while queue:
+            v = queue.popleft()
+            if v == dst:
+                path = []
+                while v is not None:
+                    path.append(v)
+                    v = parent[v]
+                return tuple(reversed(path))
+            for w in sorted(g.adj[v]):
+                if w not in banned and w not in parent:
+                    parent[w] = v
+                    queue.append(w)
+        raise AssertionError("no path despite the component check")
+
+    comp = {z: components_avoiding(g.closed_neighborhood(z)) for z in range(g.n)}
+
+    def connected_avoiding(a, b, z):
+        return comp[z][a] != -1 and comp[z][a] == comp[z][b]
+
+    for x, y, z in combinations(range(g.n), 3):
+        if g.adjacent(x, y) or g.adjacent(x, z) or g.adjacent(y, z):
+            continue
+        if connected_avoiding(x, y, z) and connected_avoiding(x, z, y) and connected_avoiding(y, z, x):
+            paths = (
+                shortest_path_avoiding(x, y, g.closed_neighborhood(z)),
+                shortest_path_avoiding(x, z, g.closed_neighborhood(y)),
+                shortest_path_avoiding(y, z, g.closed_neighborhood(x)),
+            )
+            return Obstruction(kind="asteroidal_triple", triple=(x, y, z), witness_paths=paths)
+    return None
 
 
 def relabeled(g, rng):
@@ -180,6 +276,52 @@ def subtree_intersection_graph(n, rng):
     return graph_from_edges(
         n, [(u, v) for u in range(n) for v in range(u + 1, n) if subtrees[u] & subtrees[v]]
     )
+
+
+def seeded_sweep_graphs(seed):
+    """Chordal subtree graphs, relabeled random interval graphs with n up to
+    60, complete and edgeless graphs, and G(n, p) graphs, mostly not
+    chordal."""
+    rng = random.Random(seed)
+    out = [subtree_intersection_graph(rng.randint(8, 30), rng) for _ in range(60)]
+    out += [relabeled(random_interval_graph(rng.randint(5, 60), rng.randrange(10**9))[0], rng)
+            for _ in range(60)]
+    out += [complete_graph(n) for n in (1, 2, 7, 40)]
+    out += [graph_from_edges(n, []) for n in (0, 1, 2, 9, 40)]
+    out += [random_graph(rng.randint(7, 30), rng.uniform(0.1, 0.9), rng) for _ in range(60)]
+    return out
+
+
+class TestChordalSweep:
+    def test_none_exactly_when_not_chordal_exhaustive_n6(self):
+        chordal = 0
+        for n in range(7):
+            for g in all_graphs(n):
+                assert (g.chordal_cliques is not None) == sweep_is_chordal(g.masks), sorted(g.edges)
+                chordal += g.chordal_cliques is not None
+        assert chordal == 19049  # the labeled chordal graphs on 0 to 6 vertices
+
+    def test_none_exactly_when_not_chordal_on_seeded_graphs(self):
+        verdicts = set()
+        for g in seeded_sweep_graphs(20261018):
+            verdict = g.chordal_cliques is not None
+            assert verdict == sweep_is_chordal(g.masks), sorted(g.edges)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_cliques_are_the_maximal_cliques(self):
+        for g in seeded_sweep_graphs(7):
+            if g.chordal_cliques is not None:
+                found = sorted((frozenset(bit_indices(c)) for c in g.chordal_cliques), key=sorted)
+                assert found == recursive_maximal_cliques(g), sorted(g.edges)
+
+    def test_sweep_and_hole_search_disagreement_is_internal_error(self):
+        g = p4()
+        g.__dict__["chordal_cliques"] = None  # a sweep that wrongly failed
+        with pytest.raises(InternalInconsistencyError, match="no chordless cycle"):
+            check_triangulated(g)
+        with pytest.raises(InternalInconsistencyError):
+            recognize(g)
 
 
 class TestTriangulated:
@@ -341,6 +483,29 @@ class TestAsteroidalTriples:
         assert validate_obstruction(g, obs)
 
 
+    def test_matches_triple_scan_exhaustive_n6(self):
+        triples = 0
+        for n in range(7):
+            for g in all_graphs(n):
+                expected = set_based_asteroidal_triple(g)
+                assert find_asteroidal_triple(g) == expected, sorted(g.edges)
+                triples += expected is not None
+        assert triples > 0
+
+    def test_matches_triple_scan_on_seeded_graphs(self):
+        rng = random.Random(99)
+        cases = [subtree_intersection_graph(rng.randint(10, 24), rng) for _ in range(40)]
+        cases += [random_graph(rng.randint(7, 18), rng.uniform(0.05, 0.4), rng) for _ in range(40)]
+        claw = [(0, 1), (0, 6), (0, 11)] + [(v, v + 1) for arm in (1, 6, 11) for v in range(arm, arm + 4)]
+        cases.append(relabeled(graph_from_edges(16, claw), rng))
+        found = 0
+        for g in cases:
+            expected = set_based_asteroidal_triple(g)
+            assert find_asteroidal_triple(g) == expected, sorted(g.edges)
+            found += expected is not None
+        assert found > 10
+
+
 class TestRecognize:
     def test_single_nonedge4_representation(self):
         result = recognize(single_nonedge4())
@@ -363,6 +528,32 @@ class TestRecognize:
             result = recognize(g)
             assert isinstance(result, ClosedRepresentation)
             assert verify_representation(g, result)
+
+    def test_n1000_interval_graph_within_budget(self):
+        g, _ = random_interval_graph(1000, 1000)
+        start = time.perf_counter()
+        result = recognize(g)
+        elapsed = time.perf_counter() - start
+        # about 0.4 s on a 2-core host; Bron–Kerbosch and the sweep as a
+        # separate chordality check took 4.35 s
+        assert elapsed < 2, elapsed
+        assert isinstance(result, ClosedRepresentation)
+
+    def test_bron_kerbosch_runs_only_on_non_chordal_input(self, monkeypatch):
+        calls = []
+        original = recognition_module._bron_kerbosch
+        monkeypatch.setattr(recognition_module, "_bron_kerbosch",
+                            lambda masks: calls.append(len(masks)) or original(masks))
+        rng = random.Random(5)
+        for _ in range(20):
+            recognize(relabeled(random_interval_graph(rng.randint(5, 30), rng.randrange(10**9))[0], rng))
+            recognize(subtree_intersection_graph(rng.randint(8, 16), rng))
+        for n in range(4, 12):
+            recognize(cycle_graph(n))
+        recognize(net_graph())
+        assert calls == []
+        assert maximal_cliques(c4()) == recursive_maximal_cliques(c4())
+        assert calls == [4]
 
     def test_exhaustive_against_orientation_oracle(self):
         # interval iff some associated order is an interval order
@@ -516,6 +707,10 @@ class TestMaximalCliques:
         for n in range(7):
             for g in all_graphs(n):
                 assert maximal_cliques(g) == recursive_maximal_cliques(g), sorted(g.edges)
+
+    def test_matches_recursive_search_on_chordal_families(self):
+        for g in seeded_sweep_graphs(20261019):
+            assert maximal_cliques(g) == recursive_maximal_cliques(g), sorted(g.edges)
 
     def test_matches_recursive_search_on_seeded_graphs(self):
         rng = random.Random(20261018)

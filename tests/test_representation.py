@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -75,6 +76,22 @@ def all_orders(max_n):
                 pass
 
 
+def pairwise_verify_representation(g, r):
+    """Reference for `verify_representation`: every pair's adjacency against
+    closed-interval intersection, on endpoints scaled to one common
+    denominator. The library compares bitsets read off sorted endpoints."""
+    if g.n != r.n:
+        raise InputError("vertex count mismatch")
+    scale = math.lcm(*(x.denominator for x in r.left + r.right))
+    left = [x.numerator * (scale // x.denominator) for x in r.left]
+    right = [x.numerator * (scale // x.denominator) for x in r.right]
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if (v in g.adj[u]) != (left[u] <= right[v] and left[v] <= right[u]):
+                return False
+    return True
+
+
 def single_nonedge4_representation() -> ClosedRepresentation:
     return representation_from_intervals([(4, 8), (6, 10), (9, 13), (5, 12)])
 
@@ -125,6 +142,40 @@ class TestVerify:
             assert verify_representation(g, rep)
             u, v = sorted(rng.sample(range(n), 2))
             assert not verify_representation(Graph(n, g.edges ^ {(u, v)}), rep)
+
+    def test_matches_pairwise_check_with_touching_point_and_perturbed_intervals(self):
+        rng = random.Random(20261018)
+        rejected = 0
+        for trial in range(300):
+            n = rng.randint(1, 12)
+            # a small grid of sixths makes touching and point intervals common
+            ends = [sorted(Fraction(rng.randrange(10), rng.choice((1, 2, 3, 6))) for _ in "lr")
+                    for _ in range(n)]
+            if trial % 3 == 0:
+                ends[0] = [ends[0][0], ends[0][0]]  # a point interval
+            if trial % 3 == 1 and n > 1:
+                ends[1] = [ends[0][1], max(ends[0][1], ends[1][1])]  # touches vertex 0
+            rep = representation_from_intervals(ends)
+            g = induced_graph(rep)
+            assert verify_representation(g, rep) and pairwise_verify_representation(g, rep)
+            # move one endpoint: the representation may or may not still fit g
+            v = rng.randrange(n)
+            shift = Fraction(rng.choice((-1, 1)), rng.choice((1, 2, 3, 6)))
+            left, right = list(rep.left), list(rep.right)
+            if rng.random() < 0.5:
+                left[v] = min(left[v] + shift, right[v])
+            else:
+                right[v] = max(right[v] + shift, left[v])
+            moved = ClosedRepresentation(n, tuple(left), tuple(right))
+            expected = pairwise_verify_representation(g, moved)
+            assert verify_representation(g, moved) == expected, (ends, v, shift)
+            rejected += not expected
+            if n > 1:
+                u, w = sorted(rng.sample(range(n), 2))
+                toggled = Graph(n, g.edges ^ {(u, w)})
+                assert not verify_representation(toggled, rep)
+                assert not pairwise_verify_representation(toggled, rep)
+        assert rejected > 50
 
     def test_empty_interval_rejected(self):
         with pytest.raises(InputError):
