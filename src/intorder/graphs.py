@@ -5,6 +5,9 @@ vertices only, but adjacency is interpreted reflexively: ``adjacent(v, v)``
 is always true and explicit self-loops are rejected on input. Labels are
 cosmetic (they survive into certificates) and never affect any algorithm.
 
+`Graph.masks`, one int bitset per neighbourhood, is the only adjacency
+form: `adjacent`, `neighbors`, components and path checks all read it.
+
 Paths are plain sequences of vertices in which consecutive vertices are
 distinct and adjacent; a single vertex is a valid path of length zero.
 """
@@ -12,7 +15,7 @@ distinct and adjacent; a single vertex is a valid path of length zero.
 from __future__ import annotations
 
 import json
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -52,15 +55,6 @@ class Graph:
                     raise InputError(f"label {label!r} names both vertex {owner[label]} and vertex {v}")
 
     @cached_property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        """Neighbor sets, self excluded."""
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
-
-    @cached_property
     def masks(self) -> tuple[int, ...]:
         """Neighbor sets as int bitsets, self excluded: bit w of `masks[v]`
         is set iff w is in N(v). Read vertices back with `bit_indices`."""
@@ -76,15 +70,24 @@ class Graph:
         chordal, else None: one `_chordal_sweep`, run once per graph."""
         return _chordal_sweep(self.masks)
 
+    def _vertex(self, v: int) -> int:
+        """`v`, or an InputError when it is not a vertex of the graph."""
+        if not 0 <= v < self.n:
+            raise InputError(f"vertex {v} out of range for n={self.n}")
+        return v
+
     def adjacent(self, u: int, v: int) -> bool:
         """Reflexive adjacency: true when u == v or {u, v} is an edge."""
-        return u == v or v in self.adj[u]
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            self._vertex(u)  # one of the two raises
+            self._vertex(v)
+        return u == v or self.masks[u] >> v & 1 == 1
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
+        return frozenset(bit_indices(self.masks[self._vertex(v)]))
 
     def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return self.adj[v] | {v}
+        return frozenset(bit_indices(self.masks[self._vertex(v)] | 1 << v))
 
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
@@ -107,6 +110,14 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _neighbours_of(masks: tuple[int, ...], vertices: int) -> int:
+    """The union of N(v) over the vertices of a bitset."""
+    reach = 0
+    for v in bit_indices(vertices):
+        reach |= masks[v]
+    return reach
+
+
 def _chordal_sweep(masks: tuple[int, ...]) -> tuple[int, ...] | None:
     """Maximum cardinality search plus the perfect-elimination check; on a
     chordal graph, its maximal cliques as bitsets in visit order.
@@ -118,15 +129,18 @@ def _chordal_sweep(masks: tuple[int, ...]) -> tuple[int, ...] | None:
     chordal iff, for every vertex, its earlier-visited neighbours other than
     the latest of them all lie in that latest one's neighbourhood (Tarjan
     and Yannakakis 1984); otherwise the sweep returns None. The latest one
-    is found by scanning the visits backwards: usually one step, at most n
-    (a star's leaves scan back to the centre). On a chordal graph each
-    visit with its earlier-visited neighbours is a clique, and it is
-    maximal exactly when the next visit's count of visited neighbours fails
-    to rise, or when it is the last visit (Blair and Peyton 1993).
+    is usually the previous visit, else the last visit of the shortest
+    prefix of the visit order that holds them all, found by binary search
+    over prefix bitsets, so a star's leaves never scan back to the centre.
+    On a chordal graph each visit with its earlier-visited neighbours is a
+    clique, and it is maximal exactly when the next visit's count of visited
+    neighbours fails to rise, or when it is the last visit (Blair and Peyton
+    1993).
     """
     n = len(masks)
     buckets = [(1 << n) - 1] + [0] * n
     visit_order = [0] * n
+    prefix = [0] * (n + 1)  # prefix[k]: the first k visits
     cliques: list[int] = []
     clique, previous = 0, -1  # the last visit's clique and count
     visited = top = 0
@@ -139,15 +153,16 @@ def _chordal_sweep(masks: tuple[int, ...]) -> tuple[int, ...] | None:
         buckets[top] ^= 1 << v
         earlier = masks[v] & visited
         if earlier:
-            j = step - 1
-            while not earlier >> visit_order[j] & 1:
-                j -= 1
-            latest = visit_order[j]
+            latest = visit_order[step - 1]
+            if not earlier >> latest & 1:
+                j = bisect_left(range(step), True, key=lambda j: not earlier & ~prefix[j])
+                latest = visit_order[j - 1]
             if earlier & ~masks[latest] & ~(1 << latest):
                 return None
         clique, previous = earlier | 1 << v, top
         visit_order[step] = v
         visited |= 1 << v
+        prefix[step + 1] = visited
         fresh, k = masks[v] & ~visited, top
         while fresh:
             lifted = buckets[k] & fresh
@@ -192,25 +207,23 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
-def components(g: Graph) -> list[set[int]]:
-    """Connected components as vertex sets, sorted by least element."""
-    seen = [False] * g.n
-    out: list[set[int]] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = {s}
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.add(w)
-                    queue.append(w)
+def component_masks(masks: tuple[int, ...], allowed: int) -> list[int]:
+    """The components of the subgraph induced on the bitset `allowed`, as
+    bitsets in order of least vertex: one flood fill each."""
+    out: list[int] = []
+    while allowed:
+        comp = frontier = allowed & -allowed
+        while frontier:
+            frontier = _neighbours_of(masks, frontier) & allowed & ~comp
+            comp |= frontier
+        allowed &= ~comp
         out.append(comp)
     return out
+
+
+def components(g: Graph) -> list[set[int]]:
+    """Connected components as vertex sets, sorted by least element."""
+    return [set(bit_indices(c)) for c in component_masks(g.masks, (1 << g.n) - 1)]
 
 
 def is_connected(g: Graph) -> bool:
@@ -218,21 +231,16 @@ def is_connected(g: Graph) -> bool:
 
 
 def complement(g: Graph) -> Graph:
+    everyone = (1 << g.n) - 1
     edges = frozenset(
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if v not in g.adj[u]
+        (u, v) for u, m in enumerate(g.masks) for v in bit_indices(everyone & ~m & ~((2 << u) - 1))
     )
     return Graph(g.n, edges, g.labels)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph on the given vertices, reindexed densely in sorted order."""
-    kept = sorted(set(vertices))
-    for v in kept:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} out of range")
+    kept = sorted(g._vertex(v) for v in set(vertices))
     index = {v: i for i, v in enumerate(kept)}
     edges = frozenset(
         (index[u], index[v]) for u, v in g.edges if u in index and v in index
@@ -243,7 +251,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
 
 def universal_vertices(g: Graph) -> set[int]:
     """Vertices adjacent to every other vertex."""
-    return {v for v in range(g.n) if len(g.adj[v]) == g.n - 1}
+    return {v for v, m in enumerate(g.masks) if (m | 1 << v).bit_count() == g.n}
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +264,9 @@ def validate_path(g: Graph, path: Sequence[int]) -> list[int]:
     if not p:
         raise InputError("a path must contain at least one vertex")
     for v in p:
-        if not (0 <= v < g.n):
-            raise InputError(f"path vertex {v} out of range")
+        g._vertex(v)
     for a, b in zip(p, p[1:]):
-        if a == b or b not in g.adj[a]:
+        if a == b or not g.masks[a] >> b & 1:
             raise InputError(f"consecutive path vertices {a}, {b} are not adjacent")
     return p
 

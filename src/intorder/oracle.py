@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InputError, InternalInconsistencyError
-from .graphs import Graph, StrictPartialOrder
+from .graphs import Graph, StrictPartialOrder, complement
 
 DEFAULT_MAX_N = 12
 
@@ -30,9 +30,8 @@ def enumerate_associated_orders(g: Graph, max_n: int = DEFAULT_MAX_N) -> Orienta
         raise InputError(
             f"enumeration refused for n={g.n} > {max_n}; the oracle is desk-scale only"
         )
-    non_edges = [
-        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if v not in g.adj[u]
-    ]
+    masks = g.masks
+    non_edges = sorted(complement(g).edges)
     rel: set[tuple[int, int]] = set()
     pred: list[set[int]] = [set() for _ in range(g.n)]
     succ: list[set[int]] = [set() for _ in range(g.n)]
@@ -46,7 +45,7 @@ def enumerate_associated_orders(g: Graph, max_n: int = DEFAULT_MAX_N) -> Orienta
                 continue
             if x == y or (y, x) in rel:
                 return False
-            if y in g.adj[x]:  # adjacent vertices must stay incomparable
+            if masks[x] >> y & 1:  # adjacent vertices must stay incomparable
                 return False
             rel.add((x, y))
             pred[y].add(x)

@@ -29,7 +29,7 @@ At the fixpoint the remainder is V - members - touched (touched being the
 union of the members' neighbourhoods), and both of those only grow, so a
 closure is dropped as soon as they cover V. Only the first closure that
 reaches its fixpoint without covering V becomes a certificate, and it is
-re-checked against the set-based definition in `is_buried`.
+re-checked against the definition in `is_buried`.
 
 Every non-unique witness is one order and its reversal inside a vertex set
 (`_reversal_witness`), with the disagreement triple taken from that set:
@@ -131,8 +131,9 @@ def pair_graph(g: Graph) -> PairGraph:
 def _linked_pairs(g: Graph, ab: VertexPair) -> list[VertexPair]:
     """Pairs linked to `ab`, itself included: non-adjacent pairs in N[a] × N[b]."""
     a, b = ab
-    closed_b = g.adj[b] | {b}
-    return [(c, d) for c in g.adj[a] | {a} for d in closed_b - g.adj[c] if d != c]
+    masks = g.masks
+    closed_b = masks[b] | 1 << b
+    return [(c, d) for c in bit_indices(masks[a] | 1 << a) for d in bit_indices(closed_b & ~(masks[c] | 1 << c))]
 
 
 def pair_path(
@@ -214,9 +215,7 @@ def _closure_stages(masks: tuple[int, ...], v: int, u: int) -> Iterator[tuple[in
 def buried_candidate(g: Graph, v: int, u: int) -> LeveledSet:
     """The least module containing the non-adjacent pair {v, u}, by stages:
     `_closure_stages` run to its fixpoint."""
-    if not (0 <= v < g.n and 0 <= u < g.n):
-        raise InputError(f"vertices ({v}, {u}) out of range")
-    if g.adjacent(v, u):
+    if g.adjacent(v, u):  # raises for a vertex out of range
         raise InputError(f"vertices ({v}, {u}) must be distinct and non-adjacent")
     level = {w: stage for w, stage, _ in _closure_stages(g.masks, v, u)}
     return LeveledSet(v, u, level)
@@ -236,38 +235,41 @@ class BuriedCheck:
         return self.buried
 
 
+def _least_nonedge(masks: tuple[int, ...], inside: int) -> VertexPair | None:
+    """The least non-adjacent pair (a, b), a < b, within the bitset `inside`."""
+    for a in bit_indices(inside):
+        later = inside & ~masks[a] & ~((2 << a) - 1)
+        if later:
+            return a, next(bit_indices(later))
+    return None
+
+
 def is_buried(g: Graph, vertex_set: Iterable[int]) -> BuriedCheck:
     """Check the three buried-subgraph conditions, returning the computed
     separator set (vertices adjacent to everything in the set, reflexively)
     and the remainder, plus witnesses."""
     members = frozenset(vertex_set)
-    for v in members:
-        if not (0 <= v < g.n):
-            raise InputError(f"vertex {v} out of range")
-    adj = g.adj
-    everyone = frozenset(range(g.n))
-    separators = everyone.intersection(*(adj[b] | {b} for b in members))
-    touched = set().union(*(adj[b] for b in members))
-    outside = everyone - members - separators
-    witness_nonedge = None
-    for a in sorted(members):
-        later = [b for b in members - adj[a] if b > a]
-        if later:
-            witness_nonedge = (a, min(later))
-            break
-    no_leak = not (touched & outside)
+    masks = g.masks
+    separators = everyone = (1 << g.n) - 1
+    inside = touched = 0
+    for b in members:
+        inside |= 1 << g._vertex(b)
+        separators &= masks[b] | 1 << b
+        touched |= masks[b]
+    outside = everyone & ~inside & ~separators
+    witness_nonedge = _least_nonedge(masks, inside)
     buried = (
         witness_nonedge is not None
-        and not (separators & members)
+        and not (separators & inside)
         and bool(outside)
-        and no_leak
+        and not (touched & outside)
     )
     return BuriedCheck(
         buried=buried,
-        separators=separators,
-        outside=outside,
+        separators=frozenset(bit_indices(separators)),
+        outside=frozenset(bit_indices(outside)),
         witness_nonedge=witness_nonedge,
-        witness_outside=min(outside) if outside else None,
+        witness_outside=next(bit_indices(outside), None),
     )
 
 
@@ -293,7 +295,7 @@ def _scan_buried(g: Graph) -> BuriedCertificate | None:
     V - members - touched. Both only grow, so a closure is dropped as soon
     as they cover V, even mid-stage. The first closure that reaches its
     fixpoint without covering V is regrown by `buried_candidate` and must
-    pass the set-based `is_buried` check."""
+    pass the `is_buried` check."""
     masks = g.masks
     everyone = (1 << g.n) - 1
     for v in range(g.n):
@@ -380,11 +382,7 @@ def _reversal_witness(
 
     masks = g.masks
     inside = sum(1 << v for v in members)
-    for a in sorted(members):
-        later = inside & ~masks[a] & ~((2 << a) - 1)
-        if later:
-            b = next(bit_indices(later))
-            break
+    a, b = _least_nonedge(masks, inside)
     x, y = (a, b) if order1.less(a, b) else (b, a)
     w = next(v for v in outsiders if masks[v] & inside != inside)
     if not (
@@ -487,7 +485,7 @@ def decide_unique(g: Graph) -> UniquenessVerdict:
         order1, order2, triple = two_orders_from_buried(g, cert, base)
     else:
         block = next(
-            (c for c in comps if any(len(g.adj[v]) < len(c) - 1 for v in c)),
+            (c for c in comps if any(g.masks[v].bit_count() < len(c) - 1 for v in c)),
             comps[0] | comps[1],
         )
         order1, order2, triple = _reversal_witness(g, base, block)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InternalInconsistencyError
-from .graphs import Graph, bit_indices, validate_path
+from .graphs import Graph, _neighbours_of, bit_indices, component_masks, validate_path
 from .representation import ClosedRepresentation, verify_representation
 
 CHORDLESS_CYCLE = "chordless_cycle"
@@ -139,14 +139,6 @@ def _consecutive_clique_order(cliques: list[frozenset[int]], n: int) -> list[int
         order.append(i)
         start = 0
     return order
-
-
-def _neighbours_of(masks: tuple[int, ...], vertices: int) -> int:
-    """The union of N(v) over the vertices of a bitset."""
-    reach = 0
-    for v in bit_indices(vertices):
-        reach |= masks[v]
-    return reach
 
 
 def _shortest_hole(masks: tuple[int, ...]) -> tuple[int, int]:
@@ -260,14 +252,8 @@ def _component_table(masks: tuple[int, ...], z: int) -> list[int]:
     """For each vertex v, the bitset of v's component in G - N[z], or 0 when
     v lies in N[z]. Vertices of one component share one int."""
     n = len(masks)
-    left = ((1 << n) - 1) & ~(masks[z] | 1 << z)
     table = [0] * n
-    while left:
-        comp = frontier = left & -left
-        while frontier:
-            frontier = _neighbours_of(masks, frontier) & left & ~comp
-            comp |= frontier
-        left &= ~comp
+    for comp in component_masks(masks, ((1 << n) - 1) & ~(masks[z] | 1 << z)):
         for v in bit_indices(comp):
             table[v] = comp
     return table
@@ -394,7 +380,7 @@ def validate_obstruction(g: Graph, obs: Obstruction) -> bool:
                 return False
             if path[0] != a or path[-1] != b:
                 return False
-            if any(v in g.closed_neighborhood(avoid) for v in path):
+            if sum(1 << v for v in set(path)) & (g.masks[avoid] | 1 << avoid):
                 return False
         return True
     return False

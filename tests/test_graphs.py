@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+from collections import deque
 from itertools import product
 
 import pytest
@@ -25,12 +26,39 @@ from intorder import (
     refine_to_minimal,
     universal_vertices,
 )
-from intorder.gadgets import random_interval_graph
+from intorder.gadgets import all_graphs, random_interval_graph
 from intorder.representation import representation_to_order
 
 
 # Reference implementations: order validation and association written on
 # pair sets. The library checks the same properties on successor bitsets.
+
+def bfs_components(g):
+    """Reference for `components`: one BFS per unseen vertex over frozenset
+    neighbour sets built from the edges. The library floods bitsets."""
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    adj = tuple(frozenset(s) for s in nbrs)
+    seen = [False] * g.n
+    out = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        comp = {s}
+        seen[s] = True
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.add(w)
+                    queue.append(w)
+        out.append(comp)
+    return out
+
 
 def pair_set_order_check(n, rel):
     """Raise InputError unless `rel` is a strict partial order on 0..n-1,
@@ -203,6 +231,27 @@ class TestGraphConstruction:
         assert g.adjacent(1, 1)
         assert not g.adjacent(0, 1)
 
+    @pytest.mark.parametrize("v", [-1, -4, 4, 5])
+    def test_vertex_outside_the_graph_is_an_input_error(self, v):
+        g = star3()
+        for call in (
+            lambda: g.adjacent(v, 0),
+            lambda: g.adjacent(0, v),
+            lambda: g.adjacent(v, v),
+            lambda: g.neighbors(v),
+            lambda: g.closed_neighborhood(v),
+        ):
+            with pytest.raises(InputError, match=f"vertex {v} out of range for n=4"):
+                call()
+
+    def test_neighbourhoods_read_off_the_edges(self):
+        g = star3()
+        assert g.neighbors(0) == frozenset({1, 2, 3})
+        assert g.neighbors(3) == frozenset({0})
+        assert g.closed_neighborhood(3) == frozenset({0, 3})
+        assert [g.adjacent(0, v) for v in range(4)] == [True] * 4
+        assert [g.adjacent(1, v) for v in range(4)] == [True, True, False, False]
+
 
 class TestComponents:
     def test_complete_graph_connected(self):
@@ -213,6 +262,32 @@ class TestComponents:
 
     def test_empty_graph(self):
         assert components(empty3()) == [{0}, {1}, {2}]
+
+    def test_matches_bfs_exhaustive_n6(self):
+        for n in range(7):
+            for g in all_graphs(n):
+                assert components(g) == bfs_components(g), sorted(g.edges)
+
+    def test_matches_bfs_on_seeded_graphs_and_unions(self):
+        rng = random.Random(20261018)
+        counts = set()
+        for _ in range(120):
+            g = random_graph(rng.randint(7, 60), rng.uniform(0.0, 0.2), rng)
+            assert components(g) == bfs_components(g), sorted(g.edges)
+            counts.add(len(components(g)))
+        for _ in range(40):
+            parts = [random_graph(rng.randint(1, 12), rng.uniform(0.2, 0.9), rng)
+                     for _ in range(rng.randint(2, 5))]
+            perm = list(range(sum(h.n for h in parts)))
+            rng.shuffle(perm)
+            edges, base = [], 0
+            for h in parts:
+                edges += [(perm[u + base], perm[v + base]) for u, v in h.edges]
+                base += h.n
+            g = graph_from_edges(len(perm), edges)
+            assert components(g) == bfs_components(g), sorted(g.edges)
+            counts.add(len(components(g)))
+        assert max(counts) >= 10 and 1 in counts
 
     @given(graphs())
     def test_components_partition_vertices(self, g):

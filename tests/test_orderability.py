@@ -407,6 +407,11 @@ class TestBuriedCandidate:
         with pytest.raises(InputError):
             buried_candidate(p4(), 2, 2)
 
+    @pytest.mark.parametrize("v,u", [(-1, 2), (0, 4), (4, 0)])
+    def test_rejects_vertex_out_of_range(self, v, u):
+        with pytest.raises(InputError, match="out of range for n=4"):
+            buried_candidate(p4(), v, u)
+
     def test_stagewise_membership_is_nested(self):
         for n in range(2, 6):
             for g in all_graphs(n):
@@ -719,3 +724,36 @@ class TestVerdictJson:
         assert obj["buried"] == {"B": [1, 2], "K": [0], "R": [3]}
         assert obj["wq_components"] == 6
         assert set(obj["witness"]) == {"order1", "order2", "triple"}
+
+
+class TestSingleAdjacencyForm:
+    """Every route reads adjacency off `Graph.masks`: after it has run, the
+    graph caches nothing beyond the bitsets and the chordality sweep."""
+
+    ALLOWED = {"masks", "chordal_cliques"}
+
+    @staticmethod
+    def cached(g):
+        return set(vars(g)) - {f.name for f in dataclasses.fields(g)}
+
+    @pytest.mark.parametrize("make,route", [
+        (single_nonedge4, recognize),
+        (c4, recognize),
+        (lambda: graph_from_edges(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)]), recognize),
+        (single_nonedge4, decide_unique),
+        (star3, decide_unique),
+        (two_k2, decide_unique),
+        (lambda: graph_from_edges(5, [(0, 1), (1, 2), (3, 4)]), decide_unique),
+        (star3, find_buried),
+        (p4, lambda g: pair_path(pair_graph(g), (0, 2), (1, 3))),
+    ], ids=["recognize-yes", "recognize-hole", "recognize-triple", "decide-unique",
+            "decide-buried", "decide-two-blocks", "decide-disconnected", "find-buried",
+            "pair-path"])
+    def test_route_caches_only_masks(self, make, route):
+        g = make()
+        assert route(g) is not None
+        assert self.cached(g) <= self.ALLOWED
+        assert "masks" in self.cached(g)
+
+    def test_graph_has_no_second_adjacency_form(self):
+        assert not hasattr(star3(), "adj")

@@ -91,9 +91,9 @@ def recursive_maximal_cliques(g):
         if not p and not x:
             found.append(frozenset(r))
             return
-        pivot = max(sorted(p | x), key=lambda w: len(g.adj[w] & p))
-        for v in sorted(p - g.adj[pivot]):
-            expand(r | {v}, p & g.adj[v], x & g.adj[v])
+        pivot = max(sorted(p | x), key=lambda w: len(g.neighbors(w) & p))
+        for v in sorted(p - g.neighbors(pivot)):
+            expand(r | {v}, p & g.neighbors(v), x & g.neighbors(v))
             p.discard(v)
             x.add(v)
 
@@ -149,7 +149,7 @@ def set_based_asteroidal_triple(g):
             queue = deque([s])
             while queue:
                 v = queue.popleft()
-                for w in sorted(g.adj[v]):
+                for w in sorted(g.neighbors(v)):
                     if w not in banned and comp[w] == -1:
                         comp[w] = cid
                         queue.append(w)
@@ -167,7 +167,7 @@ def set_based_asteroidal_triple(g):
                     path.append(v)
                     v = parent[v]
                 return tuple(reversed(path))
-            for w in sorted(g.adj[v]):
+            for w in sorted(g.neighbors(v)):
                 if w not in banned and w not in parent:
                     parent[w] = v
                     queue.append(w)
@@ -202,7 +202,7 @@ def recursive_lex_least_chordless_cycle(g, length):
     length, in canonical form (minimum vertex first, second vertex smaller
     than the last), by a recursive depth-first search that extends chordless
     paths in ascending vertex order from every start vertex."""
-    adj = g.adj
+    adj = [g.neighbors(v) for v in range(g.n)]
 
     def dfs(path, used):
         c0 = path[0]
@@ -314,6 +314,20 @@ class TestChordalSweep:
             if g.chordal_cliques is not None:
                 found = sorted((frozenset(bit_indices(c)) for c in g.chordal_cliques), key=sorted)
                 assert found == recursive_maximal_cliques(g), sorted(g.edges)
+
+    @pytest.mark.parametrize("hubs", [1, 2], ids=["star", "k2-join-independent"])
+    def test_hubs_visited_long_ago_are_found_fast(self, hubs):
+        # every later vertex's latest earlier neighbour is a hub among the
+        # first visits, so a backwards scan of the visits costs n per vertex
+        n = 6000
+        g = graph_from_edges(n, [(h, v) for h in range(hubs) for v in range(h + 1, n)])
+        g.masks
+        start = time.perf_counter()
+        found = g.chordal_cliques
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, elapsed
+        assert len(found) == n - hubs
+        assert sorted((frozenset(bit_indices(c)) for c in found), key=sorted) == recursive_maximal_cliques(g)
 
     def test_sweep_and_hole_search_disagreement_is_internal_error(self):
         g = p4()

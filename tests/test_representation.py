@@ -87,7 +87,7 @@ def pairwise_verify_representation(g, r):
     right = [x.numerator * (scale // x.denominator) for x in r.right]
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if (v in g.adj[u]) != (left[u] <= right[v] and left[v] <= right[u]):
+            if g.adjacent(u, v) != (left[u] <= right[v] and left[v] <= right[u]):
                 return False
     return True
 
