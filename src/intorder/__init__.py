@@ -21,7 +21,6 @@ from .graphs import (
     incomparability_graph,
     induced_subgraph,
     is_associated,
-    is_connected,
     is_minimal_path,
     order_from_pairs,
     parse_edgelist,

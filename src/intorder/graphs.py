@@ -226,10 +226,6 @@ def components(g: Graph) -> list[set[int]]:
     return [set(bit_indices(c)) for c in component_masks(g.masks, (1 << g.n) - 1)]
 
 
-def is_connected(g: Graph) -> bool:
-    return len(components(g)) == 1
-
-
 def complement(g: Graph) -> Graph:
     everyone = (1 << g.n) - 1
     edges = frozenset(

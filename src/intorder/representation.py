@@ -3,7 +3,9 @@
 Every endpoint is a ``fractions.Fraction``; there are no floating-point
 comparisons anywhere. Intersection is closed-interval intersection, so a
 shared single point counts. Point intervals (left == right) are accepted
-on input and split apart by ``normalize_distinguishing``.
+on input and split apart by ``normalize_distinguishing``. The algorithms
+compare endpoints as ints through one scaling, `_integer_endpoints`, and
+read every "which intervals meet" answer off one sweep, `_meeting_masks`.
 """
 
 from __future__ import annotations
@@ -51,9 +53,6 @@ class ClosedRepresentation:
                     f"interval for vertex {v} is empty: left {self.left[v]} > right {self.right[v]}"
                 )
 
-    def interval(self, v: int) -> tuple[Fraction, Fraction]:
-        return (self.left[v], self.right[v])
-
     def intersects(self, u: int, v: int) -> bool:
         return self.left[u] <= self.right[v] and self.left[v] <= self.right[u]
 
@@ -78,31 +77,21 @@ def representation_from_intervals(intervals: Sequence) -> ClosedRepresentation:
     return ClosedRepresentation(len(lefts), tuple(lefts), tuple(rights))
 
 
-def induced_graph(r: ClosedRepresentation, labels=None) -> Graph:
-    """Graph whose distinct vertices are adjacent iff their intervals meet."""
-    edges = frozenset(
-        (u, v)
-        for u in range(r.n)
-        for v in range(u + 1, r.n)
-        if r.intersects(u, v)
-    )
-    return Graph(r.n, edges, tuple(labels) if labels is not None else None)
+def _integer_endpoints(r: ClosedRepresentation) -> tuple[list[int], list[int]]:
+    """The left and right endpoints times one common denominator: ints that
+    compare exactly as the Fractions do."""
+    scale = math.lcm(*(x.denominator for x in r.left + r.right))
+    return tuple([x.numerator * (scale // x.denominator) for x in ends] for ends in (r.left, r.right))
 
 
-def verify_representation(g: Graph, r: ClosedRepresentation) -> bool:
-    """True iff adjacency in g matches interval intersection exactly.
+def _meeting_masks(r: ClosedRepresentation) -> list[int]:
+    """For each u, the bitset of vertices whose intervals meet u's, u included.
 
     u meets v iff left(v) <= right(u) and right(v) >= left(u). With the
     vertices sorted once by left and once by right endpoint, the first set
     is a prefix of the left order and the second a suffix of the right
-    order, so each closed neighbourhood `masks[u] | 1 << u` is compared with
-    one AND of two precomputed bitsets."""
-    if g.n != r.n:
-        raise InputError(f"vertex count mismatch: graph has {g.n}, representation has {r.n}")
-    # one common denominator turns every endpoint comparison into an int one
-    scale = math.lcm(*(x.denominator for x in r.left + r.right))
-    left = [x.numerator * (scale // x.denominator) for x in r.left]
-    right = [x.numerator * (scale // x.denominator) for x in r.right]
+    order, so each row is one AND of two precomputed bitsets."""
+    left, right = _integer_endpoints(r)
     by_left = sorted(range(r.n), key=left.__getitem__)
     by_right = sorted(range(r.n), key=right.__getitem__)
     lefts = [left[v] for v in by_left]
@@ -113,10 +102,30 @@ def verify_representation(g: Graph, r: ClosedRepresentation) -> bool:
     suffix = [0] * (r.n + 1)  # suffix[k]: all but the first k vertices by right endpoint
     for k in range(r.n - 1, -1, -1):
         suffix[k] = suffix[k + 1] | 1 << by_right[k]
-    return all(
-        m | 1 << u == prefix[bisect_right(lefts, right[u])] & suffix[bisect_left(rights, left[u])]
-        for u, m in enumerate(g.masks)
+    return [
+        prefix[bisect_right(lefts, right[u])] & suffix[bisect_left(rights, left[u])]
+        for u in range(r.n)
+    ]
+
+
+def induced_graph(r: ClosedRepresentation, labels=None) -> Graph:
+    """Graph whose distinct vertices are adjacent iff their intervals meet:
+    the pairs above the diagonal of `_meeting_masks`."""
+    edges = frozenset(
+        (u, v)
+        for u, row in enumerate(_meeting_masks(r))
+        for v in bit_indices(row & ~((2 << u) - 1))
     )
+    return Graph(r.n, edges, tuple(labels) if labels is not None else None)
+
+
+def verify_representation(g: Graph, r: ClosedRepresentation) -> bool:
+    """True iff adjacency in g matches interval intersection exactly: each
+    closed neighbourhood `masks[u] | 1 << u` equals its row of
+    `_meeting_masks`."""
+    if g.n != r.n:
+        raise InputError(f"vertex count mismatch: graph has {g.n}, representation has {r.n}")
+    return all(m | 1 << u == row for u, (m, row) in enumerate(zip(g.masks, _meeting_masks(r))))
 
 
 def representation_to_order(r: ClosedRepresentation) -> StrictPartialOrder:
@@ -124,10 +133,11 @@ def representation_to_order(r: ClosedRepresentation) -> StrictPartialOrder:
 
     With the vertices sorted by left endpoint once, the successors of u are
     the suffix whose left endpoints exceed right(u)."""
-    by_left = sorted(range(r.n), key=r.left.__getitem__)
-    lefts = [r.left[v] for v in by_left]
+    left, right = _integer_endpoints(r)
+    by_left = sorted(range(r.n), key=left.__getitem__)
+    lefts = [left[v] for v in by_left]
     rel = frozenset(
-        (u, v) for u in range(r.n) for v in by_left[bisect_right(lefts, r.right[u]):]
+        (u, v) for u in range(r.n) for v in by_left[bisect_right(lefts, right[u]):]
     )
     try:
         return StrictPartialOrder(r.n, rel)
@@ -193,19 +203,14 @@ def normalize_distinguishing(r: ClosedRepresentation) -> ClosedRepresentation:
     nondegenerate), then by vertex index. Strict endpoint comparisons are
     preserved, so the precedence order is preserved as well.
     """
-    tokens: list[tuple[Fraction, int, int]] = []
-    for v in range(r.n):
-        tokens.append((r.left[v], 0, v))
-        tokens.append((r.right[v], 1, v))
-    tokens.sort()
-    lefts: list[Fraction | None] = [None] * r.n
-    rights: list[Fraction | None] = [None] * r.n
+    left, right = _integer_endpoints(r)
+    tokens = sorted(
+        [(x, 0, v) for v, x in enumerate(left)] + [(x, 1, v) for v, x in enumerate(right)]
+    )
+    ends: tuple[list, list] = ([None] * r.n, [None] * r.n)
     for position, (_, kind, v) in enumerate(tokens):
-        if kind == 0:
-            lefts[v] = Fraction(position)
-        else:
-            rights[v] = Fraction(position)
-    return ClosedRepresentation(r.n, tuple(lefts), tuple(rights))  # type: ignore[arg-type]
+        ends[kind][v] = Fraction(position)
+    return ClosedRepresentation(r.n, tuple(ends[0]), tuple(ends[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,16 @@ and with `--json`, runs over one fixed corpus of about sixty inputs:
 labelled graphs, interval graphs, graphs that are not chordal, disconnected
 unions and malformed text. Everything it prints is folded into one SHA-256
 digest per command and mode, so any change to output or exit codes, down
-to a byte, fails here. The corpus is built in this file alone, from seeded
+to a byte, fails here. `gadget`, in both modes, and `selftest --max-n 4`
+in text mode read no graph; they get one digest each over fixed argument
+lists instead (`selftest --json` reports timings, so it has none). The corpus is built in this file alone, from seeded
 `random.Random` draws, so it does not move when the library changes.
 
 To re-record after an intended change of output, run
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-and paste the printed dictionary over `GOLDEN`.
+and paste the printed dictionaries over `GOLDEN` and `GOLDEN_ARGV`.
 """
 
 from __future__ import annotations
@@ -46,6 +48,35 @@ GOLDEN = {
     'wq --json': '1e71c10dbdf0940eaa5c9ad3dd7576ac1214c5b9172875bd7d0e3a45dfca30ab',
     'orders': '5980fc3562f967414cab05f548ab0a1bfc7e0ebd182ad10f4df014cc94a5d334',
     'orders --json': '1f39d0c55690695ef52e235bda959abdb73f01f24635b150e52db6b4ac895eca',
+}
+
+# `gadget` argument lists: staged prefixes, a partial stage count, and
+# malformed specs (repeated, negative, non-numeric values, bad stage counts)
+GADGET_ARGS = [
+    ["--f", "0"],
+    ["--f", "0,1,2"],
+    ["--f", "2,0,1"],
+    ["--f", "5,4,3,2,1,0"],
+    ["--f", "3,1,4,0,2", "--stages", "3"],
+    ["--f", "7,2,5,0,6,1,4,3"],
+    ["--f", ""],
+    ["--f", "1,1"],
+    ["--f=-1"],
+    ["--f", "a,b"],
+    ["--f", "0,1", "--stages", "3"],
+    ["--f", "0,1", "--stages", "-1"],
+]
+
+ARGV_RUNS = {
+    "gadget": [["gadget"] + args for args in GADGET_ARGS],
+    "gadget --json": [["gadget", "--json"] + args for args in GADGET_ARGS],
+    "selftest --max-n 4": [["selftest", "--max-n", "4"]],
+}
+
+GOLDEN_ARGV = {
+    'gadget': '7661adc995cb732c49b3db8383546cf7a070be9b6feb6e723a16a09e0fb759f7',
+    'gadget --json': 'c79eb7cdd33a6bf401e34df068c92086b6a323a77925f4b98653ae726842815b',
+    'selftest --max-n 4': '5c69770854b27d59b1ef0ae98fdd69ebe3655fcb6d8e126858bbb3011a25ebca',
 }
 
 
@@ -174,6 +205,14 @@ def digest(command: str, as_json: bool) -> str:
     return h.hexdigest()
 
 
+def argv_digest(key: str) -> str:
+    h = hashlib.sha256()
+    for argv in ARGV_RUNS[key]:
+        code, out, err = run(argv)
+        h.update(f"{' '.join(argv)}\0{code}\0{out}\0{err}\0".encode())
+    return h.hexdigest()
+
+
 def _key(command: str, as_json: bool) -> str:
     return f"{command} --json" if as_json else command
 
@@ -190,8 +229,17 @@ def test_cli_output_matches_golden_digest(command, as_json):
     assert digest(command, as_json) == GOLDEN[_key(command, as_json)]
 
 
+@pytest.mark.parametrize("key", list(ARGV_RUNS))
+def test_argv_output_matches_golden_digest(key):
+    assert argv_digest(key) == GOLDEN_ARGV[key]
+
+
 if __name__ == "__main__":
     print("GOLDEN = {")
     for mode in MODES:
         print(f"    {_key(*mode)!r}: {digest(*mode)!r},")
+    print("}")
+    print("GOLDEN_ARGV = {")
+    for key in ARGV_RUNS:
+        print(f"    {key!r}: {argv_digest(key)!r},")
     print("}")

@@ -41,11 +41,16 @@ from intorder.recognition import Obstruction, recognize
 # Reference implementations: the definitions written as all-pairs scans.
 # The library reads the same results off neighbourhood sets and must agree.
 
+def closed_neighbourhoods(g):
+    """Bit w of row v is set iff v == w or v ~ w: one table read off
+    `g.masks`, so the all-pairs scans below test bits, not `g.adjacent`."""
+    return [m | 1 << v for v, m in enumerate(g.masks)]
+
+
 def all_pairs_pair_graph(g):
     """Union-find over every two linked pairs; ids follow least pairs."""
-    pairs = tuple(
-        (a, b) for a in range(g.n) for b in range(g.n) if a != b and not g.adjacent(a, b)
-    )
+    closed = closed_neighbourhoods(g)
+    pairs = tuple((a, b) for a in range(g.n) for b in range(g.n) if not closed[a] >> b & 1)
     parent = list(range(len(pairs)))
 
     def find(i):
@@ -55,9 +60,10 @@ def all_pairs_pair_graph(g):
         return i
 
     for i, (a, b) in enumerate(pairs):
+        near_a, near_b = closed[a], closed[b]
         for j in range(i + 1, len(pairs)):
             c, d = pairs[j]
-            if g.adjacent(a, c) and g.adjacent(b, d):
+            if near_a >> c & 1 and near_b >> d & 1:
                 parent[find(j)] = find(i)
     component_of = {}
     root_to_id = {}
@@ -70,13 +76,19 @@ def all_pairs_pair_path(pg, ab, cd):
     """BFS that scans every pair at every step, then the least-step walk."""
     if pg.component_of[ab] != pg.component_of[cd]:
         return None
+    closed = closed_neighbourhoods(pg.base)
+
+    def linked_pairs(cur):
+        near_a, near_b = closed[cur[0]], closed[cur[1]]
+        return [p for p in pg.pairs if near_a >> p[0] & 1 and near_b >> p[1] & 1]
+
     dist = {cd: 0}
     frontier = [cd]
     while frontier:
         nxt = []
         for cur in frontier:
-            for p in pg.pairs:
-                if p not in dist and pg.linked(cur, p):
+            for p in linked_pairs(cur):
+                if p not in dist:
                     dist[p] = dist[cur] + 1
                     nxt.append(p)
         frontier = nxt
@@ -84,8 +96,8 @@ def all_pairs_pair_path(pg, ab, cd):
     while path[-1] != cd:
         cur = path[-1]
         path.append(min(
-            p for p in pg.pairs
-            if p != cur and pg.linked(cur, p) and dist.get(p, -1) == dist[cur] - 1
+            p for p in linked_pairs(cur)
+            if p != cur and dist.get(p, -1) == dist[cur] - 1
         ))
     return path
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -92,6 +93,50 @@ def pairwise_verify_representation(g, r):
     return True
 
 
+def pairwise_induced_graph(r):
+    """Reference for `induced_graph`: every pair of intervals tested with
+    `ClosedRepresentation.intersects` on the Fractions themselves. The
+    library reads the pairs off one sorted sweep over integer endpoints."""
+    return Graph(r.n, frozenset(
+        (u, v) for u in range(r.n) for v in range(u + 1, r.n) if r.intersects(u, v)
+    ))
+
+
+def fraction_normalize_distinguishing(r):
+    """Reference for `normalize_distinguishing`: the tokens (endpoint, left
+    before right, vertex) sorted as Fractions. The library sorts them as
+    integer-scaled endpoints."""
+    tokens = sorted([(r.left[v], 0, v) for v in range(r.n)] + [(r.right[v], 1, v) for v in range(r.n)])
+    ends = ([None] * r.n, [None] * r.n)
+    for position, (_, kind, v) in enumerate(tokens):
+        ends[kind][v] = Fraction(position)
+    return ClosedRepresentation(r.n, tuple(ends[0]), tuple(ends[1]))
+
+
+def small_grid_representations():
+    """Every representation with n <= 3 and endpoints in {0, 1/2, 1, 3/2}."""
+    grid = [Fraction(k, 2) for k in range(4)]
+    intervals = [(a, b) for a in grid for b in grid if a <= b]
+    for n in range(4):
+        for chosen in product(intervals, repeat=n):
+            yield representation_from_intervals(chosen)
+
+
+def seeded_rational_representations():
+    """300 seeded representations on a grid of sixths, a third of them with
+    a point interval and a third with two touching intervals."""
+    rng = random.Random(20261019)
+    for trial in range(300):
+        n = rng.randint(1, 12)
+        ends = [sorted(Fraction(rng.randrange(10), rng.choice((1, 2, 3, 6))) for _ in "lr")
+                for _ in range(n)]
+        if trial % 3 == 0:
+            ends[0] = [ends[0][1], ends[0][1]]
+        if trial % 3 == 1 and n > 1:
+            ends[1] = [ends[0][1], max(ends[0][1], ends[1][1])]
+        yield representation_from_intervals(ends)
+
+
 def single_nonedge4_representation() -> ClosedRepresentation:
     return representation_from_intervals([(4, 8), (6, 10), (9, 13), (5, 12)])
 
@@ -131,14 +176,14 @@ class TestVerify:
             verify_representation(single_nonedge4(), representation_from_intervals([(0, 1)]))
 
     def test_rational_endpoints_match_fraction_intersection(self):
-        # induced_graph compares Fractions directly; verification scales to ints
+        # the pairwise oracle compares Fractions directly; verification scales to ints
         rng = random.Random(5)
         for _ in range(300):
             n = rng.randint(2, 7)
             ends = [sorted(Fraction(rng.randrange(12), rng.randint(1, 6)) for _ in "lr")
                     for _ in range(n)]
             rep = representation_from_intervals(ends)
-            g = induced_graph(rep)
+            g = pairwise_induced_graph(rep)
             assert verify_representation(g, rep)
             u, v = sorted(rng.sample(range(n), 2))
             assert not verify_representation(Graph(n, g.edges ^ {(u, v)}), rep)
@@ -185,6 +230,28 @@ class TestVerify:
         rep = representation_from_intervals([([1, 2], [3, 2]), (1, 2)])
         assert rep.left[0] == Fraction(1, 2)
         assert rep.intersects(0, 1)
+
+
+class TestInducedGraph:
+    def test_matches_pairwise_fraction_intersection(self):
+        reps = [*small_grid_representations(), *seeded_rational_representations()]
+        assert len(reps) > 1000
+        for rep in reps:
+            assert induced_graph(rep).edges == pairwise_induced_graph(rep).edges, rep
+
+    def test_labels_carried(self):
+        g = induced_graph(representation_from_intervals([(0, 1), (1, 2)]), ["a", "b"])
+        assert g.edges == {(0, 1)} and g.labels == ("a", "b")
+
+    def test_n3000_path_within_budget(self):
+        rep = representation_from_intervals([(2 * i, 2 * i + 3) for i in range(3000)])
+        start = time.perf_counter()
+        g = induced_graph(rep)
+        elapsed = time.perf_counter() - start
+        # about 0.01 s on a 2-core host; testing all pairs with
+        # `intersects` on Fractions took about 6 s
+        assert elapsed < 1, elapsed
+        assert g.edges == {(i, i + 1) for i in range(2999)}
 
 
 class TestPrecedenceOrder:
@@ -315,6 +382,10 @@ class TestNormalize:
         normalized = normalize_distinguishing(rep)
         assert induced_graph(normalized).edges == induced_graph(rep).edges
         assert representation_to_order(normalized).rel == representation_to_order(rep).rel
+
+    def test_matches_fraction_token_sort(self):
+        for rep in [*small_grid_representations(), *seeded_rational_representations()]:
+            assert normalize_distinguishing(rep) == fraction_normalize_distinguishing(rep), rep
 
     def test_preserves_graph_seeded(self):
         rng = random.Random(7)
