@@ -1,7 +1,7 @@
 """Unique-orderability decisions with machine-checkable certificates.
 
-Three independent criteria are implemented and cross-checked on every
-non-complete interval graph, connected or not:
+Three criteria are implemented and cross-checked on every non-complete
+interval graph, connected or not:
 
 * the pair graph on ordered non-adjacent vertex pairs, where (a, b) and
   (c, d) are linked when a is adjacent to c and b is adjacent to d
@@ -21,14 +21,15 @@ four-cycle, with the unvisited pairs kept as one bitset per row and one per
 column. A chordal graph has no induced four-cycle, so the diagonal step
 runs only when the chordality sweep cached as `Graph.chordal_cliques`
 fails; every interval graph, and so every input `decide_unique` accepts,
-skips it, and reads the sweep `recognize` already ran. The buried search grows,
-from each non-adjacent pair, the least module holding it; that set is
-buried exactly when its remainder is nonempty, and if no pair yields one
-then no buried subgraph exists at all.
-At the fixpoint the remainder is V - members - touched (touched being the
-union of the members' neighbourhoods), and both of those only grow, so a
-closure is dropped as soon as they cover V. Only the first closure that
-reaches its fixpoint without covering V becomes a certificate, and it is
+skips it, and reads the sweep `recognize` already ran. The fill records
+each component's least pair (its start) and span (the vertices its pairs use).
+The buried search applies to interval input only. There the components are
+the implication classes of the complement, and by Gallai's theorem each
+span is the least module holding any of the class's pairs; it is buried
+exactly when its remainder V - members - touched (touched being the union
+of the members' neighbourhoods) is nonempty. The search walks the starts in
+order, regrows each one's closure as a cross-check that it equals the span,
+and stops at the first span with a nonempty remainder: the certificate,
 re-checked against the definition in `is_buried`.
 
 Every non-unique witness is one order and its reversal inside a vertex set
@@ -39,7 +40,7 @@ first two complete blocks, on a disconnected one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import InputError, InternalInconsistencyError, NotIntervalGraphError
@@ -65,13 +66,17 @@ class PairGraph:
     """Ordered non-adjacent pairs with their linkage components.
 
     `pairs` is sorted lexicographically; `component_of` maps each pair to a
-    component id, ids assigned in order of each component's least pair.
+    component id, ids assigned in order of each component's least pair. By
+    id, `starts` holds that pair and `spans` the bitset of the vertices the
+    component's pairs use; equality ignores both, as they follow from the rest.
     """
 
     base: Graph
     pairs: tuple[VertexPair, ...]
     component_of: dict[VertexPair, int]
     component_count: int
+    spans: tuple[int, ...] = field(compare=False, repr=False)
+    starts: tuple[VertexPair, ...] = field(compare=False, repr=False)
 
     def linked(self, ab: VertexPair, cd: VertexPair) -> bool:
         """Pairs are linked when first meets first and second meets second."""
@@ -93,7 +98,8 @@ def pair_graph(g: Graph) -> PairGraph:
     The unvisited pairs are indexed twice: `row[a]` holds the b and `col[b]`
     the a of each unvisited (a, b). The steps from (a, b) are then the bits
     of `masks[a] & col[b]`, of `masks[b] & row[a]` and, for each c in
-    `common = masks[a] & masks[b]`, of `common & row[c]`."""
+    `common = masks[a] & masks[b]`, of `common & row[c]`. A component's
+    first pair is its start, and each visit ORs its vertices into its span."""
     masks = g.masks
     diagonal = g.chordal_cliques is None
     everyone = (1 << g.n) - 1
@@ -101,31 +107,42 @@ def pair_graph(g: Graph) -> PairGraph:
     col = row[:]  # non-adjacency is symmetric
     pairs = tuple((a, b) for a in range(g.n) for b in bit_indices(row[a]))
     component_of: dict[VertexPair, int] = {}
+    spans: list[int] = []
+    starts: list[VertexPair] = []
     stack: list[VertexPair] = []
 
     def visit(a: int, bs: int) -> None:
+        nonlocal span
         row[a] &= ~bs
+        span |= 1 << a | bs
         for b in bit_indices(bs):
             col[b] ^= 1 << a
-            component_of[(a, b)] = count
-            stack.append((a, b))
+            pair = (a, b)
+            component_of[pair] = count
+            stack.append(pair)
 
     count = 0
     for start in range(g.n):
         while row[start]:
+            span = 0
             visit(start, row[start] & -row[start])
+            starts.append(stack[0])
             while stack:
                 a, b = stack.pop()
-                for c in bit_indices(masks[a] & col[b]):
-                    visit(c, 1 << b)
+                cs = masks[a] & col[b]
+                if cs:
+                    for c in bit_indices(cs):
+                        visit(c, 1 << b)
                 if masks[b] & row[a]:
                     visit(a, masks[b] & row[a])
-                common = masks[a] & masks[b] if diagonal else 0
-                for c in bit_indices(common):
-                    if common & row[c]:
-                        visit(c, common & row[c])
+                if diagonal:
+                    common = masks[a] & masks[b]
+                    for c in bit_indices(common):
+                        if common & row[c]:
+                            visit(c, common & row[c])
+            spans.append(span)
             count += 1
-    return PairGraph(g, pairs, component_of, count)
+    return PairGraph(g, pairs, component_of, count, tuple(spans), tuple(starts))
 
 
 def _linked_pairs(g: Graph, ab: VertexPair) -> list[VertexPair]:
@@ -148,10 +165,10 @@ def pair_path(
         return None
     if ab == cd:
         return [ab]
-    # distances from the target, then walk forward choosing least neighbors
+    # distances from the target out to ab's level, then walk forward choosing least neighbors
     dist = {cd: 0}
     frontier = [cd]
-    while frontier:
+    while ab not in dist:
         nxt = []
         for cur in frontier:
             for p in _linked_pairs(pg.base, cur):
@@ -285,40 +302,45 @@ class BuriedCertificate:
     pair: VertexPair
 
 
-def _scan_buried(g: Graph) -> BuriedCertificate | None:
-    """Grow a candidate from each non-adjacent pair in lexicographic order;
-    the first with a nonempty remainder is buried. An empty scan means no
-    buried subgraph exists anywhere in the graph.
+def _buried_from_spans(g: Graph, pg: PairGraph) -> BuriedCertificate | None:
+    """Certificate for the lexicographically first buried pair of an interval
+    graph, read off its pair graph `pg` (see the module docstring), or None.
 
-    At a closure's fixpoint `touched` lies within the members and `common`,
-    and `common` within `touched`, so the remainder V - members - common is
-    V - members - touched. Both only grow, so a closure is dropped as soon
-    as they cover V, even mid-stage. The first closure that reaches its
-    fixpoint without covering V is regrown by `buried_candidate` and must
-    pass the `is_buried` check."""
+    A component and its reversal share a span, and the lesser of their
+    starts has v < u, so the starts with v < u reach every class at its
+    least unordered pair. Each one's closure must equal its span, which
+    catches a pair graph that merges or splits too much, and non-chordal
+    input, where the diagonal step merges classes."""
     masks = g.masks
     everyone = (1 << g.n) - 1
-    for v in range(g.n):
-        for u in bit_indices(everyone & ~masks[v] & ~((2 << v) - 1)):
-            for _, _, covered in _closure_stages(masks, v, u):
-                if covered == everyone:
-                    break
-            else:
-                grown = buried_candidate(g, v, u)
-                check = is_buried(g, grown.members)
-                if not check.buried:
-                    raise InternalInconsistencyError(
-                        f"candidate grown from ({v}, {u}) has a remainder yet fails the "
-                        "buried-subgraph conditions"
-                    )
-                return BuriedCertificate(
-                    members=grown.members,
-                    separators=check.separators,
-                    outside=check.outside,
-                    witness_nonedge=check.witness_nonedge,
-                    witness_outside=check.witness_outside,
-                    pair=(v, u),
-                )
+    for (v, u), span in zip(pg.starts, pg.spans):
+        if v > u:
+            continue
+        members = covered = 0
+        for w, _, covered in _closure_stages(masks, v, u):
+            members |= 1 << w
+        if members != span:
+            raise InternalInconsistencyError(
+                f"closure grown from ({v}, {u}) differs from the span of its "
+                "pair-graph component"
+            )
+        if covered == everyone:
+            continue
+        grown = buried_candidate(g, v, u)
+        check = is_buried(g, grown.members)
+        if not check.buried:
+            raise InternalInconsistencyError(
+                f"candidate grown from ({v}, {u}) has a remainder yet fails the "
+                "buried-subgraph conditions"
+            )
+        return BuriedCertificate(
+            members=grown.members,
+            separators=check.separators,
+            outside=check.outside,
+            witness_nonedge=check.witness_nonedge,
+            witness_outside=check.witness_outside,
+            pair=(v, u),
+        )
     return None
 
 
@@ -326,6 +348,7 @@ def find_buried(g: Graph) -> BuriedCertificate | None:
     """Certificate for the lexicographically first buried candidate, or None.
 
     The contract requires a connected interval graph; both are validated.
+    It is read off the spans of the graph's pair graph (`_buried_from_spans`).
     """
     if len(components(g)) != 1:
         raise InputError("find_buried requires a connected graph")
@@ -334,7 +357,7 @@ def find_buried(g: Graph) -> BuriedCertificate | None:
         raise NotIntervalGraphError(
             "find_buried requires an interval graph", obstruction=result
         )
-    return _scan_buried(g)
+    return _buried_from_spans(g, pair_graph(g))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +472,8 @@ def decide_unique(g: Graph) -> UniquenessVerdict:
     """Decide unique orderability of an interval graph, with certificates.
 
     Complete graphs are uniquely orderable by the antichain. On every other
-    input the buried-subgraph search and the pair-graph component count must
+    input the buried-subgraph search (the pair graph's component spans, with
+    one closure regrown per component start) and the component count must
     agree (a buried subgraph exists iff there are more than two components),
     or an internal error is raised; on a disconnected graph both say
     "unique" exactly when it is two complete blocks. The unique order is
@@ -470,7 +494,7 @@ def decide_unique(g: Graph) -> UniquenessVerdict:
             wq_components=pg.component_count,
             order=StrictPartialOrder(g.n, frozenset()),
         )
-    cert = _scan_buried(g)
+    cert = _buried_from_spans(g, pg)
     if (cert is None) != (pg.component_count == 2):
         raise InternalInconsistencyError(
             f"buried-subgraph search ({'none' if cert is None else 'found'}) disagrees "

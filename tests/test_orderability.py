@@ -10,6 +10,7 @@ from intorder import (
     BuriedCertificate,
     BuriedCheck,
     InputError,
+    InternalInconsistencyError,
     LeveledSet,
     NotIntervalGraphError,
     PairGraph,
@@ -34,7 +35,7 @@ from intorder import (
 from intorder import graphs as graphs_module
 from intorder.gadgets import all_graphs, build_gadget, GadgetSpec, random_interval_graph
 from intorder.oracle import oracle_unique
-from intorder.orderability import _scan_buried
+from intorder.orderability import _buried_from_spans
 from intorder.recognition import Obstruction, recognize
 
 
@@ -65,11 +66,25 @@ def all_pairs_pair_graph(g):
             c, d = pairs[j]
             if near_a >> c & 1 and near_b >> d & 1:
                 parent[find(j)] = find(i)
-    component_of = {}
     root_to_id = {}
-    for i, p in enumerate(pairs):
-        component_of[p] = root_to_id.setdefault(find(i), len(root_to_id))
-    return PairGraph(g, pairs, component_of, len(root_to_id))
+    return pair_graph_from_ids(g, {
+        p: root_to_id.setdefault(find(i), len(root_to_id)) for i, p in enumerate(pairs)
+    })
+
+
+def pair_graph_from_ids(g, component_of):
+    """A `PairGraph` with the given component ids, numbered from 0 in order
+    of each component's least pair; starts and spans are read off the ids."""
+    pairs = tuple(sorted(component_of))
+    spans, starts = {}, {}
+    for a, b in pairs:
+        i = component_of[(a, b)]
+        starts.setdefault(i, (a, b))
+        spans[i] = spans.get(i, 0) | 1 << a | 1 << b
+    ids = sorted(starts)
+    assert ids == list(range(len(ids))) and sorted(starts.values()) == [starts[i] for i in ids]
+    return PairGraph(g, pairs, dict(component_of), len(ids),
+                     tuple(spans[i] for i in ids), tuple(starts[i] for i in ids))
 
 
 def all_pairs_pair_path(pg, ab, cd):
@@ -104,6 +119,7 @@ def all_pairs_pair_path(pg, ab, cd):
 
 def staged_rescan_candidate(g, v, u):
     """Each stage tests every outsider against every member."""
+    closed = closed_neighbourhoods(g)
     level = {v: 0, u: 0}
     stage = 0
     while True:
@@ -111,8 +127,8 @@ def staged_rescan_candidate(g, v, u):
         fresh = [
             w for w in range(g.n)
             if w not in level
-            and any(g.adjacent(z, w) for z in members)
-            and any(not g.adjacent(z, w) for z in members)
+            and any(closed[z] >> w & 1 for z in members)
+            and any(not closed[z] >> w & 1 for z in members)
         ]
         if not fresh:
             return LeveledSet(v, u, level)
@@ -123,14 +139,15 @@ def staged_rescan_candidate(g, v, u):
 
 def all_pairs_is_buried(g, vertex_set):
     """The buried-subgraph conditions checked vertex by vertex."""
+    closed = closed_neighbourhoods(g)
     members = frozenset(vertex_set)
     separators = frozenset(
-        v for v in range(g.n) if all(g.adjacent(v, b) for b in members)
+        v for v in range(g.n) if all(closed[v] >> b & 1 for b in members)
     )
     outside = frozenset(range(g.n)) - members - separators
     nonedges = [(a, b) for a in sorted(members) for b in sorted(members)
-                if a < b and not g.adjacent(a, b)]
-    no_leak = all(not g.adjacent(b, r) for b in members for r in outside)
+                if a < b and not closed[a] >> b & 1]
+    no_leak = all(not closed[b] >> r & 1 for b in members for r in outside)
     return BuriedCheck(
         buried=bool(nonedges) and not (separators & members) and bool(outside) and no_leak,
         separators=separators,
@@ -245,7 +262,7 @@ def reference_decide(g):
         return UniquenessVerdict(
             unique=True, wq_components=pg.component_count, order=StrictPartialOrder(g.n, frozenset())
         )
-    cert = _scan_buried(g)
+    cert = per_pair_scan_buried(g)
     assert (cert is None) == (pg.component_count == 2)
     if cert is None:
         chosen = pg.component_of[pg.pairs[0]]
@@ -288,6 +305,12 @@ def relabeled_disjoint_unions(count, seed):
             edges += [(perm[offset + u], perm[offset + v]) for u, v in p.edges]
             offset += p.n
         yield graph_from_edges(len(perm), edges)
+
+
+def relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def nonadjacent_pairs(g):
@@ -461,7 +484,9 @@ class TestAgainstReferences:
         # every graph, interval or not: the pair graph accepts any graph
         for n in range(7):
             for g in all_graphs(n):
-                assert pair_graph(g) == all_pairs_pair_graph(g), sorted(g.edges)
+                pg, want = pair_graph(g), all_pairs_pair_graph(g)
+                assert pg == want, sorted(g.edges)
+                assert (pg.spans, pg.starts) == (want.spans, want.starts), sorted(g.edges)
 
     def test_closure_and_check_exhaustive_n5(self):
         for n in range(6):
@@ -493,34 +518,71 @@ class TestAgainstReferences:
         rng = random.Random(3060)
         counts = set()
         for _ in range(40):
-            g, _ = random_interval_graph(rng.randint(30, 60), rng.randrange(10**9))
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            g = graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+            g = relabeled(random_interval_graph(rng.randint(30, 60), rng.randrange(10**9))[0], rng)
             pg = pair_graph(g)
             assert pg == all_pairs_pair_graph(g), sorted(g.edges)
             counts.add(pg.component_count)
         assert 2 in counts and max(counts) > 2, counts
 
     def test_scan_exhaustive_n6(self):
+        # the spans are least modules only on chordal input, so interval
+        # graphs are the domain
         found = 0
         for n in range(7):
             for g in all_graphs(n):
-                cert = _scan_buried(g)
+                if isinstance(recognize(g), Obstruction):
+                    continue
+                cert = _buried_from_spans(g, pair_graph(g))
                 assert cert == per_pair_scan_buried(g), sorted(g.edges)
                 found += cert is not None
-        assert found == 15879
+        assert found == 9907
 
     def test_scan_on_seeded_graphs(self):
-        for g in seeded_graphs():
-            assert _scan_buried(g) == per_pair_scan_buried(g), sorted(g.edges)
+        rng = random.Random(4060)
+        families = [
+            [g for g in seeded_graphs() if not isinstance(recognize(g), Obstruction)],
+            list(relabeled_disjoint_unions(200, 11)),
+            [relabeled(random_interval_graph(rng.randint(30, 60), rng.randrange(10**9))[0], rng)
+             for _ in range(20)],
+        ]
+        assert [len(f) for f in families] == [120, 200, 20]
+        found = 0
+        for g in (g for family in families for g in family):
+            cert = _buried_from_spans(g, pair_graph(g))
+            assert cert == per_pair_scan_buried(g), sorted(g.edges)
+            found += cert is not None
+        assert found == 191
+
+    def test_cross_check_rejects_the_diagonal_pair_graph_of_c4(self):
+        # the diagonal step joins all four pairs of C4, spanning every vertex,
+        # while the closure of {0, 2} stops at {0, 2}
+        g = c4()
+        assert pair_graph(g).component_count == 1
+        with pytest.raises(InternalInconsistencyError, match=r"\(0, 2\)"):
+            _buried_from_spans(g, pair_graph(g))
+
+    def test_cross_check_rejects_merged_components_on_star3(self):
+        g = star3()
+        ids = dict(pair_graph(g).component_of)
+        ids[(1, 3)] = ids[(1, 2)]  # the span of (1, 2) grows to {1, 2, 3}
+        merged = pair_graph_from_ids(g, {p: sorted(set(ids.values())).index(i)
+                                         for p, i in ids.items()})
+        with pytest.raises(InternalInconsistencyError, match=r"\(1, 2\)"):
+            _buried_from_spans(g, merged)
+
+    def test_cross_check_rejects_split_components_on_p4(self):
+        g = p4()
+        pg = pair_graph(g)
+        assert pg.component_of[(0, 2)] == pg.component_of[(1, 3)] == 0
+        ids = {p: i + 1 for p, i in pg.component_of.items()}
+        ids[(0, 2)] = 0  # the span of (0, 2) shrinks to {0, 2}
+        with pytest.raises(InternalInconsistencyError, match=r"\(0, 2\)"):
+            _buried_from_spans(g, pair_graph_from_ids(g, ids))
+        assert _buried_from_spans(g, pg) is None
 
     def test_pair_graph_on_relabeled_n250_within_budget(self):
         rng = random.Random(250)
-        g, _ = random_interval_graph(250, 250)
-        perm = list(range(g.n))
-        rng.shuffle(perm)
-        g = graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        g = relabeled(random_interval_graph(250, 250)[0], rng)
         start = time.perf_counter()
         pg = pair_graph(g)
         elapsed = time.perf_counter() - start
@@ -684,6 +746,16 @@ class TestDecideUnique:
         with pytest.raises(NotIntervalGraphError):
             decide_unique(c4())
         assert sweeps == [4]
+
+    def test_connected_n1000_within_budget(self):
+        g, _ = random_interval_graph(1000, 1000)
+        start = time.process_time()
+        verdict = decide_unique(g)
+        elapsed = time.process_time() - start
+        # about 2.5 s of process time on a 2-core host; growing a closure
+        # from every non-adjacent pair took about 8 s
+        assert elapsed < 4, elapsed
+        assert verdict.unique and verdict.wq_components == 2
 
     def test_edgeless_n300_within_budget(self):
         g = graph_from_edges(300, [])
