@@ -30,6 +30,7 @@ from .gadgets import (
 )
 from .graphs import (
     Graph,
+    bit_indices,
     components,
     graph_from_edges,
     is_associated,
@@ -171,7 +172,10 @@ def _cmd_recognize(g: Graph, args) -> int:
 
 
 def _order_text(order, name) -> str:
-    return " ".join(f"{name(u)}<{name(v)}" for u, v in order.pairs()) or "(antichain)"
+    names = [str(name(v)) for v in range(order.n)]
+    return " ".join(
+        f"{names[u]}<{names[v]}" for u, above in enumerate(order.succ) for v in bit_indices(above)
+    ) or "(antichain)"
 
 
 def _cmd_decide(g: Graph, args) -> int:

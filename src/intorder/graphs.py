@@ -5,8 +5,13 @@ vertices only, but adjacency is interpreted reflexively: ``adjacent(v, v)``
 is always true and explicit self-loops are rejected on input. Labels are
 cosmetic (they survive into certificates) and never affect any algorithm.
 
-`Graph.masks`, one int bitset per neighbourhood, is the only adjacency
-form: `adjacent`, `neighbors`, components and path checks all read it.
+A graph is its neighbourhood bitsets: `Graph.masks`, one int per vertex,
+is the only adjacency form, and `adjacent`, `neighbors`, components and
+path checks all read it. The parsers fill those rows in their one
+validation loop, and they and the constructions that meet rows first
+(`induced_graph`, `complement`, `induced_subgraph`) hand them to
+`Graph._from_rows`. The edge set of such a graph is derived on first
+read, which only output, equality and hashing do.
 
 Paths are plain sequences of vertices in which consecutive vertices are
 distinct and adjacent; a single vertex is a valid path of length zero.
@@ -25,13 +30,14 @@ from .errors import InputError
 VertexPair = tuple[int, int]
 
 
-def _canonical_edge(u: int, v: int) -> VertexPair:
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True)
 class Graph:
-    """Undirected graph on vertices 0..n-1, reflexive by convention."""
+    """Undirected graph on vertices 0..n-1, reflexive by convention.
+
+    `Graph(n, edges, labels)` validates the edge set and derives `masks`
+    on first read. `Graph._from_rows` is given `masks` instead, and derives
+    `edges` on first read, which only output, equality and hashing do.
+    """
 
     n: int
     edges: frozenset[VertexPair]
@@ -45,6 +51,19 @@ class Graph:
                 raise InputError(
                     f"edge ({u}, {v}) is not canonical or out of range for n={self.n}"
                 )
+        self._check_labels()
+
+    @classmethod
+    def _from_rows(cls, rows: Sequence[int], labels: tuple[str | None, ...] | None = None) -> "Graph":
+        """The graph on len(rows) vertices whose `masks` are `rows`: the
+        caller guarantees they are symmetric, in range and free of
+        self-loops. The labels are checked as the constructor checks them."""
+        g = object.__new__(cls)
+        vars(g).update(n=len(rows), labels=labels, masks=tuple(rows))
+        g._check_labels()
+        return g
+
+    def _check_labels(self) -> None:
         if self.labels is not None:
             if len(self.labels) != self.n:
                 raise InputError("labels must have one entry per vertex (None for unnamed)")
@@ -53,6 +72,14 @@ class Graph:
             for v, label in enumerate(self.labels):
                 if label is not None and owner.setdefault(label, v) != v:
                     raise InputError(f"label {label!r} names both vertex {owner[label]} and vertex {v}")
+
+    def __getattr__(self, name: str):
+        # only reached when `edges` is missing, on a graph built from rows
+        if name != "edges":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        edges = frozenset(_upper_pairs(self.masks))
+        vars(self)["edges"] = edges
+        return edges
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -90,7 +117,7 @@ class Graph:
         return frozenset(bit_indices(self.masks[self._vertex(v)] | 1 << v))
 
     def is_complete(self) -> bool:
-        return len(self.edges) == self.n * (self.n - 1) // 2
+        return sum(m.bit_count() for m in self.masks) == self.n * (self.n - 1)
 
     def label_of(self, v: int) -> str | int:
         if self.labels is not None and self.labels[v] is not None:
@@ -99,7 +126,7 @@ class Graph:
 
     def same_edges(self, other: "Graph") -> bool:
         """Equality of vertex count and edge set, ignoring labels."""
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self.masks == other.masks
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -108,6 +135,13 @@ def bit_indices(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _upper_pairs(masks: Sequence[int]) -> Iterator[VertexPair]:
+    """The edges (u, v), u < v, of a graph's rows, in sorted order."""
+    for u, m in enumerate(masks):
+        for v in bit_indices(m >> u + 1 << u + 1):
+            yield u, v
 
 
 def _neighbours_of(masks: tuple[int, ...], vertices: int) -> int:
@@ -188,12 +222,13 @@ def graph_from_edges(
     """
     if n < 0:
         raise InputError("vertex count must be nonnegative")
-    edges: set[VertexPair] = set()
+    rows = [0] * n
     for pair in edge_list:
         u, v = pair
         _check_endpoints(n, u, v)
-        edges.add(_canonical_edge(u, v))
-    return Graph(n, frozenset(edges), tuple(labels) if labels is not None else None)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph._from_rows(rows, tuple(labels) if labels is not None else None)
 
 
 def _check_endpoints(n: int, u: int, v: int) -> None:
@@ -204,7 +239,8 @@ def _check_endpoints(n: int, u: int, v: int) -> None:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
+    everyone = (1 << n) - 1
+    return Graph._from_rows([everyone ^ 1 << v for v in range(n)])
 
 
 def component_masks(masks: tuple[int, ...], allowed: int) -> list[int]:
@@ -228,21 +264,17 @@ def components(g: Graph) -> list[set[int]]:
 
 def complement(g: Graph) -> Graph:
     everyone = (1 << g.n) - 1
-    edges = frozenset(
-        (u, v) for u, m in enumerate(g.masks) for v in bit_indices(everyone & ~m & ~((2 << u) - 1))
-    )
-    return Graph(g.n, edges, g.labels)
+    return Graph._from_rows([everyone & ~(m | 1 << u) for u, m in enumerate(g.masks)], g.labels)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph on the given vertices, reindexed densely in sorted order."""
     kept = sorted(g._vertex(v) for v in set(vertices))
     index = {v: i for i, v in enumerate(kept)}
-    edges = frozenset(
-        (index[u], index[v]) for u, v in g.edges if u in index and v in index
-    )
+    inside = sum(1 << v for v in kept)
+    rows = [sum(1 << index[w] for w in bit_indices(g.masks[v] & inside)) for v in kept]
     labels = tuple(g.labels[v] for v in kept) if g.labels is not None else None
-    return Graph(len(kept), edges, labels)
+    return Graph._from_rows(rows, labels)
 
 
 def universal_vertices(g: Graph) -> set[int]:
@@ -319,22 +351,32 @@ class StrictPartialOrder:
     strict partial order. Construction also builds `succ` and `pred`, the
     vertices above and below each vertex as `Graph.masks`-style int
     bitsets; they are plain attributes, not fields, so equality, hashing
-    and `repr` see only `n` and `rel`.
+    and `repr` see only `n` and `rel`. An order built by `_from_succ` is
+    given `succ`, passes the same validation, and derives `rel` on first
+    read.
     """
 
     n: int
     rel: frozenset[VertexPair]
 
     def __post_init__(self):
-        succ = [0] * self.n
+        succ = vars(self).get("succ")
         pred = [0] * self.n
-        for u, v in self.rel:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InputError(f"relation pair ({u}, {v}) out of range for n={self.n}")
-            if u == v:
-                raise InputError(f"relation must be irreflexive; got ({u}, {u})")
-            succ[u] |= 1 << v
-            pred[v] |= 1 << u
+        if succ is None:  # built from `rel`
+            succ = [0] * self.n
+            for u, v in self.rel:
+                if not (0 <= u < self.n and 0 <= v < self.n):
+                    raise InputError(f"relation pair ({u}, {v}) out of range for n={self.n}")
+                if u == v:
+                    raise InputError(f"relation must be irreflexive; got ({u}, {u})")
+                succ[u] |= 1 << v
+                pred[v] |= 1 << u
+        else:  # built by `_from_succ`
+            for u, above in enumerate(succ):
+                if above >> u & 1:
+                    raise InputError(f"relation must be irreflexive; got ({u}, {u})")
+                for v in bit_indices(above):
+                    pred[v] |= 1 << u
         for u in range(self.n):
             if succ[u] & pred[u]:
                 v = next(bit_indices(succ[u] & pred[u]))
@@ -349,6 +391,23 @@ class StrictPartialOrder:
                     )
         object.__setattr__(self, "succ", tuple(succ))
         object.__setattr__(self, "pred", tuple(pred))
+
+    @classmethod
+    def _from_succ(cls, n: int, succ: Sequence[int]) -> "StrictPartialOrder":
+        """The order whose successor bitsets are `succ`, validated by
+        `__post_init__` as any other order is."""
+        order = object.__new__(cls)
+        vars(order).update(n=n, succ=tuple(succ))
+        order.__post_init__()
+        return order
+
+    def __getattr__(self, name: str):
+        # only reached when `rel` is missing, on an order built by `_from_succ`
+        if name != "rel":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rel = frozenset(self.pairs())
+        vars(self)["rel"] = rel
+        return rel
 
     def less(self, u: int, v: int) -> bool:
         return (u, v) in self.rel
@@ -392,13 +451,8 @@ def order_from_pairs(n: int, pairs: Iterable[Sequence[int]]) -> StrictPartialOrd
 
 def incomparability_graph(o: StrictPartialOrder) -> Graph:
     """Graph whose distinct vertices are adjacent iff order-incomparable."""
-    edges = frozenset(
-        (u, v)
-        for u in range(o.n)
-        for v in range(u + 1, o.n)
-        if not o.comparable(u, v)
-    )
-    return Graph(o.n, edges)
+    everyone = (1 << o.n) - 1
+    return Graph._from_rows([everyone & ~(o.succ[u] | o.pred[u] | 1 << u) for u in range(o.n)])
 
 
 def is_associated(g: Graph, o: StrictPartialOrder) -> bool:
@@ -418,7 +472,7 @@ def is_associated(g: Graph, o: StrictPartialOrder) -> bool:
 # ---------------------------------------------------------------------------
 
 def graph_to_jsonable(g: Graph) -> dict:
-    out: dict = {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
+    out: dict = {"n": g.n, "edges": [[u, v] for u, v in _upper_pairs(g.masks)]}
     if g.labels is not None and any(x is not None for x in g.labels):
         out["labels"] = {
             str(v): g.labels[v] for v in range(g.n) if g.labels[v] is not None
@@ -438,19 +492,25 @@ def graph_from_jsonable(obj) -> Graph:
         raise InputError("graph JSON field 'n' must be an integer")
     if not isinstance(raw_edges, list):
         raise InputError("graph JSON field 'edges' must be a list of pairs")
-    # one pass over the entries; as before, a bad shape anywhere is reported
-    # before the labels, and the first bad endpoint after them
-    edges: set[VertexPair] = set()
+    # one pass over the entries, ORing each good one into the rows; a bad
+    # shape anywhere is reported before the labels, the first bad endpoint
+    # after them
+    rows = [0] * n
     first_bad = None
     for item in raw_edges:
         if not (isinstance(item, list) and len(item) == 2):
             raise InputError(f"malformed edge entry: {item!r}")
         u, v = item
-        if not (isinstance(u, int) and isinstance(v, int)) or isinstance(u, bool) or isinstance(v, bool):
+        # exact ints skip the isinstance tests; bool, an int subclass, fails them
+        if not (type(u) is int and type(v) is int) and (
+            not (isinstance(u, int) and isinstance(v, int)) or isinstance(u, bool) or isinstance(v, bool)
+        ):
             raise InputError(f"malformed edge entry: {item!r}")
-        if first_bad is None and not (0 <= u < n and 0 <= v < n and u != v):
+        if 0 <= u < n and 0 <= v < n and u != v:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        elif first_bad is None:
             first_bad = (u, v)
-        edges.add((u, v) if u < v else (v, u))
     if n < 0:
         raise InputError("vertex count must be nonnegative")
     labels = None
@@ -470,7 +530,7 @@ def graph_from_jsonable(obj) -> Graph:
         labels = tuple(filled)
     if first_bad is not None:
         _check_endpoints(n, *first_bad)
-    return Graph(n, frozenset(edges), labels)
+    return Graph._from_rows(rows, labels)
 
 
 def parse_graph_json(text: str) -> Graph:

@@ -22,7 +22,10 @@ column. A chordal graph has no induced four-cycle, so the diagonal step
 runs only when the chordality sweep cached as `Graph.chordal_cliques`
 fails; every interval graph, and so every input `decide_unique` accepts,
 skips it, and reads the sweep `recognize` already ran. The fill records
-each component's least pair (its start) and span (the vertices its pairs use).
+each component's least pair (its start), span (the vertices its pairs use)
+and rows (its pairs as one bitset of second vertices per first vertex);
+the rows of component 0 are the unique order's successor bitsets, and the
+per-pair lists `wq` prints are read off the rows only when asked for.
 The buried search applies to interval input only. There the components are
 the implication classes of the complement, and by Gallai's theorem each
 span is the least module holding any of the class's pairs; it is buried
@@ -41,7 +44,8 @@ first two complete blocks, on a disconnected one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Callable, Iterable, Iterator
 
 from .errors import InputError, InternalInconsistencyError, NotIntervalGraphError
 from .graphs import (
@@ -65,18 +69,40 @@ VertexPair = tuple[int, int]
 class PairGraph:
     """Ordered non-adjacent pairs with their linkage components.
 
-    `pairs` is sorted lexicographically; `component_of` maps each pair to a
-    component id, ids assigned in order of each component's least pair. By
-    id, `starts` holds that pair and `spans` the bitset of the vertices the
-    component's pairs use; equality ignores both, as they follow from the rest.
+    Component ids follow each component's least pair. By id, `rows` holds
+    the component's pairs grouped by first vertex, as a dict from each
+    first vertex a to the bitset of the b with (a, b) in the component;
+    `starts` holds its least pair and `spans` the bitset of the vertices
+    its pairs use. Equality ignores both, as they follow from the rows.
+    `pairs`, every pair in sorted order, and `component_of`, each pair's
+    id, are read off the rows on first use.
     """
 
     base: Graph
-    pairs: tuple[VertexPair, ...]
-    component_of: dict[VertexPair, int]
-    component_count: int
+    rows: tuple[dict[int, int], ...]
     spans: tuple[int, ...] = field(compare=False, repr=False)
     starts: tuple[VertexPair, ...] = field(compare=False, repr=False)
+
+    @property
+    def component_count(self) -> int:
+        return len(self.rows)
+
+    @cached_property
+    def pairs(self) -> tuple[VertexPair, ...]:
+        seconds = [0] * self.base.n
+        for component in self.rows:
+            for a, bs in component.items():
+                seconds[a] |= bs
+        return tuple((a, b) for a, bs in enumerate(seconds) for b in bit_indices(bs))
+
+    @cached_property
+    def component_of(self) -> dict[VertexPair, int]:
+        return {
+            (a, b): i
+            for i, component in enumerate(self.rows)
+            for a, bs in component.items()
+            for b in bit_indices(bs)
+        }
 
     def linked(self, ab: VertexPair, cd: VertexPair) -> bool:
         """Pairs are linked when first meets first and second meets second."""
@@ -99,14 +125,14 @@ def pair_graph(g: Graph) -> PairGraph:
     the a of each unvisited (a, b). The steps from (a, b) are then the bits
     of `masks[a] & col[b]`, of `masks[b] & row[a]` and, for each c in
     `common = masks[a] & masks[b]`, of `common & row[c]`. A component's
-    first pair is its start, and each visit ORs its vertices into its span."""
+    first pair is its start, and each visit ORs its pairs into the
+    component's rows and its vertices into its span."""
     masks = g.masks
     diagonal = g.chordal_cliques is None
     everyone = (1 << g.n) - 1
     row = [everyone & ~(m | 1 << a) for a, m in enumerate(masks)]
     col = row[:]  # non-adjacency is symmetric
-    pairs = tuple((a, b) for a in range(g.n) for b in bit_indices(row[a]))
-    component_of: dict[VertexPair, int] = {}
+    rows: list[dict[int, int]] = []
     spans: list[int] = []
     starts: list[VertexPair] = []
     stack: list[VertexPair] = []
@@ -114,16 +140,15 @@ def pair_graph(g: Graph) -> PairGraph:
     def visit(a: int, bs: int) -> None:
         nonlocal span
         row[a] &= ~bs
+        found[a] = found.get(a, 0) | bs
         span |= 1 << a | bs
         for b in bit_indices(bs):
             col[b] ^= 1 << a
-            pair = (a, b)
-            component_of[pair] = count
-            stack.append(pair)
+            stack.append((a, b))
 
-    count = 0
     for start in range(g.n):
         while row[start]:
+            found: dict[int, int] = {}
             span = 0
             visit(start, row[start] & -row[start])
             starts.append(stack[0])
@@ -140,9 +165,9 @@ def pair_graph(g: Graph) -> PairGraph:
                     for c in bit_indices(common):
                         if common & row[c]:
                             visit(c, common & row[c])
+            rows.append(found)
             spans.append(span)
-            count += 1
-    return PairGraph(g, pairs, component_of, count, tuple(spans), tuple(starts))
+    return PairGraph(g, tuple(rows), tuple(spans), tuple(starts))
 
 
 def _linked_pairs(g: Graph, ab: VertexPair) -> list[VertexPair]:
@@ -364,11 +389,12 @@ def find_buried(g: Graph) -> BuriedCertificate | None:
 # Building orders from certificates
 # ---------------------------------------------------------------------------
 
-def _associated_order(g: Graph, rel: Iterable[VertexPair], what: str) -> StrictPartialOrder:
-    """`rel` as a strict partial order associated to g; anything else is a bug
-    in the construction named by `what`."""
+def _associated_order(g: Graph, make: Callable[[], StrictPartialOrder], what: str) -> StrictPartialOrder:
+    """The order `make()` builds, checked to be a strict partial order
+    associated to g; anything else is a bug in the construction named by
+    `what`."""
     try:
-        order = StrictPartialOrder(g.n, frozenset(rel))
+        order = make()
     except InputError as exc:
         raise InternalInconsistencyError(f"{what} is not a partial order: {exc}") from exc
     if not is_associated(g, order):
@@ -395,9 +421,13 @@ def _reversal_witness(
     rel1 = {(x, y) for x, y in base.rel if (x in members) == (y in members)}
     rel1.update((x, y) for y in outsiders if base.less(anchor, y) for x in members)
     rel1.update((x, y) for x in outsiders if base.less(x, anchor) for y in members)
-    order1 = _associated_order(g, rel1, "order made convex around the set")
+    order1 = _associated_order(
+        g, lambda: StrictPartialOrder(g.n, frozenset(rel1)), "order made convex around the set"
+    )
     rel2 = {((y, x) if x in members and y in members else (x, y)) for x, y in rel1}
-    order2 = _associated_order(g, rel2, "order reversed inside the set")
+    order2 = _associated_order(
+        g, lambda: StrictPartialOrder(g.n, frozenset(rel2)), "order reversed inside the set"
+    )
     if order2.succ in (order1.succ, order1.pred):
         raise InternalInconsistencyError(
             "reversing inside the set failed to produce a genuinely new order"
@@ -436,14 +466,17 @@ def two_orders_from_buried(
 
 def order_from_pair_graph(g: Graph, pg: PairGraph) -> StrictPartialOrder:
     """The unique associated order read off a two-component pair graph:
-    orient every pair in the component of the least pair."""
+    orient every pair in the component of the least pair, component 0, whose
+    rows are the order's successor bitsets."""
     if pg.component_count != 2:
         raise InputError(
             f"pair graph has {pg.component_count} components; exactly 2 required"
         )
-    chosen = pg.component_of[pg.pairs[0]]
+    succ = [0] * g.n
+    for a, bs in pg.rows[0].items():
+        succ[a] = bs
     return _associated_order(
-        g, (p for p in pg.pairs if pg.component_of[p] == chosen), "pair-graph component"
+        g, lambda: StrictPartialOrder._from_succ(g.n, succ), "pair-graph component"
     )
 
 
@@ -527,7 +560,8 @@ def decide_unique(g: Graph) -> UniquenessVerdict:
 # ---------------------------------------------------------------------------
 
 def _order_pairs_jsonable(order: StrictPartialOrder, name) -> list:
-    return [[name(u), name(v)] for u, v in order.pairs()]
+    names = [name(v) for v in range(order.n)]
+    return [[names[u], names[v]] for u, above in enumerate(order.succ) for v in bit_indices(above)]
 
 
 def buried_to_jsonable(cert: BuriedCertificate, label=None) -> dict:

@@ -110,13 +110,9 @@ def _meeting_masks(r: ClosedRepresentation) -> list[int]:
 
 def induced_graph(r: ClosedRepresentation, labels=None) -> Graph:
     """Graph whose distinct vertices are adjacent iff their intervals meet:
-    the pairs above the diagonal of `_meeting_masks`."""
-    edges = frozenset(
-        (u, v)
-        for u, row in enumerate(_meeting_masks(r))
-        for v in bit_indices(row & ~((2 << u) - 1))
-    )
-    return Graph(r.n, edges, tuple(labels) if labels is not None else None)
+    the rows of `_meeting_masks`, each without its own vertex."""
+    rows = [row ^ 1 << u for u, row in enumerate(_meeting_masks(r))]
+    return Graph._from_rows(rows, tuple(labels) if labels is not None else None)
 
 
 def verify_representation(g: Graph, r: ClosedRepresentation) -> bool:

@@ -253,6 +253,65 @@ class TestGraphConstruction:
         assert [g.adjacent(1, v) for v in range(4)] == [True, True, False, False]
 
 
+def rows_of(n, edges):
+    """The neighbourhood bitsets of an edge list, filled by hand."""
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
+
+
+class TestRowsAndEdges:
+    """A graph built from rows is the graph `Graph(n, edges, labels)` builds."""
+
+    @staticmethod
+    def assert_same_graph(from_rows, from_edges):
+        assert from_rows.masks == from_edges.masks
+        assert "edges" not in vars(from_rows)  # derived on first read only
+        assert from_rows.edges == from_edges.edges
+        assert from_rows == from_edges and from_edges == from_rows
+        assert hash(from_rows) == hash(from_edges)
+        assert repr(from_rows) == repr(from_edges)
+
+    def test_every_graph_n6(self):
+        for n in range(7):
+            for g in all_graphs(n):
+                self.assert_same_graph(Graph._from_rows(rows_of(n, g.edges)), g)
+
+    def test_seeded_labelled_graphs(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            n = rng.randint(0, 12)
+            edges = sorted({
+                tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 2 * n))
+            }) if n >= 2 else []
+            labels = tuple(f"v{v}" if rng.random() < 0.7 else None for v in range(n))
+            want = Graph(n, frozenset(edges), labels)
+            obj = {
+                "n": n,
+                "edges": [[v, u] if rng.random() < 0.5 else [u, v] for u, v in edges],
+                "labels": {str(v): x for v, x in enumerate(labels) if x is not None},
+            }
+            self.assert_same_graph(graph_from_jsonable(obj), want)
+            self.assert_same_graph(graph_from_edges(n, edges, labels), want)
+            self.assert_same_graph(Graph._from_rows(rows_of(n, edges), labels), want)
+
+    def test_fields_still_tell_graphs_apart(self):
+        g = graph_from_edges(3, [(0, 1)], ("a", "b", "c"))
+        assert g != graph_from_edges(3, [(1, 2)], ("a", "b", "c"))
+        assert g != graph_from_edges(3, [(0, 1)], ("a", "b", "d"))
+        assert g != graph_from_edges(4, [(0, 1)], ("a", "b", "c", "d"))
+        assert g != (3, g.edges, g.labels)
+
+    def test_int_subclass_endpoints_accepted(self):
+        class Vertex(int):
+            pass
+
+        obj = {"n": 3, "edges": [[Vertex(0), Vertex(2)]]}
+        assert graph_from_jsonable(obj) == graph_from_edges(3, [(0, 2)])
+
+
 class TestComponents:
     def test_complete_graph_connected(self):
         assert components(k3()) == [{0, 1, 2}]

@@ -27,12 +27,14 @@ from intorder import (
     order_from_pair_graph,
     pair_graph,
     pair_path,
+    parse_graph_json,
     representation_from_intervals,
     representation_to_order,
     two_orders_from_buried,
     verdict_to_jsonable,
 )
 from intorder import graphs as graphs_module
+from intorder import orderability as orderability_module
 from intorder.gadgets import all_graphs, build_gadget, GadgetSpec, random_interval_graph
 from intorder.oracle import oracle_unique
 from intorder.orderability import _buried_from_spans
@@ -48,7 +50,7 @@ def closed_neighbourhoods(g):
     return [m | 1 << v for v, m in enumerate(g.masks)]
 
 
-def all_pairs_pair_graph(g):
+def all_pairs_component_ids(g):
     """Union-find over every two linked pairs; ids follow least pairs."""
     closed = closed_neighbourhoods(g)
     pairs = tuple((a, b) for a in range(g.n) for b in range(g.n) if not closed[a] >> b & 1)
@@ -67,23 +69,26 @@ def all_pairs_pair_graph(g):
             if near_a >> c & 1 and near_b >> d & 1:
                 parent[find(j)] = find(i)
     root_to_id = {}
-    return pair_graph_from_ids(g, {
-        p: root_to_id.setdefault(find(i), len(root_to_id)) for i, p in enumerate(pairs)
-    })
+    return {p: root_to_id.setdefault(find(i), len(root_to_id)) for i, p in enumerate(pairs)}
+
+
+def all_pairs_pair_graph(g):
+    return pair_graph_from_ids(g, all_pairs_component_ids(g))
 
 
 def pair_graph_from_ids(g, component_of):
     """A `PairGraph` with the given component ids, numbered from 0 in order
-    of each component's least pair; starts and spans are read off the ids."""
-    pairs = tuple(sorted(component_of))
-    spans, starts = {}, {}
-    for a, b in pairs:
+    of each component's least pair; rows, starts and spans are read off the ids."""
+    rows, spans, starts = {}, {}, {}
+    for a, b in sorted(component_of):
         i = component_of[(a, b)]
         starts.setdefault(i, (a, b))
         spans[i] = spans.get(i, 0) | 1 << a | 1 << b
+        rows.setdefault(i, {})
+        rows[i][a] = rows[i].get(a, 0) | 1 << b
     ids = sorted(starts)
     assert ids == list(range(len(ids))) and sorted(starts.values()) == [starts[i] for i in ids]
-    return PairGraph(g, pairs, dict(component_of), len(ids),
+    return PairGraph(g, tuple(rows[i] for i in ids),
                      tuple(spans[i] for i in ids), tuple(starts[i] for i in ids))
 
 
@@ -484,9 +489,12 @@ class TestAgainstReferences:
         # every graph, interval or not: the pair graph accepts any graph
         for n in range(7):
             for g in all_graphs(n):
-                pg, want = pair_graph(g), all_pairs_pair_graph(g)
+                pg, ids = pair_graph(g), all_pairs_component_ids(g)
+                want = pair_graph_from_ids(g, ids)
                 assert pg == want, sorted(g.edges)
                 assert (pg.spans, pg.starts) == (want.spans, want.starts), sorted(g.edges)
+                # the views `wq` prints, read off the rows
+                assert (pg.pairs, pg.component_of) == (tuple(sorted(ids)), ids), sorted(g.edges)
 
     def test_closure_and_check_exhaustive_n5(self):
         for n in range(6):
@@ -838,6 +846,30 @@ class TestSingleAdjacencyForm:
         assert route(g) is not None
         assert self.cached(g) <= self.ALLOWED
         assert "masks" in self.cached(g)
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 4, "edges": [[0, 1], [0, 3], [1, 2], [1, 3], [2, 3]]}',  # unique
+        '{"n": 4, "edges": [[0, 1], [0, 2], [0, 3]], "labels": {"0": "hub"}}',  # buried
+        '{"n": 5, "edges": [[0, 1], [1, 2], [3, 4]]}',  # disconnected
+        '{"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}',  # complete
+        '{"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}',  # a hole
+    ], ids=["unique", "buried", "disconnected", "complete", "hole"])
+    def test_decision_on_parsed_input_derives_no_pair_lists(self, text, monkeypatch):
+        # parsed graphs are their rows, and the pair graph its component rows:
+        # no decision route lists edges or pairs
+        built = []
+        original = orderability_module.pair_graph
+        monkeypatch.setattr(orderability_module, "pair_graph",
+                            lambda g: built.append(original(g)) or built[-1])
+        g = parse_graph_json(text)
+        recognize(g)
+        try:
+            decide_unique(g)
+        except NotIntervalGraphError:
+            assert not built
+        assert "edges" not in vars(g)
+        for pg in built:
+            assert not {"pairs", "component_of"} & set(vars(pg))
 
     def test_graph_has_no_second_adjacency_form(self):
         assert not hasattr(star3(), "adj")

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 import time
@@ -16,9 +17,11 @@ from intorder import (
     find_asteroidal_triple,
     complete_graph,
     graph_from_edges,
+    graph_to_jsonable,
     incomparability_graph,
     is_interval_order,
     maximal_cliques,
+    parse_graph_json,
     recognize,
     representation_to_order,
     validate_obstruction,
@@ -551,6 +554,18 @@ class TestRecognize:
         # about 0.4 s on a 2-core host; Bron–Kerbosch and the sweep as a
         # separate chordality check took 4.35 s
         assert elapsed < 2, elapsed
+        assert isinstance(result, ClosedRepresentation)
+
+    def test_n1000_json_parse_and_recognize_within_budget(self):
+        g, _ = random_interval_graph(1000, 1000)
+        text = json.dumps(graph_to_jsonable(g))
+        start = time.process_time()
+        result = recognize(parse_graph_json(text))
+        elapsed = time.process_time() - start
+        # about 0.7 s of process time on a 2-core host, 0.3 s of it in
+        # json.loads; parsing into an edge set that `Graph.masks` then
+        # folded back into rows took 1.2-2.0 s
+        assert elapsed < 1.2, elapsed
         assert isinstance(result, ClosedRepresentation)
 
     def test_bron_kerbosch_runs_only_on_non_chordal_input(self, monkeypatch):
