@@ -321,7 +321,7 @@ def _fixture_graphs() -> dict[str, Graph]:
 def _check_fixtures() -> str | None:
     fx = _fixture_graphs()
     verdict = decide_unique(fx["single-nonedge"])
-    if not (verdict.unique and sorted(verdict.order.rel) == [(0, 2)] and verdict.wq_components == 2):
+    if not (verdict.unique and list(verdict.order.pairs()) == [(0, 2)] and verdict.wq_components == 2):
         return "single-nonedge verdict wrong"
     result = recognize(fx["net"])
     if not (isinstance(result, Obstruction) and result.triple == (3, 4, 5)):
@@ -416,7 +416,7 @@ def _check_round_trips(seed: int) -> str | None:
             return f"generated representation invalid (trial {trial})"
         order = representation_to_order(rep)
         round_tripped = representation_to_order(order_to_representation(order))
-        if round_tripped.rel != order.rel:
+        if round_tripped.succ != order.succ:
             return f"order round trip failed (trial {trial})"
         if not is_associated(g, order):
             return f"precedence order not associated (trial {trial})"

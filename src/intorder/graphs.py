@@ -11,7 +11,10 @@ path checks all read it. The parsers fill those rows in their one
 validation loop, and they and the constructions that meet rows first
 (`induced_graph`, `complement`, `induced_subgraph`) hand them to
 `Graph._from_rows`. The edge set of such a graph is derived on first
-read, which only output, equality and hashing do.
+read, which only output, equality and hashing do. Every order the library
+builds is likewise its successor bitsets, given to
+`StrictPartialOrder._from_succ`; its pair set `rel` is derived only for
+equality, hashing and `repr`.
 
 Paths are plain sequences of vertices in which consecutive vertices are
 distinct and adjacent; a single vertex is a valid path of length zero.
@@ -346,14 +349,15 @@ def refine_to_minimal(g: Graph, path: Sequence[int]) -> list[int]:
 class StrictPartialOrder:
     """Irreflexive, antisymmetric, transitively closed relation on 0..n-1.
 
-    The stored pair set always equals its own transitive closure; this is
-    validated on construction, so every accepted instance is a genuine
-    strict partial order. Construction also builds `succ` and `pred`, the
-    vertices above and below each vertex as `Graph.masks`-style int
-    bitsets; they are plain attributes, not fields, so equality, hashing
-    and `repr` see only `n` and `rel`. An order built by `_from_succ` is
-    given `succ`, passes the same validation, and derives `rel` on first
-    read.
+    An order is its successor rows: `succ` and `pred` hold the vertices
+    above and below each vertex as `Graph.masks`-style int bitsets, and
+    every method reads them. `StrictPartialOrder(n, rel)` validates a pair
+    set from outside the library by folding it into `succ`; every order the
+    library builds is given its rows by `_from_succ` and passes the same
+    validation, so every accepted instance is a genuine strict partial
+    order. The rows are plain attributes, not fields: equality, hashing and
+    `repr` see `n` and `rel`, which an order built from rows derives on
+    first read, and only they read it.
     """
 
     n: int
@@ -361,22 +365,18 @@ class StrictPartialOrder:
 
     def __post_init__(self):
         succ = vars(self).get("succ")
-        pred = [0] * self.n
         if succ is None:  # built from `rel`
             succ = [0] * self.n
             for u, v in self.rel:
                 if not (0 <= u < self.n and 0 <= v < self.n):
                     raise InputError(f"relation pair ({u}, {v}) out of range for n={self.n}")
-                if u == v:
-                    raise InputError(f"relation must be irreflexive; got ({u}, {u})")
                 succ[u] |= 1 << v
+        pred = [0] * self.n
+        for u, above in enumerate(succ):
+            if above >> u & 1:
+                raise InputError(f"relation must be irreflexive; got ({u}, {u})")
+            for v in bit_indices(above):
                 pred[v] |= 1 << u
-        else:  # built by `_from_succ`
-            for u, above in enumerate(succ):
-                if above >> u & 1:
-                    raise InputError(f"relation must be irreflexive; got ({u}, {u})")
-                for v in bit_indices(above):
-                    pred[v] |= 1 << u
         for u in range(self.n):
             if succ[u] & pred[u]:
                 v = next(bit_indices(succ[u] & pred[u]))
@@ -410,43 +410,38 @@ class StrictPartialOrder:
         return rel
 
     def less(self, u: int, v: int) -> bool:
-        return (u, v) in self.rel
+        return 0 <= u < self.n and 0 <= v and self.succ[u] >> v & 1 == 1
 
     def comparable(self, u: int, v: int) -> bool:
-        return (u, v) in self.rel or (v, u) in self.rel
+        return self.less(u, v) or self.less(v, u)
 
     def pairs(self) -> Iterator[VertexPair]:
         """The pairs of `rel` in sorted order, read off `succ`."""
         return ((u, v) for u in range(self.n) for v in bit_indices(self.succ[u]))
 
     def dual(self) -> "StrictPartialOrder":
-        return StrictPartialOrder(self.n, frozenset((v, u) for u, v in self.rel))
+        return StrictPartialOrder._from_succ(self.n, self.pred)
 
 
 def order_from_pairs(n: int, pairs: Iterable[Sequence[int]]) -> StrictPartialOrder:
-    """Transitively close the given pairs and validate the result."""
-    succ: list[set[int]] = [set() for _ in range(n)]
+    """Transitively close the given pairs (Warshall's algorithm on successor
+    rows) and validate the result, naming the least vertex on a cycle."""
+    succ = [0] * n
     for pair in pairs:
         u, v = pair
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"pair ({u}, {v}) out of range for n={n}")
         if u == v:
             raise InputError(f"pair ({u}, {u}) violates irreflexivity")
-        succ[u].add(v)
-    rel: set[VertexPair] = set()
+        succ[u] |= 1 << v
+    for k in range(n):
+        for u in range(n):
+            if succ[u] >> k & 1:
+                succ[u] |= succ[k]
     for s in range(n):
-        reach: set[int] = set()
-        stack = list(succ[s])
-        while stack:
-            x = stack.pop()
-            if x in reach:
-                continue
-            reach.add(x)
-            stack.extend(succ[x])
-        if s in reach:
+        if succ[s] >> s & 1:
             raise InputError(f"pairs contain a cycle through vertex {s}")
-        rel.update((s, x) for x in reach)
-    return StrictPartialOrder(n, frozenset(rel))
+    return StrictPartialOrder._from_succ(n, succ)
 
 
 def incomparability_graph(o: StrictPartialOrder) -> Graph:

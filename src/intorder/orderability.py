@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import InputError, InternalInconsistencyError, NotIntervalGraphError
 from .graphs import (
@@ -389,12 +389,12 @@ def find_buried(g: Graph) -> BuriedCertificate | None:
 # Building orders from certificates
 # ---------------------------------------------------------------------------
 
-def _associated_order(g: Graph, make: Callable[[], StrictPartialOrder], what: str) -> StrictPartialOrder:
-    """The order `make()` builds, checked to be a strict partial order
-    associated to g; anything else is a bug in the construction named by
-    `what`."""
+def _associated_order(g: Graph, succ: list[int], what: str) -> StrictPartialOrder:
+    """The order with successor rows `succ`, checked to be a strict partial
+    order associated to g; anything else is a bug in the construction named
+    by `what`."""
     try:
-        order = make()
+        order = StrictPartialOrder._from_succ(g.n, succ)
     except InputError as exc:
         raise InternalInconsistencyError(f"{what} is not a partial order: {exc}") from exc
     if not is_associated(g, order):
@@ -409,35 +409,38 @@ def _reversal_witness(
     inside `members`.
 
     The first order rearranges `base` so the set is convex: every member
-    sits exactly where the least member sits relative to outsiders. The
-    second reverses the first inside the set only. In the triple (x, y, w),
-    x and y are the least non-adjacent pair inside the set, x before y in
-    the first order, and w is the least outsider not adjacent to all of the
-    set. The first order has x < y < w or w < x < y; the second swaps x and
-    y, so it is neither the first nor its dual.
+    sits exactly where the least member, the anchor, sits relative to
+    outsiders. The second reverses the first inside the set only. In the
+    triple (x, y, w), x and y are the least non-adjacent pair inside the
+    set, x before y in the first order, and w is the least outsider not
+    adjacent to all of the set. The first order has x < y < w or w < x < y;
+    the second swaps x and y, so it is neither the first nor its dual.
     """
     anchor = min(members)
-    outsiders = [v for v in range(g.n) if v not in members]
-    rel1 = {(x, y) for x, y in base.rel if (x in members) == (y in members)}
-    rel1.update((x, y) for y in outsiders if base.less(anchor, y) for x in members)
-    rel1.update((x, y) for x in outsiders if base.less(x, anchor) for y in members)
-    order1 = _associated_order(
-        g, lambda: StrictPartialOrder(g.n, frozenset(rel1)), "order made convex around the set"
-    )
-    rel2 = {((y, x) if x in members and y in members else (x, y)) for x, y in rel1}
-    order2 = _associated_order(
-        g, lambda: StrictPartialOrder(g.n, frozenset(rel2)), "order reversed inside the set"
-    )
+    inside = sum(1 << v for v in members)
+    outside = (1 << g.n) - 1 & ~inside
+    # a member keeps its successors inside and takes the anchor's outside;
+    # an outsider keeps its successors outside and is below all members or none
+    succ1 = [
+        base.succ[v] & inside | base.succ[anchor] & outside if inside >> v & 1
+        else base.succ[v] & outside | (inside if base.succ[v] >> anchor & 1 else 0)
+        for v in range(g.n)
+    ]
+    order1 = _associated_order(g, succ1, "order made convex around the set")
+    succ2 = [  # inside the set, a member's successors become its predecessors
+        row & outside | order1.pred[v] & inside if inside >> v & 1 else row
+        for v, row in enumerate(succ1)
+    ]
+    order2 = _associated_order(g, succ2, "order reversed inside the set")
     if order2.succ in (order1.succ, order1.pred):
         raise InternalInconsistencyError(
             "reversing inside the set failed to produce a genuinely new order"
         )
 
     masks = g.masks
-    inside = sum(1 << v for v in members)
     a, b = _least_nonedge(masks, inside)
     x, y = (a, b) if order1.less(a, b) else (b, a)
-    w = next(v for v in outsiders if masks[v] & inside != inside)
+    w = next(v for v in bit_indices(outside) if masks[v] & inside != inside)
     if not (
         (order1.less(x, y) and order1.less(y, w))
         or (order1.less(w, x) and order1.less(x, y))
@@ -472,12 +475,8 @@ def order_from_pair_graph(g: Graph, pg: PairGraph) -> StrictPartialOrder:
         raise InputError(
             f"pair graph has {pg.component_count} components; exactly 2 required"
         )
-    succ = [0] * g.n
-    for a, bs in pg.rows[0].items():
-        succ[a] = bs
-    return _associated_order(
-        g, lambda: StrictPartialOrder._from_succ(g.n, succ), "pair-graph component"
-    )
+    succ = [pg.rows[0].get(a, 0) for a in range(g.n)]
+    return _associated_order(g, succ, "pair-graph component")
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +524,7 @@ def decide_unique(g: Graph) -> UniquenessVerdict:
         return UniquenessVerdict(
             unique=True,
             wq_components=pg.component_count,
-            order=StrictPartialOrder(g.n, frozenset()),
+            order=StrictPartialOrder._from_succ(g.n, [0] * g.n),
         )
     cert = _buried_from_spans(g, pg)
     if (cert is None) != (pg.component_count == 2):

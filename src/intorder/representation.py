@@ -5,7 +5,8 @@ comparisons anywhere. Intersection is closed-interval intersection, so a
 shared single point counts. Point intervals (left == right) are accepted
 on input and split apart by ``normalize_distinguishing``. The algorithms
 compare endpoints as ints through one scaling, `_integer_endpoints`, and
-read every "which intervals meet" answer off one sweep, `_meeting_masks`.
+read both the precedence order and every "which intervals meet" answer off
+one sort by left endpoint, `_left_prefixes`.
 """
 
 from __future__ import annotations
@@ -84,28 +85,32 @@ def _integer_endpoints(r: ClosedRepresentation) -> tuple[list[int], list[int]]:
     return tuple([x.numerator * (scale // x.denominator) for x in ends] for ends in (r.left, r.right))
 
 
-def _meeting_masks(r: ClosedRepresentation) -> list[int]:
-    """For each u, the bitset of vertices whose intervals meet u's, u included.
-
-    u meets v iff left(v) <= right(u) and right(v) >= left(u). With the
-    vertices sorted once by left and once by right endpoint, the first set
-    is a prefix of the left order and the second a suffix of the right
-    order, so each row is one AND of two precomputed bitsets."""
+def _left_prefixes(r: ClosedRepresentation) -> tuple[list[int], list[int], list[int]]:
+    """The integer endpoints, and for each u the bitset of vertices whose
+    intervals start no later than u's ends: with the vertices sorted once by
+    left endpoint, a prefix of that order found by one binary search."""
     left, right = _integer_endpoints(r)
     by_left = sorted(range(r.n), key=left.__getitem__)
-    by_right = sorted(range(r.n), key=right.__getitem__)
     lefts = [left[v] for v in by_left]
-    rights = [right[v] for v in by_right]
     prefix = [0]  # prefix[k]: the first k vertices by left endpoint
     for v in by_left:
         prefix.append(prefix[-1] | 1 << v)
+    return left, right, [prefix[bisect_right(lefts, right[u])] for u in range(r.n)]
+
+
+def _meeting_masks(r: ClosedRepresentation) -> list[int]:
+    """For each u, the bitset of vertices whose intervals meet u's, u included.
+
+    u meets v iff left(v) <= right(u) and right(v) >= left(u). The first set
+    is u's row of `_left_prefixes` and the second a suffix of the vertices
+    sorted by right endpoint, so each row is one AND of two bitsets."""
+    left, right, started = _left_prefixes(r)
+    by_right = sorted(range(r.n), key=right.__getitem__)
+    rights = [right[v] for v in by_right]
     suffix = [0] * (r.n + 1)  # suffix[k]: all but the first k vertices by right endpoint
     for k in range(r.n - 1, -1, -1):
         suffix[k] = suffix[k + 1] | 1 << by_right[k]
-    return [
-        prefix[bisect_right(lefts, right[u])] & suffix[bisect_left(rights, left[u])]
-        for u in range(r.n)
-    ]
+    return [started[u] & suffix[bisect_left(rights, left[u])] for u in range(r.n)]
 
 
 def induced_graph(r: ClosedRepresentation, labels=None) -> Graph:
@@ -125,18 +130,13 @@ def verify_representation(g: Graph, r: ClosedRepresentation) -> bool:
 
 
 def representation_to_order(r: ClosedRepresentation) -> StrictPartialOrder:
-    """The order in which u precedes v iff u's interval lies wholly before v's.
-
-    With the vertices sorted by left endpoint once, the successors of u are
-    the suffix whose left endpoints exceed right(u)."""
-    left, right = _integer_endpoints(r)
-    by_left = sorted(range(r.n), key=left.__getitem__)
-    lefts = [left[v] for v in by_left]
-    rel = frozenset(
-        (u, v) for u in range(r.n) for v in by_left[bisect_right(lefts, right[u]):]
-    )
+    """The order in which u precedes v iff u's interval lies wholly before v's:
+    u's successors are the vertices outside its row of `_left_prefixes`."""
+    _, _, started = _left_prefixes(r)
+    everyone = (1 << r.n) - 1
+    succ = [everyone & ~row for row in started]
     try:
-        return StrictPartialOrder(r.n, rel)
+        return StrictPartialOrder._from_succ(r.n, succ)
     except InputError as exc:  # geometrically impossible
         raise InternalInconsistencyError(
             f"interval precedence failed to be a strict partial order: {exc}"

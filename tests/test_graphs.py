@@ -80,6 +80,33 @@ def pair_set_order_check(n, rel):
                 )
 
 
+def set_based_order_from_pairs(n, pairs):
+    """Reference for `order_from_pairs`: one depth-first search per start
+    vertex over successor sets, closing the pairs as a set of tuples."""
+    succ = [set() for _ in range(n)]
+    for pair in pairs:
+        u, v = pair
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"pair ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise InputError(f"pair ({u}, {u}) violates irreflexivity")
+        succ[u].add(v)
+    rel = set()
+    for s in range(n):
+        reach = set()
+        stack = list(succ[s])
+        while stack:
+            x = stack.pop()
+            if x in reach:
+                continue
+            reach.add(x)
+            stack.extend(succ[x])
+        if s in reach:
+            raise InputError(f"pairs contain a cycle through vertex {s}")
+        rel.update((s, x) for x in reach)
+    return StrictPartialOrder(n, frozenset(rel))
+
+
 def three_pass_graph_from_jsonable(obj):
     """Reference for `graph_from_jsonable`: every entry's shape first, then
     the labels, then the vertex count and each edge's range and self-loop
@@ -433,6 +460,33 @@ class TestOrders:
         with pytest.raises(InputError):
             order_from_pairs(3, [(0, 1), (1, 2), (2, 0)])
 
+    @staticmethod
+    def closure_outcome(close, n, pairs):
+        try:
+            return close(n, pairs).rel
+        except InputError as exc:
+            return f"input error: {exc}"
+
+    def test_closure_matches_set_based_closure_on_every_relation_n4(self):
+        cycles = 0
+        for n in range(5):
+            cells = list(product(range(n), repeat=2))
+            for chosen in product((False, True), repeat=len(cells)):
+                pairs = [c for c, keep in zip(cells, chosen) if keep]
+                expected = self.closure_outcome(set_based_order_from_pairs, n, pairs)
+                assert self.closure_outcome(order_from_pairs, n, pairs) == expected, (n, pairs)
+                cycles += "cycle" in str(expected)
+        assert cycles > 1000, cycles
+
+    def test_closure_matches_set_based_closure_on_forged_relations(self):
+        kinds = set()
+        for n, rel in forged_relations(2000, 31):
+            pairs = sorted(rel)
+            expected = self.closure_outcome(set_based_order_from_pairs, n, pairs)
+            assert self.closure_outcome(order_from_pairs, n, pairs) == expected, (n, pairs)
+            kinds.add(next((k for k in ("range", "irreflexivity", "cycle") if k in str(expected)), "closed"))
+        assert kinds == {"closed", "range", "irreflexivity", "cycle"}, kinds
+
     @given(partial_orders())
     def test_closure_is_noop_on_valid_orders(self, o):
         assert order_from_pairs(o.n, o.rel).rel == o.rel
@@ -456,6 +510,12 @@ class TestOrders:
     @given(partial_orders())
     def test_pairs_are_the_sorted_relation(self, o):
         assert list(o.pairs()) == sorted(o.rel)
+
+    def test_vertices_outside_the_order_are_never_below_or_above(self):
+        o = order_from_pairs(3, [(0, 1), (1, 2)])
+        for u, v in [(-1, 2), (0, -1), (3, 0), (0, 3), (-3, 2)]:
+            assert not o.less(u, v) and not o.comparable(u, v), (u, v)
+        assert o.less(0, 2) and o.comparable(2, 0) and not o.less(2, 0)
 
     def test_bitsets_are_not_fields(self):
         o = order_from_pairs(3, [(0, 1), (1, 2)])

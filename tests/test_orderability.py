@@ -855,8 +855,9 @@ class TestSingleAdjacencyForm:
         '{"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}',  # a hole
     ], ids=["unique", "buried", "disconnected", "complete", "hole"])
     def test_decision_on_parsed_input_derives_no_pair_lists(self, text, monkeypatch):
-        # parsed graphs are their rows, and the pair graph its component rows:
-        # no decision route lists edges or pairs
+        # parsed graphs are their rows, the pair graph its component rows and
+        # every order its successor rows: no decision route lists edges or
+        # pairs, and emitting the verdict reads the rows too
         built = []
         original = orderability_module.pair_graph
         monkeypatch.setattr(orderability_module, "pair_graph",
@@ -864,9 +865,14 @@ class TestSingleAdjacencyForm:
         g = parse_graph_json(text)
         recognize(g)
         try:
-            decide_unique(g)
+            verdict = decide_unique(g)
         except NotIntervalGraphError:
             assert not built
+        else:
+            verdict_to_jsonable(verdict, g.label_of)
+            orders = [verdict.order] if verdict.unique else list(verdict.witness)
+            for order in orders:
+                assert "rel" not in vars(order)
         assert "edges" not in vars(g)
         for pg in built:
             assert not {"pairs", "component_of"} & set(vars(pg))
