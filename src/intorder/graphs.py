@@ -372,23 +372,27 @@ class StrictPartialOrder:
                     raise InputError(f"relation pair ({u}, {v}) out of range for n={self.n}")
                 succ[u] |= 1 << v
         pred = [0] * self.n
+        unclosed = None  # the least row u reaching, in two steps, past succ[u]
         for u, above in enumerate(succ):
             if above >> u & 1:
                 raise InputError(f"relation must be irreflexive; got ({u}, {u})")
+            reach = 0
             for v in bit_indices(above):
                 pred[v] |= 1 << u
+                reach |= succ[v]
+            if unclosed is None and reach & ~above:
+                unclosed = u
         for u in range(self.n):
             if succ[u] & pred[u]:
                 v = next(bit_indices(succ[u] & pred[u]))
                 raise InputError(f"relation must be antisymmetric; got both ({u},{v}) and ({v},{u})")
-        for u in range(self.n):
-            above = succ[u]
-            for v in bit_indices(above):
-                if succ[v] & ~above:
-                    w = next(bit_indices(succ[v] & ~above))
-                    raise InputError(
-                        f"relation is not transitively closed: ({u},{v}) and ({v},{w}) but not ({u},{w})"
-                    )
+        if unclosed is not None:
+            u, above = unclosed, succ[unclosed]
+            v = next(v for v in bit_indices(above) if succ[v] & ~above)
+            w = next(bit_indices(succ[v] & ~above))
+            raise InputError(
+                f"relation is not transitively closed: ({u},{v}) and ({v},{w}) but not ({u},{w})"
+            )
         object.__setattr__(self, "succ", tuple(succ))
         object.__setattr__(self, "pred", tuple(pred))
 

@@ -12,13 +12,14 @@ intervals are fixed by it; the representation is verified before being
 returned. When the sweep fails, or no ordering exists, the graph is not
 interval (Lekkerkerker and Boland), and a negative certificate is
 extracted: first the shortest, then least, chordless cycle of length >= 4,
-otherwise the least asteroidal triple. The cycle takes two more steps on
-adjacency bitsets: one BFS per induced path a-b-c gives the shortest cycle
-length, since a chordless cycle through a-b-c is b plus an induced a-c
-path avoiding N[b]; and one depth-first search for that length from that
-cycle's least vertex returns the least cycle. The triple is read off one
-table of component bitsets per vertex. If neither certificate exists while
-the ordering failed, an internal error is raised rather than guessing.
+otherwise the least asteroidal triple. The cycle comes from one search on
+adjacency bitsets: a chordless cycle through a-b-c is b plus an induced a-c
+path avoiding N[b], so one BFS per induced path a-b-c measures the
+shortest cycle and finds the least pair (b, a) opening one, and a walk
+back along that pair's BFS layers spells out the rest. The triple is read
+off one table of component bitsets per vertex. If neither certificate
+exists while the ordering failed, an internal error is raised rather than
+guessing.
 """
 
 from __future__ import annotations
@@ -54,44 +55,15 @@ class Obstruction:
 
 
 def maximal_cliques(g: Graph) -> list[frozenset[int]]:
-    """All maximal cliques, sorted by their sorted vertex tuples.
-
-    On a chordal graph, every interval graph among them, they are read off
-    the cached maximum cardinality search `Graph.chordal_cliques`; only a
-    graph that is not chordal runs `_bron_kerbosch`.
+    """The maximal cliques of a chordal graph, every interval graph among
+    them, sorted by their sorted vertex tuples and read off the cached
+    maximum cardinality search `Graph.chordal_cliques`. A graph that is
+    not chordal raises InputError.
     """
     found = g.chordal_cliques
     if found is None:
-        found = _bron_kerbosch(g.masks)
+        raise InputError("maximal_cliques requires a chordal graph")
     return sorted((frozenset(bit_indices(r)) for r in found), key=sorted)
-
-
-def _bron_kerbosch(masks: tuple[int, ...]) -> list[int]:
-    """The maximal cliques as bitsets, by Bron–Kerbosch with pivoting: one
-    explicit stack frame (clique, candidates, excluded, branches left) per
-    open call, so the depth is not bounded by the recursion limit. The
-    pivot is the least vertex of candidates ∪ excluded with the most
-    neighbours among the candidates."""
-    found: list[int] = []
-    stack: list[tuple[int, int, int, int]] = []
-
-    def open_call(r: int, p: int, x: int) -> None:
-        if not p | x:
-            found.append(r)
-            return
-        pivot = max(bit_indices(p | x), key=lambda w: (masks[w] & p).bit_count())
-        stack.append((r, p, x, p & ~masks[pivot]))
-
-    if masks:
-        open_call(0, (1 << len(masks)) - 1, 0)
-    while stack:
-        r, p, x, todo = stack.pop()
-        if todo:
-            low = todo & -todo
-            v = low.bit_length() - 1
-            stack.append((r, p ^ low, x | low, todo ^ low))
-            open_call(r | low, p & masks[v], x & masks[v])
-    return found
 
 
 def _consecutive_clique_order(cliques: list[frozenset[int]], n: int) -> list[int] | None:
@@ -141,18 +113,25 @@ def _consecutive_clique_order(cliques: list[frozenset[int]], n: int) -> list[int
     return order
 
 
-def _shortest_hole(masks: tuple[int, ...]) -> tuple[int, int]:
-    """The length of the shortest chordless cycle and the least vertex that
-    is the minimum of one that short, on a graph that has a chordless cycle.
+def _least_shortest_hole(masks: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The shortest, then lexicographically least, chordless cycle in
+    canonical form (minimum vertex first, second vertex smaller than the
+    last), or None when there is none.
 
     For each b and each induced path a-b-c with a < c, both above b, a
     bitset BFS from a through the vertices above b outside N[b] reaches c
     at the first layer that meets N(c); layer j gives a cycle of length
-    j + 3. A BFS stops once it cannot beat the best length so far.
+    j + 3. A BFS stops once it cannot beat the best length so far, so
+    every hit is a strict improvement, and the last one is the least
+    (b, a) opening a shortest cycle. Every a-c path of that length through
+    those vertices is a shortest one, so it is induced and closes a
+    chordless cycle with b. Layers grown back from that pair's targets
+    then let a walk from a take the least neighbour one layer nearer at
+    each step, which spells out the least cycle.
     """
     n = len(masks)
     full = (1 << n) - 1
-    best, least = n + 1, -1
+    best, found = n + 1, None
     for b in range(n):
         above = full & ~((2 << b) - 1)
         allowed = above & ~masks[b]
@@ -163,57 +142,24 @@ def _shortest_hole(masks: tuple[int, ...]) -> tuple[int, int]:
             while targets and layer and depth + 3 < best:
                 reach = _neighbours_of(masks, layer)
                 if reach & targets:
-                    best, least = depth + 3, b
+                    best, found = depth + 3, (b, a, targets, allowed)
                     break
                 layer = reach & allowed & ~seen
                 seen |= layer
                 depth += 1
-    return best, least
-
-
-def _least_hole(masks: tuple[int, ...], length: int, c0: int) -> tuple[int, ...]:
-    """The lexicographically least chordless cycle of this length whose
-    minimum vertex is c0, in canonical form: c0 first, and the second
-    vertex smaller than the last.
-
-    Depth-first search with an explicit stack of untried candidates per
-    position, tried least first, so the first completed cycle is the least.
-    A vertex at position i needs a path of length - i steps back to c0
-    through vertices above c0, so one whose BFS distance to c0 there is
-    larger is never tried.
-    """
-    n = len(masks)
-    above = ((1 << n) - 1) & ~((2 << c0) - 1)
-    near0 = masks[c0] | 1 << c0
-    within = [1 << c0]  # within[k]: vertices at distance <= k from c0 in {c0} + above
-    frontier = within[0]
-    while len(within) < length:
-        frontier = _neighbours_of(masks, frontier) & above & ~within[-1]
-        within.append(within[-1] | frontier)
-    path = [c0]
-    inner = [0]  # union of N[p] over the path without its two ends
-    todo = [masks[c0] & above]
-    while todo:
-        if not todo[-1]:
-            todo.pop()
-            path.pop()
-            inner.pop()
-            continue
-        low = todo[-1] & -todo[-1]
-        todo[-1] ^= low
-        prev = path[-1]
-        blocked = (inner[-1] | masks[prev] | 1 << prev) if prev != c0 else 0
-        last = low.bit_length() - 1
-        path.append(last)
-        inner.append(blocked)
-        if len(path) == length - 1:
-            closing = masks[last] & masks[c0] & above & ~blocked & ~((2 << path[1]) - 1)
-            if closing:
-                return tuple(path) + ((closing & -closing).bit_length() - 1,)
-            todo.append(0)
-        else:
-            todo.append(masks[last] & above & ~blocked & ~near0 & within[length - len(path)])
-    raise InternalInconsistencyError(f"no chordless {length}-cycle with least vertex {c0}")
+    if found is None:
+        return None
+    b, a, targets, allowed = found
+    layers = [targets]  # layers[k]: vertices k steps from the targets
+    seen = targets
+    while len(layers) < best - 2:
+        layers.append(_neighbours_of(masks, layers[-1]) & allowed & ~seen)
+        seen |= layers[-1]
+    cycle = [b, a]
+    for layer in reversed(layers):
+        step = masks[cycle[-1]] & layer
+        cycle.append((step & -step).bit_length() - 1)
+    return tuple(cycle)
 
 
 def check_triangulated(g: Graph) -> Obstruction | None:
@@ -232,20 +178,21 @@ def check_triangulated(g: Graph) -> Obstruction | None:
        an induced a-c path through vertices above b that avoids N[b];
        conversely a shortest such path is induced and, with b, closes a
        chordless cycle. So the least BFS distance over all such a-b-c, plus
-       2, is the shortest length, and the least b attaining it is the
-       minimum vertex of the least shortest cycle.
-    3. One depth-first search from that vertex, for that length, returns
-       the least cycle.
+       2, is the shortest length, and the least pair (b, a) attaining it
+       opens the least shortest cycle.
+    3. The rest of that cycle is read off the same search: a walk from a,
+       each step to the least neighbour one BFS layer nearer that pair's
+       targets c, grown back from them through the vertices above b
+       outside N[b].
     """
     if g.chordal_cliques is not None:
         return None
-    masks = g.masks
-    length, c0 = _shortest_hole(masks)
-    if c0 < 0:
+    cycle = _least_shortest_hole(g.masks)
+    if cycle is None:
         raise InternalInconsistencyError(
             "the chordality sweep failed, yet no chordless cycle was found"
         )
-    return Obstruction(kind=CHORDLESS_CYCLE, cycle=_least_hole(masks, length, c0))
+    return Obstruction(kind=CHORDLESS_CYCLE, cycle=cycle)
 
 
 def _component_table(masks: tuple[int, ...], z: int) -> list[int]:

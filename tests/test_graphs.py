@@ -452,6 +452,20 @@ class TestOrders:
         with pytest.raises(InputError):
             StrictPartialOrder(2, frozenset({(0, 0)}))
 
+    def test_unclosed_message_names_least_row_first_successor_least_target(self):
+        # rows 2, 4 and 5 are unclosed; in row 2, successor 3 is fine and
+        # successor 4 reaches both 6 and 7
+        rel = frozenset({(2, 3), (2, 4), (2, 5), (4, 6), (4, 7), (5, 6), (6, 8), (1, 8)})
+        with pytest.raises(InputError) as exc:
+            StrictPartialOrder(9, rel)
+        assert str(exc.value) == "relation is not transitively closed: (2,4) and (4,6) but not (2,6)"
+
+    def test_antisymmetry_is_reported_before_an_earlier_unclosed_row(self):
+        rel = frozenset({(0, 1), (1, 2), (3, 4), (4, 3)})
+        with pytest.raises(InputError) as exc:
+            StrictPartialOrder(5, rel)
+        assert str(exc.value) == "relation must be antisymmetric; got both (3,4) and (4,3)"
+
     def test_order_from_pairs_closes(self):
         o = order_from_pairs(3, [(0, 1), (1, 2)])
         assert o.rel == frozenset({(0, 1), (1, 2), (0, 2)})

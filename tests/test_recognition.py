@@ -10,6 +10,7 @@ import pytest
 from conftest import c4, single_nonedge4, net_graph, k3, p4, random_graph
 from intorder import (
     ClosedRepresentation,
+    InputError,
     InternalInconsistencyError,
     Obstruction,
     check_triangulated,
@@ -29,7 +30,7 @@ from intorder import (
 )
 from intorder import recognition as recognition_module
 from intorder.gadgets import all_graphs, random_interval_graph
-from intorder.graphs import bit_indices
+from intorder.graphs import bit_indices, component_masks
 from intorder.recognition import _consecutive_clique_order
 
 
@@ -86,8 +87,9 @@ def three_state_clique_order(cliques, n):
 
 def recursive_maximal_cliques(g):
     """Reference Bron–Kerbosch on vertex sets, one recursive call per clique
-    vertex, with the library's pivot rule; the library runs the same search
-    on bitsets with an explicit stack."""
+    vertex, pivoting on the least vertex with the most candidate neighbours.
+    It runs on any graph; `maximal_cliques` reads the chordality sweep and
+    must return the same list on every chordal graph."""
     found = []
 
     def expand(r, p, x):
@@ -247,6 +249,82 @@ def length_by_length_chordless_cycle(g):
         if cycle is not None:
             return cycle
     return None
+
+
+def neighbours_of(masks, vertices):
+    reach = 0
+    for v in bit_indices(vertices):
+        reach |= masks[v]
+    return reach
+
+
+def two_search_least_hole(g):
+    """Reference for `check_triangulated` on graphs the recursive search
+    cannot finish, and the library's former route: one search measures,
+    a second finds. A bitset BFS per induced path a-b-c (a < c, both above
+    b) through the vertices above b outside N[b] gives the shortest cycle
+    length and the least minimum vertex c0 of a cycle that short; then a
+    depth-first search, least candidate first, returns the least cycle of
+    that length whose minimum is c0, pruning a vertex at position i whose
+    BFS distance to c0 above c0 exceeds length - i."""
+    masks = g.masks
+    n = len(masks)
+    full = (1 << n) - 1
+    length, c0 = n + 1, -1
+    for b in range(n):
+        above = full & ~((2 << b) - 1)
+        allowed = above & ~masks[b]
+        for a in bit_indices(masks[b] & above):
+            targets = masks[b] & ~masks[a] & ~((2 << a) - 1)
+            seen = layer = 1 << a
+            depth = 0
+            while targets and layer and depth + 3 < length:
+                reach = neighbours_of(masks, layer)
+                if reach & targets:
+                    length, c0 = depth + 3, b
+                    break
+                layer = reach & allowed & ~seen
+                seen |= layer
+                depth += 1
+    if c0 < 0:
+        return None
+    above = full & ~((2 << c0) - 1)
+    near0 = masks[c0] | 1 << c0
+    within = [1 << c0]  # within[k]: vertices at distance <= k from c0 in {c0} + above
+    frontier = within[0]
+    while len(within) < length:
+        frontier = neighbours_of(masks, frontier) & above & ~within[-1]
+        within.append(within[-1] | frontier)
+    path = [c0]
+    inner = [0]  # union of N[p] over the path without its two ends
+    todo = [masks[c0] & above]
+    while todo:
+        if not todo[-1]:
+            todo.pop()
+            path.pop()
+            inner.pop()
+            continue
+        low = todo[-1] & -todo[-1]
+        todo[-1] ^= low
+        prev = path[-1]
+        blocked = (inner[-1] | masks[prev] | 1 << prev) if prev != c0 else 0
+        last = low.bit_length() - 1
+        path.append(last)
+        inner.append(blocked)
+        if len(path) == length - 1:
+            closing = masks[last] & masks[c0] & above & ~blocked & ~((2 << path[1]) - 1)
+            if closing:
+                return tuple(path) + ((closing & -closing).bit_length() - 1,)
+            todo.append(0)
+        else:
+            todo.append(masks[last] & above & ~blocked & ~near0 & within[length - len(path)])
+    raise AssertionError(f"no chordless {length}-cycle with least vertex {c0}")
+
+
+def with_path_between(g, u, v, k):
+    """g plus k new vertices n, ..., n + k - 1 forming a path from u to v."""
+    chain = [u, *range(g.n, g.n + k), v]
+    return graph_from_edges(g.n + k, sorted(g.edges) + list(zip(chain, chain[1:])))
 
 
 def triangulated_cycle(g):
@@ -445,6 +523,32 @@ class TestTriangulated:
             assert triangulated_cycle(g) is None
             assert length_by_length_chordless_cycle(g) is None, sorted(g.edges)
 
+    def test_matches_two_search_route_on_long_holes(self):
+        # holes too long for the recursive search: the 152-hole graph (a path
+        # of 150 new vertices from 0 to 399), long cycles, and seeded
+        # interval graphs with a long path spliced into one component
+        rng = random.Random(20261019)
+        g, _ = random_interval_graph(400, 5)
+        found = relabeled(with_path_between(g, 0, 399, 150), rng)
+        cases = [found, relabeled(cycle_graph(300), rng), relabeled(cycle_graph(1100), rng),
+                 cycle_graph(1100)]
+        for _ in range(20):
+            g, _ = random_interval_graph(rng.randint(40, 200), rng.randrange(10**9))
+            u = rng.randrange(g.n)
+            comp = next(c for c in component_masks(g.masks, (1 << g.n) - 1) if c >> u & 1)
+            far = comp & ~g.masks[u] & ~(1 << u)
+            v = rng.choice(list(bit_indices(far or comp & ~(1 << u))) or [u])
+            if v != u:  # a spliced path closes a hole only inside one component
+                cases.append(relabeled(with_path_between(g, u, v, rng.randint(10, 60)), rng))
+        lengths = []
+        for g in cases:
+            expected = two_search_least_hole(g)
+            assert triangulated_cycle(g) == expected, sorted(g.edges)
+            lengths.append(0 if expected is None else len(expected))
+        assert lengths[:4] == [152, 300, 1100, 1100]
+        # a spliced path of k >= 10 new vertices closes holes of length >= k + 2
+        assert len(lengths) > 20 and min(lengths) >= 12, lengths
+
 
 class TestAsteroidalTriples:
     def test_net_graph_triple(self):
@@ -568,21 +672,25 @@ class TestRecognize:
         assert elapsed < 1.2, elapsed
         assert isinstance(result, ClosedRepresentation)
 
-    def test_bron_kerbosch_runs_only_on_non_chordal_input(self, monkeypatch):
+    def test_cliques_are_read_only_where_the_sweep_succeeded(self, monkeypatch):
+        # no clique enumeration runs on the negative route of a non-chordal graph
         calls = []
-        original = recognition_module._bron_kerbosch
-        monkeypatch.setattr(recognition_module, "_bron_kerbosch",
-                            lambda masks: calls.append(len(masks)) or original(masks))
+        original = recognition_module.maximal_cliques
+        monkeypatch.setattr(recognition_module, "maximal_cliques",
+                            lambda g: calls.append(g) or original(g))
         rng = random.Random(5)
+        graphs = []
         for _ in range(20):
-            recognize(relabeled(random_interval_graph(rng.randint(5, 30), rng.randrange(10**9))[0], rng))
-            recognize(subtree_intersection_graph(rng.randint(8, 16), rng))
-        for n in range(4, 12):
-            recognize(cycle_graph(n))
-        recognize(net_graph())
-        assert calls == []
-        assert maximal_cliques(c4()) == recursive_maximal_cliques(c4())
-        assert calls == [4]
+            graphs.append(relabeled(random_interval_graph(rng.randint(5, 30), rng.randrange(10**9))[0], rng))
+            graphs.append(subtree_intersection_graph(rng.randint(8, 16), rng))
+        graphs += [cycle_graph(n) for n in range(4, 12)] + [net_graph(), c4()]
+        kinds = set()
+        for g in graphs:
+            del calls[:]
+            result = recognize(g)
+            assert calls == ([g] if g.chordal_cliques is not None else []), sorted(g.edges)
+            kinds.add((g.chordal_cliques is not None, isinstance(result, ClosedRepresentation)))
+        assert kinds == {(True, True), (True, False), (False, False)}
 
     def test_exhaustive_against_orientation_oracle(self):
         # interval iff some associated order is an interval order
@@ -634,7 +742,7 @@ class TestCliqueOrder:
         found = 0
         for n in range(1, 7):
             for g in all_graphs(n):
-                cliques = maximal_cliques(g)
+                cliques = recursive_maximal_cliques(g)
                 order = _consecutive_clique_order(cliques, n)
                 assert order == three_state_clique_order(cliques, n), sorted(g.edges)
                 found += order is not None
@@ -648,7 +756,7 @@ class TestCliqueOrder:
             u, v = sorted(rng.sample(range(g.n), 2))
             edited = graph_from_edges(g.n, sorted(set(g.edges) ^ {(u, v)}))
             for h in (g, edited):
-                cliques = maximal_cliques(h)
+                cliques = recursive_maximal_cliques(h)
                 order = _consecutive_clique_order(cliques, h.n)
                 assert order == three_state_clique_order(cliques, h.n), sorted(h.edges)
 
@@ -691,6 +799,17 @@ class TestCliqueOrder:
                 assert validate_obstruction(g, result), name
 
 
+def assert_cliques_or_refusal(g, reference=recursive_maximal_cliques):
+    """On a chordal graph `maximal_cliques` equals the reference; on any
+    other it raises InputError. True when g is chordal."""
+    if g.chordal_cliques is None:
+        with pytest.raises(InputError, match="maximal_cliques requires a chordal graph"):
+            maximal_cliques(g)
+        return False
+    assert maximal_cliques(g) == reference(g), sorted(g.edges)
+    return True
+
+
 class TestMaximalCliques:
     def test_triangle(self):
         assert maximal_cliques(k3()) == [frozenset({0, 1, 2})]
@@ -730,22 +849,23 @@ class TestMaximalCliques:
             return sorted(maximal, key=sorted)
 
         for g in all_graphs(5):
-            assert maximal_cliques(g) == brute(g)
+            assert_cliques_or_refusal(g, brute)
 
     def test_matches_recursive_search_exhaustive_n6(self):
-        for n in range(7):
-            for g in all_graphs(n):
-                assert maximal_cliques(g) == recursive_maximal_cliques(g), sorted(g.edges)
+        chordal = sum(assert_cliques_or_refusal(g) for n in range(7) for g in all_graphs(n))
+        assert chordal == 19049  # the labeled chordal graphs on 0 to 6 vertices
 
     def test_matches_recursive_search_on_chordal_families(self):
-        for g in seeded_sweep_graphs(20261019):
-            assert maximal_cliques(g) == recursive_maximal_cliques(g), sorted(g.edges)
+        chordal = sum(assert_cliques_or_refusal(g) for g in seeded_sweep_graphs(20261019))
+        assert chordal > 100, chordal
 
     def test_matches_recursive_search_on_seeded_graphs(self):
         rng = random.Random(20261018)
+        verdicts = set()
         for _ in range(150):
             g = random_graph(rng.randint(7, 30), rng.uniform(0.1, 0.9), rng)
-            assert maximal_cliques(g) == recursive_maximal_cliques(g), sorted(g.edges)
+            verdicts.add(assert_cliques_or_refusal(g))
         for _ in range(100):
             g, _ = random_interval_graph(rng.randint(7, 60), rng.randrange(10**9))
-            assert maximal_cliques(g) == recursive_maximal_cliques(g), sorted(g.edges)
+            assert assert_cliques_or_refusal(g), sorted(g.edges)
+        assert verdicts == {True, False}
