@@ -30,7 +30,6 @@ from .gadgets import (
 )
 from .graphs import (
     Graph,
-    bit_indices,
     components,
     graph_from_edges,
     is_associated,
@@ -39,6 +38,7 @@ from .graphs import (
 )
 from .oracle import enumerate_associated_orders
 from .orderability import (
+    _order_pairs_jsonable,
     buried_candidate,
     buried_to_jsonable,
     decide_unique,
@@ -172,10 +172,7 @@ def _cmd_recognize(g: Graph, args) -> int:
 
 
 def _order_text(order, name) -> str:
-    names = [str(name(v)) for v in range(order.n)]
-    return " ".join(
-        f"{names[u]}<{names[v]}" for u, above in enumerate(order.succ) for v in bit_indices(above)
-    ) or "(antichain)"
+    return " ".join(f"{u}<{v}" for u, v in _order_pairs_jsonable(order, name)) or "(antichain)"
 
 
 def _cmd_decide(g: Graph, args) -> int:
@@ -263,7 +260,7 @@ def _cmd_orders(g: Graph, args) -> int:
             "unique": unique,
         }
         if args.enumerate:
-            out["orders"] = [[[name(u), name(v)] for u, v in o.pairs()] for o in enumeration.orders]
+            out["orders"] = [_order_pairs_jsonable(o, name) for o in enumeration.orders]
         return out
 
     def text():

@@ -376,10 +376,13 @@ class StrictPartialOrder:
         for u, above in enumerate(succ):
             if above >> u & 1:
                 raise InputError(f"relation must be irreflexive; got ({u}, {u})")
-            reach = 0
-            for v in bit_indices(above):
-                pred[v] |= 1 << u
+            reach, rest, bit = 0, above, 1 << u
+            while rest:
+                low = rest & -rest
+                v = low.bit_length() - 1
+                pred[v] |= bit
                 reach |= succ[v]
+                rest ^= low
             if unclosed is None and reach & ~above:
                 unclosed = u
         for u in range(self.n):

@@ -21,7 +21,8 @@ four-cycle, with the unvisited pairs kept as one bitset per row and one per
 column. A chordal graph has no induced four-cycle, so the diagonal step
 runs only when the chordality sweep cached as `Graph.chordal_cliques`
 fails; every interval graph, and so every input `decide_unique` accepts,
-skips it, and reads the sweep `recognize` already ran. The fill records
+skips it, and reads the sweep `recognize` already ran. Each step takes a
+whole bitset of new pairs sharing one coordinate, and the fill records
 each component's least pair (its start), span (the vertices its pairs use)
 and rows (its pairs as one bitset of second vertices per first vertex);
 the rows of component 0 are the unique order's successor bitsets, and the
@@ -123,10 +124,12 @@ def pair_graph(g: Graph) -> PairGraph:
 
     The unvisited pairs are indexed twice: `row[a]` holds the b and `col[b]`
     the a of each unvisited (a, b). The steps from (a, b) are then the bits
-    of `masks[a] & col[b]`, of `masks[b] & row[a]` and, for each c in
-    `common = masks[a] & masks[b]`, of `common & row[c]`. A component's
-    first pair is its start, and each visit ORs its pairs into the
-    component's rows and its vertices into its span."""
+    of `cs = masks[a] & col[b]`, of `ds = masks[b] & row[a]` and, for each c
+    in `common = masks[a] & masks[b]`, of `common & row[c]`. A step clears
+    its whole bitset from the index it was read from, and ORs it into the
+    span, with one operation each; a lowest-bit loop over it then clears
+    each pair from the other index, records it in the component's rows and
+    pushes it. A component's first pair is its start."""
     masks = g.masks
     diagonal = g.chordal_cliques is None
     everyone = (1 << g.n) - 1
@@ -135,36 +138,51 @@ def pair_graph(g: Graph) -> PairGraph:
     rows: list[dict[int, int]] = []
     spans: list[int] = []
     starts: list[VertexPair] = []
-    stack: list[VertexPair] = []
-
-    def visit(a: int, bs: int) -> None:
-        nonlocal span
-        row[a] &= ~bs
-        found[a] = found.get(a, 0) | bs
-        span |= 1 << a | bs
-        for b in bit_indices(bs):
-            col[b] ^= 1 << a
-            stack.append((a, b))
 
     for start in range(g.n):
         while row[start]:
-            found: dict[int, int] = {}
-            span = 0
-            visit(start, row[start] & -row[start])
-            starts.append(stack[0])
+            b = (row[start] & -row[start]).bit_length() - 1
+            row[start] ^= 1 << b
+            col[b] ^= 1 << start
+            found, span, stack = {start: 1 << b}, 1 << start | 1 << b, [(start, b)]
+            starts.append((start, b))
             while stack:
                 a, b = stack.pop()
                 cs = masks[a] & col[b]
-                if cs:
-                    for c in bit_indices(cs):
-                        visit(c, 1 << b)
-                if masks[b] & row[a]:
-                    visit(a, masks[b] & row[a])
-                if diagonal:
+                if cs:  # the pairs (c, b)
+                    col[b] ^= cs
+                    span |= cs
+                    bit = 1 << b
+                    while cs:
+                        low = cs & -cs
+                        c = low.bit_length() - 1
+                        row[c] ^= bit
+                        found[c] = found.get(c, 0) | bit
+                        stack.append((c, b))
+                        cs ^= low
+                ds = masks[b] & row[a]
+                if ds:  # the pairs (a, d)
+                    row[a] ^= ds
+                    found[a] |= ds
+                    span |= ds
+                    bit = 1 << a
+                    while ds:
+                        low = ds & -ds
+                        d = low.bit_length() - 1
+                        col[d] ^= bit
+                        stack.append((a, d))
+                        ds ^= low
+                if diagonal:  # the pairs (c, d) across a four-cycle
                     common = masks[a] & masks[b]
                     for c in bit_indices(common):
-                        if common & row[c]:
-                            visit(c, common & row[c])
+                        ds = common & row[c]
+                        if ds:
+                            row[c] ^= ds
+                            found[c] = found.get(c, 0) | ds
+                            span |= 1 << c | ds
+                            for d in bit_indices(ds):
+                                col[d] ^= 1 << c
+                                stack.append((c, d))
             rows.append(found)
             spans.append(span)
     return PairGraph(g, tuple(rows), tuple(spans), tuple(starts))
@@ -559,8 +577,18 @@ def decide_unique(g: Graph) -> UniquenessVerdict:
 # ---------------------------------------------------------------------------
 
 def _order_pairs_jsonable(order: StrictPartialOrder, name) -> list:
+    """[name(u), name(v)] for each pair (u, v) of the order, u below v, in
+    sorted order, walking each successor row lowest bit first; the text
+    output joins the same list."""
     names = [name(v) for v in range(order.n)]
-    return [[names[u], names[v]] for u, above in enumerate(order.succ) for v in bit_indices(above)]
+    out = []
+    for u, above in enumerate(order.succ):
+        first = names[u]
+        while above:
+            low = above & -above
+            out.append([first, names[low.bit_length() - 1]])
+            above ^= low
+    return out
 
 
 def buried_to_jsonable(cert: BuriedCertificate, label=None) -> dict:

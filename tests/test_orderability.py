@@ -9,6 +9,7 @@ from conftest import c4, empty3, random_graph, single_nonedge4, k3, p4, star3, t
 from intorder import (
     BuriedCertificate,
     BuriedCheck,
+    Graph,
     InputError,
     InternalInconsistencyError,
     LeveledSet,
@@ -33,9 +34,11 @@ from intorder import (
     two_orders_from_buried,
     verdict_to_jsonable,
 )
+from intorder import cli as cli_module
 from intorder import graphs as graphs_module
 from intorder import orderability as orderability_module
 from intorder.gadgets import all_graphs, build_gadget, GadgetSpec, random_interval_graph
+from intorder.graphs import bit_indices
 from intorder.oracle import oracle_unique
 from intorder.orderability import _buried_from_spans
 from intorder.recognition import Obstruction, recognize
@@ -90,6 +93,63 @@ def pair_graph_from_ids(g, component_of):
     assert ids == list(range(len(ids))) and sorted(starts.values()) == [starts[i] for i in ids]
     return PairGraph(g, tuple(rows[i] for i in ids),
                      tuple(spans[i] for i in ids), tuple(starts[i] for i in ids))
+
+
+def visit_closure_pair_graph(g):
+    """The flood fill of `pair_graph`, written with one `visit` call per
+    step and a `bit_indices` generator per bitset. It pushes in the same
+    order and must give the same rows, spans and starts; unlike the
+    union-find it reaches n = 1000."""
+    masks = g.masks
+    diagonal = g.chordal_cliques is None
+    everyone = (1 << g.n) - 1
+    row = [everyone & ~(m | 1 << a) for a, m in enumerate(masks)]
+    col = row[:]
+    rows, spans, starts, stack = [], [], [], []
+
+    def visit(a, bs):
+        nonlocal span
+        row[a] &= ~bs
+        found[a] = found.get(a, 0) | bs
+        span |= 1 << a | bs
+        for b in bit_indices(bs):
+            col[b] ^= 1 << a
+            stack.append((a, b))
+
+    for start in range(g.n):
+        while row[start]:
+            found, span = {}, 0
+            visit(start, row[start] & -row[start])
+            starts.append(stack[0])
+            while stack:
+                a, b = stack.pop()
+                for c in bit_indices(masks[a] & col[b]):
+                    visit(c, 1 << b)
+                if masks[b] & row[a]:
+                    visit(a, masks[b] & row[a])
+                if diagonal:
+                    common = masks[a] & masks[b]
+                    for c in bit_indices(common):
+                        if common & row[c]:
+                            visit(c, common & row[c])
+            rows.append(found)
+            spans.append(span)
+    return PairGraph(g, tuple(rows), tuple(spans), tuple(starts))
+
+
+def assert_same_fill(g):
+    got, want = pair_graph(g), visit_closure_pair_graph(g)
+    assert got.rows == want.rows, sorted(g.edges)
+    assert (got.spans, got.starts) == (want.spans, want.starts), sorted(g.edges)
+
+
+@pytest.fixture(scope="module")
+def n1000_rows():
+    """The rows of `random_interval_graph(1000, 1000)`: connected, 336,025
+    edges, 326,950 non-adjacent ordered pairs, uniquely orderable. Tests
+    build their own graph from them, so none inherits another's cached
+    chordality sweep."""
+    return random_interval_graph(1000, 1000)[0].masks
 
 
 def all_pairs_pair_path(pg, ab, cd):
@@ -594,10 +654,29 @@ class TestAgainstReferences:
         start = time.perf_counter()
         pg = pair_graph(g)
         elapsed = time.perf_counter() - start
-        # about 0.5 s on a 2-core host; the flood fill over neighbour sets
-        # took 3.8 s and the all-pairs union-find 33 s
+        # about 0.02 s on a 2-core host, 0.035 s with a visit call per step;
+        # an early flood fill took 3.8 s and the all-pairs union-find 33 s
         assert elapsed < 15, elapsed
         assert all(pg.component_of[(a, b)] != pg.component_of[(b, a)] for a, b in pg.pairs)
+
+    def test_fill_matches_visit_closure_on_staged_gadgets(self):
+        # decreasing f, 6-25 stages: the gadgets of the benchmark's decide corpus
+        for stages in range(6, 26):
+            assert_same_fill(build_gadget(GadgetSpec(tuple(range(stages, 0, -1)), stages)).graph)
+
+    def test_fill_matches_visit_closure_on_large_interval_graphs(self, n1000_rows):
+        assert_same_fill(relabeled(random_interval_graph(250, 250)[0], random.Random(250)))
+        assert_same_fill(Graph._from_rows(n1000_rows))
+
+    def test_fill_matches_visit_closure_on_non_chordal_graphs(self):
+        # the diagonal step runs only here
+        rng = random.Random(1525)
+        diagonal = 0
+        for _ in range(200):
+            g = random_graph(rng.randint(8, 24), rng.uniform(0.2, 0.8), rng)
+            diagonal += g.chordal_cliques is None
+            assert_same_fill(g)
+        assert diagonal > 150, diagonal
 
 
 class TestFindBuried:
@@ -728,7 +807,7 @@ class TestDecideUnique:
         start = time.perf_counter()
         verdict = decide_unique(g)
         elapsed = time.perf_counter() - start
-        # about 0.5 s on a 2-core host; a full closure per pair took 16.5 s
+        # about 0.03 s on a 2-core host; a full closure per pair took 16.5 s
         assert elapsed < 8, elapsed
         assert verdict.unique
         assert is_associated(g, verdict.order)
@@ -755,23 +834,37 @@ class TestDecideUnique:
             decide_unique(c4())
         assert sweeps == [4]
 
-    def test_connected_n1000_within_budget(self):
-        g, _ = random_interval_graph(1000, 1000)
+    def test_connected_n1000_within_budget(self, n1000_rows):
+        g = Graph._from_rows(n1000_rows)
         start = time.process_time()
         verdict = decide_unique(g)
         elapsed = time.process_time() - start
-        # about 2.5 s of process time on a 2-core host; growing a closure
-        # from every non-adjacent pair took about 8 s
+        # about 0.65 s of process time on a 2-core host, 1.1 s with a visit
+        # call per pair-graph step; growing a closure from every
+        # non-adjacent pair took about 8 s
         assert elapsed < 4, elapsed
         assert verdict.unique and verdict.wq_components == 2
+
+    def test_pair_graph_n1000_within_budget(self, n1000_rows):
+        g = Graph._from_rows(n1000_rows)
+        assert g.chordal_cliques is not None  # the sweep `recognize` runs first
+        start = time.process_time()
+        pg = pair_graph(g)
+        elapsed = time.process_time() - start
+        # about 0.33 s of process time on a 2-core host, 0.7 s with a visit
+        # call per step
+        assert elapsed < 1.5, elapsed
+        assert pg.component_count == 2
+        assert sum(bs.bit_count() for rows in pg.rows for bs in rows.values()) == 326950
 
     def test_edgeless_n300_within_budget(self):
         g = graph_from_edges(300, [])
         start = time.perf_counter()
         verdict = decide_unique(g)
         elapsed = time.perf_counter() - start
-        # about 0.35 s on a 2-core host; validating the 44,850-pair orders
-        # pair by pair, and building the dual to compare, took 3.9 s
+        # about 0.23 s on a 2-core host, 0.35 s with a generator per order
+        # row; validating the 44,850-pair orders pair by pair, and building
+        # the dual to compare, took 3.9 s
         assert elapsed < 2, elapsed
         assert not verdict.unique
         order1, order2 = verdict.witness
@@ -816,6 +909,31 @@ class TestVerdictJson:
         assert obj["buried"] == {"B": [1, 2], "K": [0], "R": [3]}
         assert obj["wq_components"] == 6
         assert set(obj["witness"]) == {"order1", "order2", "triple"}
+
+    @pytest.mark.parametrize("make", [
+        single_nonedge4,
+        lambda: graph_from_edges(30, random_interval_graph(30, 7)[0].edges,
+                                 labels=[f"v{i}" for i in range(30)]),
+        lambda: build_gadget(GadgetSpec((3, 2, 1), 3)).graph,
+        lambda: build_gadget(GadgetSpec(tuple(range(8, 0, -1)), 8)).graph,
+        lambda: Graph(300, frozenset()),
+        lambda: complete_graph(3),
+    ], ids=["labelled-unique", "labelled-interval-unique", "gadget-3", "gadget-8",
+            "edgeless-300", "antichain"])
+    def test_order_lists_match_pair_by_pair_reference(self, make):
+        g = make()
+        name = g.label_of
+        verdict = decide_unique(g)
+        obj = verdict_to_jsonable(verdict, name)
+        if verdict.unique:
+            emitted = {"order": verdict.order}
+        else:
+            emitted = {"order1": verdict.witness[0], "order2": verdict.witness[1]}
+        for key, order in emitted.items():
+            want = [[name(u), name(v)] for u, v in order.pairs()]
+            assert (obj if verdict.unique else obj["witness"])[key] == want, key
+            text = " ".join(f"{name(u)}<{name(v)}" for u, v in order.pairs()) or "(antichain)"
+            assert cli_module._order_text(order, name) == text, key
 
 
 class TestSingleAdjacencyForm:
