@@ -364,6 +364,8 @@ class StrictPartialOrder:
     rel: frozenset[VertexPair]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise InputError("vertex count must be nonnegative")
         succ = vars(self).get("succ")
         if succ is None:  # built from `rel`
             succ = [0] * self.n

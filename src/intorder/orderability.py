@@ -33,13 +33,12 @@ span is the least module holding any of the class's pairs; it is buried
 exactly when its remainder V - members - touched (touched being the union
 of the members' neighbourhoods) is nonempty. The search walks the starts in
 order, regrows each one's closure as a cross-check that it equals the span,
-and stops at the first span with a nonempty remainder: the certificate,
-re-checked against the definition in `is_buried`.
+and stops at the first span with a nonempty remainder: the certificate.
 
-Every non-unique witness is one order and its reversal inside a vertex set
-(`_reversal_witness`), with the disagreement triple taken from that set:
-the buried set on a connected graph, and a non-complete block, or else the
-first two complete blocks, on a disconnected one.
+A "not unique" verdict takes one pass: the matched span is the buried set,
+checked once by `is_buried`, and one `_reversal_witness` call reverses an
+order inside one bitset (that set if connected, else the first non-complete
+component or the first two) and takes the disagreement triple from it.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from .graphs import (
     Graph,
     StrictPartialOrder,
     bit_indices,
-    components,
+    component_masks,
     is_associated,
 )
 from .recognition import Obstruction, recognize
@@ -353,7 +352,8 @@ def _buried_from_spans(g: Graph, pg: PairGraph) -> BuriedCertificate | None:
     starts has v < u, so the starts with v < u reach every class at its
     least unordered pair. Each one's closure must equal its span, which
     catches a pair graph that merges or splits too much, and non-chordal
-    input, where the diagonal step merges classes."""
+    input, where the diagonal step merges classes. The first span with a
+    remainder is the certificate's members, checked once by `is_buried`."""
     masks = g.masks
     everyone = (1 << g.n) - 1
     for (v, u), span in zip(pg.starts, pg.spans):
@@ -369,15 +369,15 @@ def _buried_from_spans(g: Graph, pg: PairGraph) -> BuriedCertificate | None:
             )
         if covered == everyone:
             continue
-        grown = buried_candidate(g, v, u)
-        check = is_buried(g, grown.members)
+        members = frozenset(bit_indices(span))
+        check = is_buried(g, members)
         if not check.buried:
             raise InternalInconsistencyError(
                 f"candidate grown from ({v}, {u}) has a remainder yet fails the "
                 "buried-subgraph conditions"
             )
         return BuriedCertificate(
-            members=grown.members,
+            members=members,
             separators=check.separators,
             outside=check.outside,
             witness_nonedge=check.witness_nonedge,
@@ -393,7 +393,7 @@ def find_buried(g: Graph) -> BuriedCertificate | None:
     The contract requires a connected interval graph; both are validated.
     It is read off the spans of the graph's pair graph (`_buried_from_spans`).
     """
-    if len(components(g)) != 1:
+    if len(component_masks(g.masks, (1 << g.n) - 1)) != 1:
         raise InputError("find_buried requires a connected graph")
     result = recognize(g)
     if isinstance(result, Obstruction):
@@ -421,10 +421,10 @@ def _associated_order(g: Graph, succ: list[int], what: str) -> StrictPartialOrde
 
 
 def _reversal_witness(
-    g: Graph, base: StrictPartialOrder, members: frozenset[int] | set[int]
+    g: Graph, base: StrictPartialOrder, inside: int
 ) -> tuple[StrictPartialOrder, StrictPartialOrder, tuple[int, int, int]]:
     """Two associated orders that are neither equal nor dual, differing only
-    inside `members`.
+    inside the vertex bitset `inside`.
 
     The first order rearranges `base` so the set is convex: every member
     sits exactly where the least member, the anchor, sits relative to
@@ -434,8 +434,7 @@ def _reversal_witness(
     adjacent to all of the set. The first order has x < y < w or w < x < y;
     the second swaps x and y, so it is neither the first nor its dual.
     """
-    anchor = min(members)
-    inside = sum(1 << v for v in members)
+    anchor = (inside & -inside).bit_length() - 1
     outside = (1 << g.n) - 1 & ~inside
     # a member keeps its successors inside and takes the anchor's outside;
     # an outsider keeps its successors outside and is below all members or none
@@ -482,7 +481,7 @@ def two_orders_from_buried(
         raise InputError("base order is not associated to the graph")
     if not is_buried(g, cert.members):
         raise InputError("certificate does not describe a buried subgraph")
-    return _reversal_witness(g, base, cert.members)
+    return _reversal_witness(g, base, sum(1 << v for v in cert.members))
 
 
 def order_from_pair_graph(g: Graph, pg: PairGraph) -> StrictPartialOrder:
@@ -527,12 +526,11 @@ def decide_unique(g: Graph) -> UniquenessVerdict:
     agree (a buried subgraph exists iff there are more than two components),
     or an internal error is raised; on a disconnected graph both say
     "unique" exactly when it is two complete blocks. The unique order is
-    read off the pair graph. A non-unique witness is one order and its
-    reversal inside a vertex set (`_reversal_witness`): on a connected graph
-    the buried set, in the interval order made convex around it; on a
-    disconnected one the first non-complete block, or else the first two
-    blocks, in the interval order, which stacks complete blocks by least
-    vertex.
+    read off the pair graph. A non-unique witness is one `_reversal_witness`
+    call on the interval order and one vertex bitset: the buried set on a
+    connected graph, and on a disconnected one the first non-complete
+    component, or else the first two components (the interval order stacks
+    complete components by least vertex).
     """
     result = recognize(g)
     if isinstance(result, Obstruction):
@@ -553,16 +551,12 @@ def decide_unique(g: Graph) -> UniquenessVerdict:
     if cert is None:
         order = order_from_pair_graph(g, pg)
         return UniquenessVerdict(unique=True, wq_components=pg.component_count, order=order)
-    base = representation_to_order(result)
-    comps = components(g)
-    if len(comps) == 1:
-        order1, order2, triple = two_orders_from_buried(g, cert, base)
-    else:
-        block = next(
-            (c for c in comps if any(g.masks[v].bit_count() < len(c) - 1 for v in c)),
-            comps[0] | comps[1],
-        )
-        order1, order2, triple = _reversal_witness(g, base, block)
+    comps = component_masks(g.masks, (1 << g.n) - 1)
+    inside = sum(1 << v for v in cert.members) if len(comps) == 1 else next(
+        (c for c in comps if any(g.masks[v] | 1 << v != c for v in bit_indices(c))),
+        comps[0] | comps[1],
+    )
+    order1, order2, triple = _reversal_witness(g, representation_to_order(result), inside)
     return UniquenessVerdict(
         unique=False,
         wq_components=pg.component_count,

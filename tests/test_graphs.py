@@ -466,6 +466,15 @@ class TestOrders:
             StrictPartialOrder(5, rel)
         assert str(exc.value) == "relation must be antisymmetric; got both (3,4) and (4,3)"
 
+    @pytest.mark.parametrize("build", [
+        lambda: StrictPartialOrder(-1, frozenset()),
+        lambda: StrictPartialOrder._from_succ(-1, []),
+        lambda: order_from_pairs(-2, []),
+    ], ids=["rel", "succ", "from-pairs"])
+    def test_rejects_negative_vertex_count(self, build):
+        with pytest.raises(InputError, match="^vertex count must be nonnegative$"):
+            build()
+
     def test_order_from_pairs_closes(self):
         o = order_from_pairs(3, [(0, 1), (1, 2)])
         assert o.rel == frozenset({(0, 1), (1, 2), (0, 2)})

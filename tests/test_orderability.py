@@ -898,6 +898,55 @@ class TestAgainstReferenceDecision:
         assert disconnected == 451
 
 
+def connected_non_unique_interval_graphs():
+    """The 20 staged gadgets of the benchmark's decide corpus (decreasing f,
+    6-25 stages) and 50 seeded connected random interval graphs with a
+    buried subgraph."""
+    graphs = [build_gadget(GadgetSpec(tuple(range(s, 0, -1)), s)).graph for s in range(6, 26)]
+    rng = random.Random(1616)
+    while len(graphs) < 70:
+        g = random_interval_graph(rng.randint(7, 30), rng.randrange(10**9))[0]
+        if len(components(g)) == 1 and pair_graph(g).component_count > 2:
+            graphs.append(g)
+    return graphs
+
+
+class TestOnePassCertificate:
+    """A "not unique" verdict builds its certificate once: one definition
+    check by `is_buried`, and no second closure or witness through the
+    public `buried_candidate` and `two_orders_from_buried`."""
+
+    def test_one_definition_check_and_no_public_rebuild(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the decision rebuilt its certificate")
+
+        checks = []
+        original = orderability_module.is_buried
+        monkeypatch.setattr(orderability_module, "buried_candidate", refuse)
+        monkeypatch.setattr(orderability_module, "two_orders_from_buried", refuse)
+        monkeypatch.setattr(orderability_module, "is_buried",
+                            lambda g, members: checks.append(g) or original(g, members))
+        for g in [star3()] + connected_non_unique_interval_graphs():
+            for route in (decide_unique, find_buried):
+                checks.clear()
+                assert route(g) is not None
+                assert len(checks) == 1, (route.__name__, sorted(g.edges))
+        # components are taken as bitsets, never as the public vertex sets
+        assert "components" not in vars(orderability_module)
+
+    def test_witness_matches_the_public_builder(self):
+        small = [g for n in range(6) for g in all_graphs(n)
+                 if len(components(g)) == 1 and not isinstance(recognize(g), Obstruction)
+                 and pair_graph(g).component_count > 2]
+        assert len(small) == 169
+        for g in small + connected_non_unique_interval_graphs():
+            verdict = decide_unique(g)
+            base = representation_to_order(recognize(g))
+            order1, order2, triple = two_orders_from_buried(g, verdict.buried, base)
+            assert [o.succ for o in verdict.witness] == [order1.succ, order2.succ], sorted(g.edges)
+            assert verdict.triple == triple, sorted(g.edges)
+
+
 class TestVerdictJson:
     def test_unique_verdict_shape(self):
         obj = verdict_to_jsonable(decide_unique(single_nonedge4()), single_nonedge4().label_of)
