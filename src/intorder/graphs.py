@@ -50,6 +50,8 @@ class Graph:
         if self.n < 0:
             raise InputError("vertex count must be nonnegative")
         for u, v in self.edges:
+            if not (_is_index(u) and _is_index(v)):
+                raise InputError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
             if not (0 <= u < v < self.n):
                 raise InputError(
                     f"edge ({u}, {v}) is not canonical or out of range for n={self.n}"
@@ -234,7 +236,14 @@ def graph_from_edges(
     return Graph._from_rows(rows, tuple(labels) if labels is not None else None)
 
 
+def _is_index(x) -> bool:
+    """The rule for a vertex given from outside the library: an int, never a bool."""
+    return type(x) is int or isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_endpoints(n: int, u: int, v: int) -> None:
+    if not (_is_index(u) and _is_index(v)):
+        raise InputError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
     if not (0 <= u < n and 0 <= v < n):
         raise InputError(f"edge endpoint out of range for n={n}: ({u}, {v})")
     if u == v:
@@ -370,6 +379,8 @@ class StrictPartialOrder:
         if succ is None:  # built from `rel`
             succ = [0] * self.n
             for u, v in self.rel:
+                if not (_is_index(u) and _is_index(v)):
+                    raise InputError(f"relation pair ({u!r}, {v!r}) is not a pair of integers")
                 if not (0 <= u < self.n and 0 <= v < self.n):
                     raise InputError(f"relation pair ({u}, {v}) out of range for n={self.n}")
                 succ[u] |= 1 << v
@@ -438,6 +449,8 @@ def order_from_pairs(n: int, pairs: Iterable[Sequence[int]]) -> StrictPartialOrd
     succ = [0] * n
     for pair in pairs:
         u, v = pair
+        if not (_is_index(u) and _is_index(v)):
+            raise InputError(f"pair ({u!r}, {v!r}) is not a pair of integers")
         if not (0 <= u < n and 0 <= v < n):
             raise InputError(f"pair ({u}, {v}) out of range for n={n}")
         if u == v:
@@ -505,10 +518,8 @@ def graph_from_jsonable(obj) -> Graph:
         if not (isinstance(item, list) and len(item) == 2):
             raise InputError(f"malformed edge entry: {item!r}")
         u, v = item
-        # exact ints skip the isinstance tests; bool, an int subclass, fails them
-        if not (type(u) is int and type(v) is int) and (
-            not (isinstance(u, int) and isinstance(v, int)) or isinstance(u, bool) or isinstance(v, bool)
-        ):
+        # exact ints skip the calls to `_is_index`
+        if not (type(u) is int and type(v) is int or _is_index(u) and _is_index(v)):
             raise InputError(f"malformed edge entry: {item!r}")
         if 0 <= u < n and 0 <= v < n and u != v:
             rows[u] |= 1 << v
@@ -527,10 +538,12 @@ def graph_from_jsonable(obj) -> Graph:
             try:
                 idx = int(key)
             except ValueError:
-                raise InputError(f"label key {key!r} is not a vertex index") from None
+                idx = None
+            if idx is None or str(idx) != key:  # only str(v) names vertex v
+                raise InputError(f"label key {key!r} is not a vertex index")
             if not (0 <= idx < n):
                 raise InputError(f"label key {key!r} out of range")
-            filled[idx] = str(val)
+            filled[idx] = None if val is None else str(val)
         labels = tuple(filled)
     if first_bad is not None:
         _check_endpoints(n, *first_bad)

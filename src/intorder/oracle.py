@@ -1,20 +1,27 @@
 """Brute-force ground truth: every partial order associated to a graph.
 
-Backtracks over orientations of the complement's edges, closing
-transitively after each choice and pruning on antisymmetry violations or
-on any forced comparability between adjacent vertices. Desk-scale only;
-the vertex bound is enforced.
+The associated orders of g are the transitive orientations of its
+complement. The search keeps one partial orientation as successor and
+predecessor bitsets, takes the least undecided non-adjacent pair u < v and
+tries u below v, then v below u. Orienting a below b puts every vertex at
+or below a under every vertex at or above b. The branch dies when that
+would relate two adjacent vertices; it can neither reverse a pair nor close
+a cycle, since the relation is closed and a, b are not yet comparable.
+Each branch works on its own copy of the rows, and each leaf is an order,
+built and validated once by `StrictPartialOrder._from_succ`. The orders
+come sorted as their sorted pair lists are. Desk-scale only: the vertex
+count is bounded by `max_n` and the number of orders by `MAX_ORDERS`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import InputError, InternalInconsistencyError
-from .graphs import Graph, StrictPartialOrder, complement
+from .graphs import Graph, StrictPartialOrder, _neighbours_of
 
 DEFAULT_MAX_N = 12
+MAX_ORDERS = 100_000
 
 
 @dataclass
@@ -30,67 +37,32 @@ def enumerate_associated_orders(g: Graph, max_n: int = DEFAULT_MAX_N) -> Orienta
         raise InputError(
             f"enumeration refused for n={g.n} > {max_n}; the oracle is desk-scale only"
         )
-    masks = g.masks
-    non_edges = sorted(complement(g).edges)
-    rel: set[tuple[int, int]] = set()
-    pred: list[set[int]] = [set() for _ in range(g.n)]
-    succ: list[set[int]] = [set() for _ in range(g.n)]
-    results: set[frozenset[tuple[int, int]]] = set()
-
-    def try_orient(a: int, b: int, trail: list[tuple[int, int]]) -> bool:
-        queue = deque([(a, b)])
-        while queue:
-            x, y = queue.popleft()
-            if (x, y) in rel:
-                continue
-            if x == y or (y, x) in rel:
-                return False
-            if masks[x] >> y & 1:  # adjacent vertices must stay incomparable
-                return False
-            rel.add((x, y))
-            pred[y].add(x)
-            succ[x].add(y)
-            trail.append((x, y))
-            for w in pred[x]:
-                queue.append((w, y))
-            for z in succ[y]:
-                queue.append((x, z))
-        return True
-
-    def undo(trail: list[tuple[int, int]]) -> None:
-        for x, y in reversed(trail):
-            rel.discard((x, y))
-            pred[y].discard(x)
-            succ[x].discard(y)
-
-    def next_undecided() -> tuple[int, int] | None:
-        for u, v in non_edges:
-            if (u, v) not in rel and (v, u) not in rel:
-                return (u, v)
-        return None
-
-    def backtrack() -> None:
-        choice = next_undecided()
-        if choice is None:
-            results.add(frozenset(rel))
-            return
-        u, v = choice
-        for a, b in ((u, v), (v, u)):
-            trail: list[tuple[int, int]] = []
-            if try_orient(a, b, trail):
-                backtrack()
-            undo(trail)
-
-    backtrack()
-
-    ordered = sorted(results, key=lambda fs: sorted(fs))
-    orders = tuple(StrictPartialOrder(g.n, fs) for fs in ordered)
-    class_keys = set()
-    for fs in ordered:
-        forward = tuple(sorted(fs))
-        backward = tuple(sorted((v, u) for u, v in fs))
-        class_keys.add(min(forward, backward))
-    return OrientationSet(orders=orders, dual_classes=len(class_keys))
+    n, masks, everyone = g.n, g.masks, (1 << g.n) - 1
+    leaves: list[list[int]] = []
+    branches = [([0] * n, [0] * n)]
+    while branches:
+        succ, pred = branches.pop()
+        u, free = next(((u, free) for u, m in enumerate(masks)
+                        if (free := everyone & ~(m | succ[u] | pred[u]) >> u + 1 << u + 1)), (0, 0))
+        if not free:  # every non-adjacent pair is oriented
+            leaves.append(succ)
+            if len(leaves) > MAX_ORDERS:
+                raise InputError(f"enumeration refused: more than {MAX_ORDERS} associated orders; "
+                                 "the oracle is desk-scale only")
+            continue
+        v = (free & -free).bit_length() - 1
+        for a, b in ((v, u), (u, v)):  # popped last first: u below v, then v below u
+            below, above = pred[a] | 1 << a, succ[b] | 1 << b
+            if not _neighbours_of(masks, below) & above:
+                branches.append((
+                    [s | above if below >> x & 1 else s for x, s in enumerate(succ)],
+                    [p | below if above >> y & 1 else p for y, p in enumerate(pred)],
+                ))
+    orders = sorted(
+        (StrictPartialOrder._from_succ(n, succ) for succ in leaves),
+        key=lambda o: bytes(x for pair in o.pairs() for x in pair),
+    )
+    return OrientationSet(orders=tuple(orders), dual_classes=len({min(o.succ, o.pred) for o in orders}))
 
 
 def oracle_unique(g: Graph, max_n: int = DEFAULT_MAX_N) -> bool:

@@ -137,13 +137,12 @@ def three_pass_graph_from_jsonable(obj):
             raise InputError("graph JSON field 'labels' must be an object")
         labels = [None] * n
         for key, val in raw.items():
-            try:
-                idx = int(key)
-            except ValueError:
-                raise InputError(f"label key {key!r} is not a vertex index") from None
+            if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+                raise InputError(f"label key {key!r} is not a vertex index")
+            idx = int(key)
             if not (0 <= idx < n):
                 raise InputError(f"label key {key!r} out of range")
-            labels[idx] = str(val)
+            labels[idx] = None if val is None else str(val)
     return graph_from_edges(n, edges, labels)
 
 
@@ -330,6 +329,31 @@ class TestRowsAndEdges:
         assert g != graph_from_edges(3, [(0, 1)], ("a", "b", "d"))
         assert g != graph_from_edges(4, [(0, 1)], ("a", "b", "c", "d"))
         assert g != (3, g.edges, g.labels)
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 0.0, "1", None])
+    def test_non_integer_vertices_rejected(self, bad):
+        for build in (
+            lambda: graph_from_edges(3, [(0, bad)]),
+            lambda: graph_from_edges(3, [(bad, 2)]),
+            lambda: Graph(3, frozenset({(0, bad)})),
+            lambda: StrictPartialOrder(3, frozenset({(bad, 2)})),
+            lambda: StrictPartialOrder(3, frozenset({(0, bad)})),
+            lambda: order_from_pairs(3, [(bad, 2)]),
+        ):
+            with pytest.raises(InputError, match="integer"):
+                build()
+
+    def test_out_of_range_messages_unchanged(self):
+        table = [
+            (lambda: graph_from_edges(3, [(0, 3)]), "edge endpoint out of range for n=3: (0, 3)"),
+            (lambda: Graph(3, frozenset({(2, 1)})), "edge (2, 1) is not canonical or out of range for n=3"),
+            (lambda: StrictPartialOrder(3, frozenset({(0, -1)})), "relation pair (0, -1) out of range for n=3"),
+            (lambda: order_from_pairs(3, [(3, 0)]), "pair (3, 0) out of range for n=3"),
+        ]
+        for build, message in table:
+            with pytest.raises(InputError) as info:
+                build()
+            assert str(info.value) == message
 
     def test_int_subclass_endpoints_accepted(self):
         class Vertex(int):
@@ -664,6 +688,15 @@ class TestSubgraphsAndSerialization:
              "explicit self-loop (1, 1) rejected; adjacency is reflexive implicitly"),
             ({"n": 3, "edges": [[0, 5]], "labels": {"x": "a"}}, "label key 'x' is not a vertex index"),
             ({"n": 3, "edges": [[0, 5]], "labels": {"3": "a"}}, "label key '3' out of range"),
+            ({"n": 11, "edges": [], "labels": {"1_0": "x"}}, "label key '1_0' is not a vertex index"),
+            ({"n": 3, "edges": [], "labels": {" 2 ": "x"}}, "label key ' 2 ' is not a vertex index"),
+            ({"n": 3, "edges": [], "labels": {"0": "a", "00": "b"}}, "label key '00' is not a vertex index"),
+            ({"n": 3, "edges": [], "labels": {"+1": "a"}}, "label key '+1' is not a vertex index"),
+            ({"n": 3, "edges": [], "labels": {"-0": "a"}}, "label key '-0' is not a vertex index"),
+            ({"n": 3, "edges": [], "labels": {"None": "a"}}, "label key 'None' is not a vertex index"),
+            ({"n": 3, "edges": [], "labels": {"-1": "a"}}, "label key '-1' out of range"),
+            ({"n": 3, "edges": [[0, 5]], "labels": {"x": "a", "9": "b"}}, "label key 'x' is not a vertex index"),
+            ({"n": 3, "edges": [[0, 5]], "labels": {"9": "b", "x": "a"}}, "label key '9' out of range"),
             ({"n": 3, "edges": [], "labels": []}, "graph JSON field 'labels' must be an object"),
             ({"n": -1, "edges": []}, "vertex count must be nonnegative"),
             ({"n": -1, "edges": [[0, 1]]}, "vertex count must be nonnegative"),
@@ -676,6 +709,12 @@ class TestSubgraphsAndSerialization:
         obj = {"n": -1, "edges": [], "labels": {"0": "a"}}
         assert parse_outcome(graph_from_jsonable, obj) == "input error: vertex count must be nonnegative"
         assert parse_outcome(three_pass_graph_from_jsonable, obj) == "input error: label key '0' out of range"
+
+    def test_null_label_is_unnamed(self):
+        obj = {"n": 3, "edges": [], "labels": {"0": None, "2": "None"}}
+        for parse in (graph_from_jsonable, three_pass_graph_from_jsonable):
+            assert parse(obj).labels == (None, None, "None")
+        assert graph_from_jsonable(obj) == graph_from_edges(3, [], (None, None, "None"))
 
     def test_shared_label_rejected(self):
         obj = {"n": 3, "edges": [[0, 1]], "labels": {"0": "a", "2": "a"}}

@@ -1,15 +1,114 @@
+import json
+import math
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given
 
-from conftest import empty3, single_nonedge4, graphs, k3, p4, star3, two_k2
+from conftest import empty3, single_nonedge4, graphs, k3, p4, random_graph, star3, two_k2
 from intorder import (
     InputError,
+    StrictPartialOrder,
+    complement,
     enumerate_associated_orders,
     graph_from_edges,
     is_associated,
+    oracle,
     oracle_unique,
     order_from_pairs,
+    random_interval_graph,
 )
+from intorder.cli import run
+from intorder.gadgets import all_graphs
+from intorder.oracle import OrientationSet
+from test_representation import all_orders
+
+
+def set_based_enumeration(g):
+    """Reference for `enumerate_associated_orders`: backtracks over the
+    complement's edges on a pair set, closing transitively through a queue
+    after each choice and undoing the choice from a trail."""
+    masks = g.masks
+    non_edges = sorted(complement(g).edges)
+    rel: set[tuple[int, int]] = set()
+    pred: list[set[int]] = [set() for _ in range(g.n)]
+    succ: list[set[int]] = [set() for _ in range(g.n)]
+    results: set[frozenset[tuple[int, int]]] = set()
+
+    def try_orient(a: int, b: int, trail: list[tuple[int, int]]) -> bool:
+        queue = deque([(a, b)])
+        while queue:
+            x, y = queue.popleft()
+            if (x, y) in rel:
+                continue
+            if x == y or (y, x) in rel:
+                return False
+            if masks[x] >> y & 1:  # adjacent vertices must stay incomparable
+                return False
+            rel.add((x, y))
+            pred[y].add(x)
+            succ[x].add(y)
+            trail.append((x, y))
+            for w in pred[x]:
+                queue.append((w, y))
+            for z in succ[y]:
+                queue.append((x, z))
+        return True
+
+    def undo(trail: list[tuple[int, int]]) -> None:
+        for x, y in reversed(trail):
+            rel.discard((x, y))
+            pred[y].discard(x)
+            succ[x].discard(y)
+
+    def next_undecided() -> tuple[int, int] | None:
+        for u, v in non_edges:
+            if (u, v) not in rel and (v, u) not in rel:
+                return (u, v)
+        return None
+
+    def backtrack() -> None:
+        choice = next_undecided()
+        if choice is None:
+            results.add(frozenset(rel))
+            return
+        u, v = choice
+        for a, b in ((u, v), (v, u)):
+            trail: list[tuple[int, int]] = []
+            if try_orient(a, b, trail):
+                backtrack()
+            undo(trail)
+
+    backtrack()
+
+    ordered = sorted(results, key=lambda fs: sorted(fs))
+    orders = tuple(StrictPartialOrder(g.n, fs) for fs in ordered)
+    class_keys = set()
+    for fs in ordered:
+        forward = tuple(sorted(fs))
+        backward = tuple(sorted((v, u) for u, v in fs))
+        class_keys.add(min(forward, backward))
+    return OrientationSet(orders=orders, dual_classes=len(class_keys))
+
+
+def assert_matches_reference(g):
+    got, want = enumerate_associated_orders(g), set_based_enumeration(g)
+    assert [o.rel for o in got.orders] == [o.rel for o in want.orders], g
+    assert got.dual_classes == want.dual_classes, g
+
+
+def seeded_graphs(count, seed):
+    """Interval graphs, the same with one pair toggled, and G(n, 1/2)
+    graphs, on 6 to 9 vertices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(6, 9)
+        g = random_interval_graph(n, rng.randrange(10**9))[0]
+        u, v = rng.sample(range(n), 2)
+        yield g
+        yield graph_from_edges(n, set(g.edges) ^ {(min(u, v), max(u, v))})
+        yield random_graph(n, 0.5, rng)
 
 
 class TestEnumeration:
@@ -67,3 +166,41 @@ class TestOracleUnique:
         enum = enumerate_associated_orders(two_k2())
         assert len(enum.orders) == 2
         assert oracle_unique(two_k2())
+
+
+class TestAgainstReference:
+    def test_every_graph_n5(self):
+        for n in range(6):
+            for g in all_graphs(n):
+                assert_matches_reference(g)
+
+    def test_seeded_graphs_n6_to_n9(self):
+        for g in seeded_graphs(200, 17):
+            assert_matches_reference(g)
+
+    def test_matches_the_definition_n4(self):
+        """Every order on at most 4 points, filtered by association."""
+        posets = {}
+        for o in all_orders(4):
+            posets.setdefault(o.n, []).append(o)
+        for n in range(5):
+            for g in all_graphs(n):
+                want = {o.rel for o in posets[n] if is_associated(g, o)}
+                got = [o.rel for o in enumerate_associated_orders(g).orders]
+                assert len(got) == len(want) and set(got) == want, g
+
+
+class TestOrderLimit:
+    def test_limit_refuses_in_library_and_cli(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_ORDERS", 100)
+        with pytest.raises(InputError, match="more than 100 associated orders"):
+            enumerate_associated_orders(graph_from_edges(6, []))
+        code, out, err = run(["orders", "--json"], json.dumps({"n": 6, "edges": []}))
+        assert (code, out) == (2, "")
+        assert "more than 100 associated orders" in err and "desk-scale" in err
+        assert len(enumerate_associated_orders(graph_from_edges(4, [])).orders) == 24
+        code, out, _ = run(["orders", "--json"], json.dumps({"n": 4, "edges": []}))
+        assert code == 1 and json.loads(out)["count"] == 24
+
+    def test_default_limit_admits_eight_edgeless_vertices(self):
+        assert oracle.MAX_ORDERS == 100_000 > math.factorial(8)
