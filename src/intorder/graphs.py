@@ -559,9 +559,8 @@ def parse_graph_json(text: str) -> Graph:
 
 
 def parse_edgelist(text: str) -> Graph:
-    """Parse the plain text format: first line n, then one 'u v' per line.
-
-    Blank lines and '#' comments are ignored.
+    """Parse the plain text format: first line n, then one 'u v' per line,
+    each a plain decimal integer. Blank lines and '#' comments are ignored.
     """
     n: int | None = None
     edges: list[VertexPair] = []
@@ -570,10 +569,10 @@ def parse_edgelist(text: str) -> Graph:
         if not line:
             continue
         fields = line.split()
-        try:
-            values = [int(f) for f in fields]
-        except ValueError:
-            raise InputError(f"line {lineno}: expected integers, got {line!r}") from None
+        # plain ASCII decimals only: int() would also take '1_0', '+1' and other scripts' digits
+        if not all(f.isascii() and f.removeprefix("-").isdecimal() for f in fields):
+            raise InputError(f"line {lineno}: expected integers, got {line!r}")
+        values = [int(f) for f in fields]
         if n is None:
             if len(values) != 1:
                 raise InputError(f"line {lineno}: first line must contain the vertex count only")

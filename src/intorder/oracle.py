@@ -10,7 +10,8 @@ a cycle, since the relation is closed and a, b are not yet comparable.
 Each branch works on its own copy of the rows, and each leaf is an order,
 built and validated once by `StrictPartialOrder._from_succ`. The orders
 come sorted as their sorted pair lists are. Desk-scale only: the vertex
-count is bounded by `max_n` and the number of orders by `MAX_ORDERS`.
+count is bounded by `max_n`, the orders by `MAX_ORDERS` and, as few orders
+can still take a vast search, the branches popped by `MAX_BRANCHES`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .graphs import Graph, StrictPartialOrder, _neighbours_of
 
 DEFAULT_MAX_N = 12
 MAX_ORDERS = 100_000
+MAX_BRANCHES = 4 * MAX_ORDERS
 
 
 @dataclass
@@ -39,8 +41,12 @@ def enumerate_associated_orders(g: Graph, max_n: int = DEFAULT_MAX_N) -> Orienta
         )
     n, masks, everyone = g.n, g.masks, (1 << g.n) - 1
     leaves: list[list[int]] = []
-    branches = [([0] * n, [0] * n)]
+    branches, popped = [([0] * n, [0] * n)], 0
     while branches:
+        popped += 1
+        if popped > MAX_BRANCHES:
+            raise InputError(f"enumeration refused: more than {MAX_BRANCHES} search branches; "
+                             "the oracle is desk-scale only")
         succ, pred = branches.pop()
         u, free = next(((u, free) for u, m in enumerate(masks)
                         if (free := everyone & ~(m | succ[u] | pred[u]) >> u + 1 << u + 1)), (0, 0))

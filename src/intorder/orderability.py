@@ -23,17 +23,17 @@ runs only when the chordality sweep cached as `Graph.chordal_cliques`
 fails; every interval graph, and so every input `decide_unique` accepts,
 skips it, and reads the sweep `recognize` already ran. Each step takes a
 whole bitset of new pairs sharing one coordinate, and the fill records
-each component's least pair (its start), span (the vertices its pairs use)
-and rows (its pairs as one bitset of second vertices per first vertex);
-the rows of component 0 are the unique order's successor bitsets, and the
-per-pair lists `wq` prints are read off the rows only when asked for.
+just each component's rows (its pairs as one bitset of second vertices per
+first vertex, its start's first); component 0's rows are the unique
+order's successor bitsets, and `wq`'s per-pair lists are read off them.
 The buried search applies to interval input only. There the components are
 the implication classes of the complement, and by Gallai's theorem each
-span is the least module holding any of the class's pairs; it is buried
-exactly when its remainder V - members - touched (touched being the union
-of the members' neighbourhoods) is nonempty. The search walks the starts in
-order, regrows each one's closure as a cross-check that it equals the span,
-and stops at the first span with a nonempty remainder: the certificate.
+span (the vertices a component's pairs use) is the least module holding
+the class's pairs; it is buried exactly when its remainder V - members -
+touched (touched being the union of the members' neighbourhoods) is
+nonempty. The search reads each component's start (least pair) and span
+off its rows in order, regrows the start's closure to check it equals the
+span, and stops at the first span with a remainder: the certificate.
 
 A "not unique" verdict takes one pass: the matched span is the buried set,
 checked once by `is_buried`, and one `_reversal_witness` call reverses an
@@ -43,7 +43,7 @@ component or the first two) and takes the disagreement triple from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -71,17 +71,14 @@ class PairGraph:
 
     Component ids follow each component's least pair. By id, `rows` holds
     the component's pairs grouped by first vertex, as a dict from each
-    first vertex a to the bitset of the b with (a, b) in the component;
-    `starts` holds its least pair and `spans` the bitset of the vertices
-    its pairs use. Equality ignores both, as they follow from the rows.
-    `pairs`, every pair in sorted order, and `component_of`, each pair's
-    id, are read off the rows on first use.
+    first vertex a to the bitset of the b with (a, b) in the component,
+    the least pair's first. `pairs`, every pair in sorted order, is read
+    off the graph and `component_of`, each pair's id, off the rows, both
+    on first use.
     """
 
     base: Graph
     rows: tuple[dict[int, int], ...]
-    spans: tuple[int, ...] = field(compare=False, repr=False)
-    starts: tuple[VertexPair, ...] = field(compare=False, repr=False)
 
     @property
     def component_count(self) -> int:
@@ -89,11 +86,9 @@ class PairGraph:
 
     @cached_property
     def pairs(self) -> tuple[VertexPair, ...]:
-        seconds = [0] * self.base.n
-        for component in self.rows:
-            for a, bs in component.items():
-                seconds[a] |= bs
-        return tuple((a, b) for a, bs in enumerate(seconds) for b in bit_indices(bs))
+        everyone = (1 << self.base.n) - 1
+        return tuple((a, b) for a, m in enumerate(self.base.masks)
+                     for b in bit_indices(everyone & ~(m | 1 << a)))
 
     @cached_property
     def component_of(self) -> dict[VertexPair, int]:
@@ -125,32 +120,28 @@ def pair_graph(g: Graph) -> PairGraph:
     the a of each unvisited (a, b). The steps from (a, b) are then the bits
     of `cs = masks[a] & col[b]`, of `ds = masks[b] & row[a]` and, for each c
     in `common = masks[a] & masks[b]`, of `common & row[c]`. A step clears
-    its whole bitset from the index it was read from, and ORs it into the
-    span, with one operation each; a lowest-bit loop over it then clears
-    each pair from the other index, records it in the component's rows and
-    pushes it. A component's first pair is its start."""
+    its whole bitset from the index it was read from with one operation; a
+    lowest-bit loop over it then clears each pair from the other index,
+    records it in the component's rows and pushes it. A component's rows
+    are keyed from its first pair, its start, on."""
     masks = g.masks
     diagonal = g.chordal_cliques is None
     everyone = (1 << g.n) - 1
     row = [everyone & ~(m | 1 << a) for a, m in enumerate(masks)]
     col = row[:]  # non-adjacency is symmetric
     rows: list[dict[int, int]] = []
-    spans: list[int] = []
-    starts: list[VertexPair] = []
 
     for start in range(g.n):
         while row[start]:
             b = (row[start] & -row[start]).bit_length() - 1
             row[start] ^= 1 << b
             col[b] ^= 1 << start
-            found, span, stack = {start: 1 << b}, 1 << start | 1 << b, [(start, b)]
-            starts.append((start, b))
+            found, stack = {start: 1 << b}, [(start, b)]
             while stack:
                 a, b = stack.pop()
                 cs = masks[a] & col[b]
                 if cs:  # the pairs (c, b)
                     col[b] ^= cs
-                    span |= cs
                     bit = 1 << b
                     while cs:
                         low = cs & -cs
@@ -163,7 +154,6 @@ def pair_graph(g: Graph) -> PairGraph:
                 if ds:  # the pairs (a, d)
                     row[a] ^= ds
                     found[a] |= ds
-                    span |= ds
                     bit = 1 << a
                     while ds:
                         low = ds & -ds
@@ -178,13 +168,11 @@ def pair_graph(g: Graph) -> PairGraph:
                         if ds:
                             row[c] ^= ds
                             found[c] = found.get(c, 0) | ds
-                            span |= 1 << c | ds
                             for d in bit_indices(ds):
                                 col[d] ^= 1 << c
                                 stack.append((c, d))
             rows.append(found)
-            spans.append(span)
-    return PairGraph(g, tuple(rows), tuple(spans), tuple(starts))
+    return PairGraph(g, tuple(rows))
 
 
 def _linked_pairs(g: Graph, ab: VertexPair) -> list[VertexPair]:
@@ -348,18 +336,24 @@ def _buried_from_spans(g: Graph, pg: PairGraph) -> BuriedCertificate | None:
     """Certificate for the lexicographically first buried pair of an interval
     graph, read off its pair graph `pg` (see the module docstring), or None.
 
-    A component and its reversal share a span, and the lesser of their
-    starts has v < u, so the starts with v < u reach every class at its
-    least unordered pair. Each one's closure must equal its span, which
-    catches a pair graph that merges or splits too much, and non-chordal
-    input, where the diagonal step merges classes. The first span with a
-    remainder is the certificate's members, checked once by `is_buried`."""
+    A component's start (v, u) is its first row's vertex and that row's
+    lowest bit. A component and its reversal share a span, and the lesser
+    of their starts has v < u, so the components whose start has v < u
+    reach every class at its least unordered pair; only their spans are
+    built. Each one's closure must equal its span, which catches a pair
+    graph that merges or splits too much, and non-chordal input, where the
+    diagonal step merges classes. The first span with a remainder is the
+    certificate's members, checked once by `is_buried`."""
     masks = g.masks
     everyone = (1 << g.n) - 1
-    for (v, u), span in zip(pg.starts, pg.spans):
+    for component in pg.rows:
+        v, seconds = next(iter(component.items()))
+        u = (seconds & -seconds).bit_length() - 1
         if v > u:
             continue
-        members = covered = 0
+        span = members = covered = 0
+        for a, bs in component.items():
+            span |= 1 << a | bs
         for w, _, covered in _closure_stages(masks, v, u):
             members |= 1 << w
         if members != span:

@@ -278,8 +278,19 @@ def test_selftest_json_times_every_check():
 
 
 def test_selftest_max_n_out_of_range_is_an_input_error():
-    for value in ("2", "17"):
+    # the exhaustive sweep takes every labelled graph: 2^28 of them at n = 8
+    for value in ("2", "8"):
         code, out, err = run(["selftest", "--max-n", value], None)
         assert code == 2, value
         assert out == ""
-        assert "--max-n must be between 3 and 16" in err
+        assert "--max-n must be between 3 and 7" in err
+
+
+def test_selftest_max_n_7_passes_the_range_check(monkeypatch):
+    # the sweeps are stubbed: at n = 7 the real one takes minutes
+    swept = []
+    for name in ("_check_exhaustive_agreement", "_check_certificates"):
+        monkeypatch.setattr(cli, name, lambda max_n, name=name: swept.append((name, max_n)))
+    code, out, _ = run(["selftest", "--max-n", "7"], None)
+    assert code == 0 and "selftest: ok" in out
+    assert swept == [("_check_exhaustive_agreement", 7), ("_check_certificates", 5)]

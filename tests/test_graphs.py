@@ -666,6 +666,32 @@ class TestSubgraphsAndSerialization:
         with pytest.raises(InputError):
             parse_edgelist("")
 
+    def test_edgelist_token_table(self):
+        # an integer is ASCII decimal digits with an optional leading minus;
+        # int() alone would read '1_0' as 10, '+1' as 1 and '\u0661' as 1
+        refused = "expected integers"
+        table = [
+            ("1", (0, 1)), ("01", (0, 1)), ("10", (0, 10)),
+            ("-0", "explicit self-loop (0, 0)"),
+            ("-1", "edge endpoint out of range for n=11: (0, -1)"),
+            ("1_0", refused), ("+1", refused), ("\u0661", refused), ("\u0660", refused),
+            ("\u00b9", refused), ("\uff11", refused), ("1.0", refused), ("0x1", refused),
+            ("1e1", refused), ("-", refused), ("--1", refused), ("-+1", refused),
+        ]
+        for token, want in table:
+            text = f"11\n0 {token}\n"
+            if want == refused:
+                want = f"line 2: expected integers, got {f'0 {token}'!r}"
+            if isinstance(want, str):
+                with pytest.raises(InputError, match=re.escape(want)):
+                    parse_edgelist(text)
+            else:
+                assert parse_edgelist(text).edges == {want}, token
+        with pytest.raises(InputError, match=re.escape("line 1: expected integers, got '+3'")):
+            parse_edgelist("+3\n")
+        with pytest.raises(InputError, match="vertex count must be nonnegative"):
+            parse_edgelist("-3\n")
+
     def test_malformed_graph_json_table(self):
         out_of_range = "edge endpoint out of range for n=3: (0, 5)"
         table = [

@@ -204,3 +204,27 @@ class TestOrderLimit:
 
     def test_default_limit_admits_eight_edgeless_vertices(self):
         assert oracle.MAX_ORDERS == 100_000 > math.factorial(8)
+
+
+class TestBranchLimit:
+    def test_popped_branches_are_counted(self, monkeypatch):
+        # the edgeless 5-vertex graph pops 2 * 5! - 1 branches for its 120 orders
+        monkeypatch.setattr(oracle, "MAX_BRANCHES", 239)
+        assert len(enumerate_associated_orders(graph_from_edges(5, [])).orders) == 120
+        monkeypatch.setattr(oracle, "MAX_BRANCHES", 238)
+        with pytest.raises(InputError, match="more than 238 search branches"):
+            enumerate_associated_orders(graph_from_edges(5, []))
+
+    def test_limit_refuses_a_graph_without_orders_in_library_and_cli(self, monkeypatch):
+        # a 5-cycle plus isolated vertices has no associated order, yet the
+        # search grows with every isolated vertex: 91 branches with two
+        edges = [(2 + i, 2 + (i + 1) % 5) for i in range(5)]
+        assert enumerate_associated_orders(graph_from_edges(7, edges)).orders == ()
+        monkeypatch.setattr(oracle, "MAX_BRANCHES", 90)
+        code, out, err = run(["orders", "--json"], json.dumps({"n": 7, "edges": edges}))
+        assert (code, out) == (2, "")
+        assert "more than 90 search branches" in err and "desk-scale" in err
+
+    def test_default_limit_admits_eight_edgeless_vertices(self):
+        # which pops 2 * 8! - 1 = 80,639 branches
+        assert oracle.MAX_BRANCHES == 4 * oracle.MAX_ORDERS > 2 * math.factorial(8) - 1

@@ -81,46 +81,67 @@ def all_pairs_pair_graph(g):
 
 def pair_graph_from_ids(g, component_of):
     """A `PairGraph` with the given component ids, numbered from 0 in order
-    of each component's least pair; rows, starts and spans are read off the ids."""
-    rows, spans, starts = {}, {}, {}
+    of each component's least pair; the rows are read off the ids, each
+    component's keyed from its least pair's first vertex on."""
+    rows = {}
+    for a, b in sorted(component_of):
+        found = rows.setdefault(component_of[(a, b)], {})
+        found[a] = found.get(a, 0) | 1 << b
+    assert sorted(rows) == list(range(len(rows)))
+    pg = PairGraph(g, tuple(rows[i] for i in range(len(rows))))
+    starts = [start for start, _ in starts_and_spans(pg)]
+    assert starts == sorted(starts)
+    return pg
+
+
+def starts_and_spans(pg):
+    """Each component's least pair and the bitset of the vertices its pairs
+    use, read off `pg.rows`. Each component's first row must be its least
+    first vertex's, as `_buried_from_spans` reads the least pair off it."""
+    out = []
+    for found in pg.rows:
+        a = min(found)
+        assert next(iter(found)) == a, found
+        span = 0
+        for c, ds in found.items():
+            span |= 1 << c | ds
+        out.append(((a, (found[a] & -found[a]).bit_length() - 1), span))
+    return out
+
+
+def starts_and_spans_from_ids(component_of):
+    """`starts_and_spans` read off the pair ids instead of the rows."""
+    starts, spans = {}, {}
     for a, b in sorted(component_of):
         i = component_of[(a, b)]
         starts.setdefault(i, (a, b))
         spans[i] = spans.get(i, 0) | 1 << a | 1 << b
-        rows.setdefault(i, {})
-        rows[i][a] = rows[i].get(a, 0) | 1 << b
-    ids = sorted(starts)
-    assert ids == list(range(len(ids))) and sorted(starts.values()) == [starts[i] for i in ids]
-    return PairGraph(g, tuple(rows[i] for i in ids),
-                     tuple(spans[i] for i in ids), tuple(starts[i] for i in ids))
+    return [(starts[i], spans[i]) for i in sorted(starts)]
 
 
 def visit_closure_pair_graph(g):
     """The flood fill of `pair_graph`, written with one `visit` call per
     step and a `bit_indices` generator per bitset. It pushes in the same
-    order and must give the same rows, spans and starts; unlike the
+    order and must give the same rows, keyed in the same order; unlike the
     union-find it reaches n = 1000."""
     masks = g.masks
     diagonal = g.chordal_cliques is None
     everyone = (1 << g.n) - 1
     row = [everyone & ~(m | 1 << a) for a, m in enumerate(masks)]
     col = row[:]
-    rows, spans, starts, stack = [], [], [], []
+    rows, stack = [], []
 
     def visit(a, bs):
-        nonlocal span
         row[a] &= ~bs
         found[a] = found.get(a, 0) | bs
-        span |= 1 << a | bs
         for b in bit_indices(bs):
             col[b] ^= 1 << a
             stack.append((a, b))
 
     for start in range(g.n):
         while row[start]:
-            found, span = {}, 0
+            found = {}
             visit(start, row[start] & -row[start])
-            starts.append(stack[0])
             while stack:
                 a, b = stack.pop()
                 for c in bit_indices(masks[a] & col[b]):
@@ -133,14 +154,13 @@ def visit_closure_pair_graph(g):
                         if common & row[c]:
                             visit(c, common & row[c])
             rows.append(found)
-            spans.append(span)
-    return PairGraph(g, tuple(rows), tuple(spans), tuple(starts))
+    return PairGraph(g, tuple(rows))
 
 
 def assert_same_fill(g):
     got, want = pair_graph(g), visit_closure_pair_graph(g)
     assert got.rows == want.rows, sorted(g.edges)
-    assert (got.spans, got.starts) == (want.spans, want.starts), sorted(g.edges)
+    assert [list(found) for found in got.rows] == [list(found) for found in want.rows]
 
 
 @pytest.fixture(scope="module")
@@ -550,10 +570,10 @@ class TestAgainstReferences:
         for n in range(7):
             for g in all_graphs(n):
                 pg, ids = pair_graph(g), all_pairs_component_ids(g)
-                want = pair_graph_from_ids(g, ids)
-                assert pg == want, sorted(g.edges)
-                assert (pg.spans, pg.starts) == (want.spans, want.starts), sorted(g.edges)
-                # the views `wq` prints, read off the rows
+                assert pg == pair_graph_from_ids(g, ids), sorted(g.edges)
+                # the least pairs and spans `_buried_from_spans` reads off the rows
+                assert starts_and_spans(pg) == starts_and_spans_from_ids(ids), sorted(g.edges)
+                # the views `wq` prints: the pairs off the graph, their ids off the rows
                 assert (pg.pairs, pg.component_of) == (tuple(sorted(ids)), ids), sorted(g.edges)
 
     def test_closure_and_check_exhaustive_n5(self):
@@ -568,8 +588,9 @@ class TestAgainstReferences:
     def test_seeded_graphs(self):
         rng = random.Random(7)
         for g in seeded_graphs():
-            pg = pair_graph(g)
-            assert pg == all_pairs_pair_graph(g), sorted(g.edges)
+            pg, ids = pair_graph(g), all_pairs_component_ids(g)
+            assert pg == pair_graph_from_ids(g, ids), sorted(g.edges)
+            assert starts_and_spans(pg) == starts_and_spans_from_ids(ids), sorted(g.edges)
             for v, u in nonadjacent_pairs(g):
                 grown = buried_candidate(g, v, u)
                 assert grown == staged_rescan_candidate(g, v, u), (sorted(g.edges), v, u)
