@@ -128,7 +128,7 @@ def _load_graph(args, stdin_text: str | None) -> Graph:
     return parse_edgelist(text)
 
 
-def _fmt_endpoint(x: Fraction) -> str:
+def _fmt_endpoint(x: int | Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

@@ -561,14 +561,16 @@ def parse_graph_json(text: str) -> Graph:
 def parse_edgelist(text: str) -> Graph:
     """Parse the plain text format: first line n, then one 'u v' per line,
     each a plain decimal integer. Blank lines and '#' comments are ignored.
+    Lines end only at LF, CR LF or CR, and only ASCII spaces and tabs
+    separate tokens: any other whitespace is refused.
     """
     n: int | None = None
     edges: list[VertexPair] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip(" \t")
         if not line:
             continue
-        fields = line.split()
+        fields = [f for f in line.replace("\t", " ").split(" ") if f]
         # plain ASCII decimals only: int() would also take '1_0', '+1' and other scripts' digits
         if not all(f.isascii() and f.removeprefix("-").isdecimal() for f in fields):
             raise InputError(f"line {lineno}: expected integers, got {line!r}")

@@ -4,29 +4,31 @@ Everything starts from one maximum cardinality search, cached on the graph
 as `Graph.chordal_cliques`: it decides chordality (Tarjan and Yannakakis)
 and, on a chordal graph, yields the maximal cliques (Blair and Peyton), so
 no clique enumeration runs on the way to a verdict. On a chordal graph the
-positive route searches for the lexicographically least ordering of the
-cliques in which every vertex's cliques occupy consecutive positions
-(Booth and Lueker's consecutive-ones problem). Each vertex's interval is
-its first and last clique position in that ordering, so the printed
+positive route searches, on those clique bitsets, for the lexicographically
+least ordering of the cliques in which every vertex's cliques occupy
+consecutive positions (Booth and Lueker's consecutive-ones problem). Each
+vertex's interval is its first and last clique position in that ordering,
+read off prefix ORs of the ordered bitsets as int endpoints, so the printed
 intervals are fixed by it; the representation is verified before being
 returned. When the sweep fails, or no ordering exists, the graph is not
 interval (Lekkerkerker and Boland), and a negative certificate is
 extracted: first the shortest, then least, chordless cycle of length >= 4,
 otherwise the least asteroidal triple. The cycle comes from one search on
 adjacency bitsets: a chordless cycle through a-b-c is b plus an induced a-c
-path avoiding N[b], so one BFS per induced path a-b-c measures the
-shortest cycle and finds the least pair (b, a) opening one, and a walk
-back along that pair's BFS layers spells out the rest. The triple is read
-off one table of component bitsets per vertex. If neither certificate
-exists while the ordering failed, an internal error is raised rather than
-guessing.
+path avoiding N[b], so one BFS per induced path a-b-c measures the shortest
+cycle and finds the least pair (b, a) opening one, and a walk back along
+that pair's BFS layers spells out the rest. The triple is read off one
+table of component bitsets per vertex. If neither certificate exists while
+the ordering failed, an internal error is raised rather than guessing.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .errors import InputError, InternalInconsistencyError
 from .graphs import Graph, _neighbours_of, bit_indices, component_masks, validate_path
@@ -54,62 +56,80 @@ class Obstruction:
     witness_paths: tuple[tuple[int, ...], ...] | None = None
 
 
+def _sorted_cliques(g: Graph) -> list[int]:
+    """The chordal graph g's maximal clique bitsets in sorted-vertex-tuple
+    order: an antichain, so the least vertex in which two differ is below
+    both maxima, and their binary strings read from bit 0 sort descending."""
+    return sorted(g.chordal_cliques, key=lambda c: format(c, "b")[::-1], reverse=True)
+
+
 def maximal_cliques(g: Graph) -> list[frozenset[int]]:
     """The maximal cliques of a chordal graph, every interval graph among
-    them, sorted by their sorted vertex tuples and read off the cached
-    maximum cardinality search `Graph.chordal_cliques`. A graph that is
-    not chordal raises InputError.
-    """
-    found = g.chordal_cliques
-    if found is None:
+    them, as frozensets in `_sorted_cliques` order: read off the cached
+    maximum cardinality search `Graph.chordal_cliques`, sorted by their
+    sorted vertex tuples. A graph that is not chordal raises InputError."""
+    if g.chordal_cliques is None:
         raise InputError("maximal_cliques requires a chordal graph")
-    return sorted((frozenset(bit_indices(r)) for r in found), key=sorted)
+    return [frozenset(bit_indices(c)) for c in _sorted_cliques(g)]
 
 
-def _consecutive_clique_order(cliques: list[frozenset[int]], n: int) -> list[int] | None:
-    """The lexicographically least ordering of clique indices in which every
-    vertex's cliques are consecutive, or None when there is none.
+def _count(counts: list[int], mask: int, up: bool) -> None:
+    """Add one to (up) or take one from every vertex's count in mask, kept
+    bit-sliced: counts[j] holds the vertices whose count has bit j set, so
+    a carry or borrow ripples through O(log k) bitsets."""
+    for j, digit in enumerate(counts):
+        counts[j] = digit ^ mask
+        mask &= digit if up else ~digit
+        if not mask:
+            return
+    counts.append(mask)
+
+
+def _consecutive_clique_order(cliques: list[int]) -> list[int] | None:
+    """The lexicographically least ordering of the clique bitsets' indices
+    in which every vertex's cliques are consecutive, or None when there is
+    none.
 
     Depth-first search trying unplaced cliques in index order, under one
     invariant: the next clique contains every vertex of the last placed
     clique that still occurs in an unplaced clique. Only prefixes that
     cannot be completed break it, and under it a vertex that leaves the
     last clique never comes back, so the first complete ordering found is
-    still the least one. `remaining[v]` counts the unplaced cliques holding
-    v; a dead end pops the last clique and resumes after it.
+    still the least one. `counts` holds, bit-sliced, how many unplaced
+    cliques hold each vertex, and `alive` the vertices where that is
+    nonzero; a dead end pops the last clique and resumes after it.
 
     Still exponential on a hub with k pendant leaves and two arms of length
     2, numbered so that clique 0 holds the hub and a leaf: every ordering of
     the other leaf cliques is tried after clique 0. At k = 8 that takes
     about 1 s on a 2-core x86-64 host (68 s without the invariant).
     """
-    k = len(cliques)
-    remaining = [0] * n
+    counts: list[int] = []
     for clique in cliques:
-        for v in clique:
-            remaining[v] += 1
-    placed = [False] * k
+        _count(counts, clique, True)
+    alive = reduce(or_, counts, 0)
+    unplaced = list(range(len(cliques)))
     order: list[int] = []
-    start = 0
-    while len(order) < k:
-        required = {v for v in cliques[order[-1]] if remaining[v]} if order else set()
-        for i in range(start, k):
-            if not placed[i] and required <= cliques[i]:
+    at = 0  # where in `unplaced` the scan resumes
+    while unplaced:
+        required = cliques[order[-1]] & alive if order else 0
+        for at in range(at, len(unplaced)):
+            if required & cliques[unplaced[at]] == required:
                 break
         else:
             if not order:
                 return None
             i = order.pop()
-            placed[i] = False
-            for v in cliques[i]:
-                remaining[v] += 1
-            start = i + 1
+            insort(unplaced, i)
+            at = bisect_right(unplaced, i)
+            _count(counts, cliques[i], True)
+            alive |= cliques[i]
             continue
-        placed[i] = True
-        for v in cliques[i]:
-            remaining[v] -= 1
+        i = unplaced.pop(at)
+        _count(counts, cliques[i], False)
+        alive = reduce(or_, counts)
         order.append(i)
-        start = 0
+        at = 0
     return order
 
 
@@ -266,19 +286,19 @@ def recognize(g: Graph) -> ClosedRepresentation | Obstruction:
     A graph that fails the chordality sweep goes straight to its chordless
     cycle; only a chordal graph has its cliques read and ordered."""
     if g.chordal_cliques is not None:
-        cliques = maximal_cliques(g)
-        order = _consecutive_clique_order(cliques, g.n)
+        cliques = _sorted_cliques(g)
+        order = _consecutive_clique_order(cliques)
         if order is not None:
-            first: dict[int, int] = {}
-            last = [0] * g.n
-            for pos, i in enumerate(order):
-                for v in cliques[i]:
-                    first.setdefault(v, pos)
-                    last[v] = pos
-            point = [Fraction(pos) for pos in range(len(order))]
-            rep = ClosedRepresentation(
-                g.n, tuple(point[first[v]] for v in range(g.n)), tuple(point[pos] for pos in last)
-            )
+            # first and last positions: where a prefix, or suffix, OR gains a vertex
+            ordered = [cliques[i] for i in order]
+            ends = ([0] * g.n, [0] * g.n)
+            for end, positions in zip(ends, (range(len(order)), reversed(range(len(order))))):
+                seen = 0
+                for p in positions:
+                    for v in bit_indices(ordered[p] & ~seen):
+                        end[v] = p
+                    seen |= ordered[p]
+            rep = ClosedRepresentation(g.n, tuple(ends[0]), tuple(ends[1]))
             if not verify_representation(g, rep):
                 raise InternalInconsistencyError(
                     "clique ordering produced a representation that fails verification"

@@ -1,12 +1,14 @@
 """Closed interval representations over exact rational endpoints.
 
-Every endpoint is a ``fractions.Fraction``; there are no floating-point
-comparisons anywhere. Intersection is closed-interval intersection, so a
-shared single point counts. Point intervals (left == right) are accepted
-on input and split apart by ``normalize_distinguishing``. The algorithms
-compare endpoints as ints through one scaling, `_integer_endpoints`, and
-read both the precedence order and every "which intervals meet" answer off
-one sort by left endpoint, `_left_prefixes`.
+Every endpoint is an exact rational, an ``int`` (as `recognize` gives) or a
+``fractions.Fraction``, and the two compare, hash and print alike by value;
+there are no floating-point comparisons anywhere. Intersection is
+closed-interval intersection, so a shared single point counts. Point
+intervals (left == right) are accepted on input and split apart by
+``normalize_distinguishing``. The algorithms compare endpoints as ints
+through one scaling, `_integer_endpoints`, and read both the precedence
+order and every "which intervals meet" answer off one sort by left
+endpoint, `_left_prefixes`.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ class ClosedRepresentation:
     """Closed intervals [left(v), right(v)] for vertices 0..n-1."""
 
     n: int
-    left: tuple[Fraction, ...]
-    right: tuple[Fraction, ...]
+    left: tuple[int | Fraction, ...]
+    right: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if len(self.left) != self.n or len(self.right) != self.n:
@@ -80,7 +82,7 @@ def representation_from_intervals(intervals: Sequence) -> ClosedRepresentation:
 
 def _integer_endpoints(r: ClosedRepresentation) -> tuple[list[int], list[int]]:
     """The left and right endpoints times one common denominator: ints that
-    compare exactly as the Fractions do."""
+    compare exactly as the rationals do."""
     scale = math.lcm(*(x.denominator for x in r.left + r.right))
     return tuple([x.numerator * (scale // x.denominator) for x in ends] for ends in (r.left, r.right))
 
@@ -213,7 +215,7 @@ def normalize_distinguishing(r: ClosedRepresentation) -> ClosedRepresentation:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _endpoint_to_jsonable(x: Fraction):
+def _endpoint_to_jsonable(x: int | Fraction):
     return x.numerator if x.denominator == 1 else [x.numerator, x.denominator]
 
 

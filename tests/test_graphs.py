@@ -677,6 +677,10 @@ class TestSubgraphsAndSerialization:
             ("1_0", refused), ("+1", refused), ("\u0661", refused), ("\u0660", refused),
             ("\u00b9", refused), ("\uff11", refused), ("1.0", refused), ("0x1", refused),
             ("1e1", refused), ("-", refused), ("--1", refused), ("-+1", refused),
+            # other whitespace neither separates tokens nor ends a line
+            ("\u20031", refused), ("\u00a01", refused), ("\u30001", refused), ("\u00851", refused),
+            ("\u20281", refused), ("\u20291", refused), ("\v1", refused), ("\f1", refused),
+            ("\x1c1", refused), ("1\u2003", refused), ("1\u00a0", refused),
         ]
         for token, want in table:
             text = f"11\n0 {token}\n"
@@ -687,6 +691,10 @@ class TestSubgraphsAndSerialization:
                     parse_edgelist(text)
             else:
                 assert parse_edgelist(text).edges == {want}, token
+        # tokens split only at ASCII spaces and tabs, lines only at \n, \r\n and \r
+        for text, edges in (("3\n0\t1\n", {(0, 1)}), ("3\r\n0 \t 1\r\n1 2\r", {(0, 1), (1, 2)}),
+                            ("\t3 \n 0 1\t# tab\n", {(0, 1)})):
+            assert parse_edgelist(text).edges == edges, text
         with pytest.raises(InputError, match=re.escape("line 1: expected integers, got '+3'")):
             parse_edgelist("+3\n")
         with pytest.raises(InputError, match="vertex count must be nonnegative"):

@@ -31,7 +31,7 @@ from intorder import (
 from intorder import recognition as recognition_module
 from intorder.gadgets import all_graphs, random_interval_graph
 from intorder.graphs import bit_indices, component_masks
-from intorder.recognition import _consecutive_clique_order
+from intorder.recognition import _consecutive_clique_order, _sorted_cliques
 
 
 def three_state_clique_order(cliques, n):
@@ -83,6 +83,49 @@ def three_state_clique_order(cliques, n):
         return False
 
     return order if place(0) else None
+
+
+def frozenset_clique_order(cliques, n):
+    """Reference: the lexicographically least ordering of clique indices in
+    which every vertex's cliques are consecutive, or None, by the library's
+    search run on frozensets with one counter per vertex.
+
+    Depth-first search trying unplaced cliques in index order, under one
+    invariant: the next clique contains every vertex of the last placed
+    clique that still occurs in an unplaced clique. `remaining[v]` counts
+    the unplaced cliques holding v; a dead end pops the last clique and
+    resumes after it. Exponential on the hub with k pendant leaves and two
+    arms of length 2: about 0.12 s at k = 7 and 1 s at k = 8 on a 2-core
+    x86-64 host, as is the library's search on bitsets.
+    """
+    k = len(cliques)
+    remaining = [0] * n
+    for clique in cliques:
+        for v in clique:
+            remaining[v] += 1
+    placed = [False] * k
+    order = []
+    start = 0
+    while len(order) < k:
+        required = {v for v in cliques[order[-1]] if remaining[v]} if order else set()
+        for i in range(start, k):
+            if not placed[i] and required <= cliques[i]:
+                break
+        else:
+            if not order:
+                return None
+            i = order.pop()
+            placed[i] = False
+            for v in cliques[i]:
+                remaining[v] += 1
+            start = i + 1
+            continue
+        placed[i] = True
+        for v in cliques[i]:
+            remaining[v] -= 1
+        order.append(i)
+        start = 0
+    return order
 
 
 def recursive_maximal_cliques(g):
@@ -655,8 +698,9 @@ class TestRecognize:
         start = time.perf_counter()
         result = recognize(g)
         elapsed = time.perf_counter() - start
-        # about 0.4 s on a 2-core host; Bron–Kerbosch and the sweep as a
-        # separate chordality check took 4.35 s
+        # about 0.15 s on a 2-core host, 0.4 s with the clique search on
+        # frozensets; Bron–Kerbosch and the sweep as a separate chordality
+        # check took 4.35 s
         assert elapsed < 2, elapsed
         assert isinstance(result, ClosedRepresentation)
 
@@ -666,17 +710,18 @@ class TestRecognize:
         start = time.process_time()
         result = recognize(parse_graph_json(text))
         elapsed = time.process_time() - start
-        # about 0.7 s of process time on a 2-core host, 0.3 s of it in
-        # json.loads; parsing into an edge set that `Graph.masks` then
-        # folded back into rows took 1.2-2.0 s
+        # about 0.55 s of process time on a 2-core host, 0.3 s of it in
+        # json.loads (0.7 s with the clique search on frozensets); parsing
+        # into an edge set that `Graph.masks` then folded back into rows
+        # took 1.2-2.0 s
         assert elapsed < 1.2, elapsed
         assert isinstance(result, ClosedRepresentation)
 
     def test_cliques_are_read_only_where_the_sweep_succeeded(self, monkeypatch):
         # no clique enumeration runs on the negative route of a non-chordal graph
         calls = []
-        original = recognition_module.maximal_cliques
-        monkeypatch.setattr(recognition_module, "maximal_cliques",
+        original = recognition_module._sorted_cliques
+        monkeypatch.setattr(recognition_module, "_sorted_cliques",
                             lambda g: calls.append(g) or original(g))
         rng = random.Random(5)
         graphs = []
@@ -737,15 +782,37 @@ class TestRecognize:
         assert validate_obstruction(g, result)
 
 
+def assert_clique_orders_agree(g, cliques, three_state=True):
+    """On g's cliques, the library's bitset search returns the frozenset
+    search's ordering, and the three-state search's where that finishes."""
+    order = _consecutive_clique_order([sum(1 << v for v in c) for c in cliques])
+    assert order == frozenset_clique_order(cliques, g.n), sorted(g.edges)
+    if three_state:
+        assert order == three_state_clique_order(cliques, g.n), sorted(g.edges)
+    return order
+
+
+def hub_with_arms(k):
+    """Hub 0 with pendant leaves 1..k and arms 0-(k+1)-(k+2) and
+    0-(k+3)-(k+4): clique 0 holds the hub and a leaf, yet the least
+    ordering must start at an arm's end."""
+    arms = [(0, k + 1), (k + 1, k + 2), (0, k + 3), (k + 3, k + 4)]
+    return graph_from_edges(k + 5, [(0, v) for v in range(1, k + 1)] + arms)
+
+
+def caterpillar(spine, leaves):
+    """A path 0..spine-1 with `leaves` pendant leaves on each spine vertex."""
+    path = [(v, v + 1) for v in range(spine - 1)]
+    legs = [(i, spine + i * leaves + j) for i in range(spine) for j in range(leaves)]
+    return graph_from_edges(spine * (leaves + 1), path + legs)
+
+
 class TestCliqueOrder:
     def test_matches_three_state_search_exhaustive_n6(self):
         found = 0
         for n in range(1, 7):
             for g in all_graphs(n):
-                cliques = recursive_maximal_cliques(g)
-                order = _consecutive_clique_order(cliques, n)
-                assert order == three_state_clique_order(cliques, n), sorted(g.edges)
-                found += order is not None
+                found += assert_clique_orders_agree(g, recursive_maximal_cliques(g)) is not None
         assert found == 18808  # the labeled interval graphs on 1 to 6 vertices
 
     def test_matches_three_state_search_on_relabeled_and_edited_graphs(self):
@@ -756,9 +823,32 @@ class TestCliqueOrder:
             u, v = sorted(rng.sample(range(g.n), 2))
             edited = graph_from_edges(g.n, sorted(set(g.edges) ^ {(u, v)}))
             for h in (g, edited):
-                cliques = recursive_maximal_cliques(h)
-                order = _consecutive_clique_order(cliques, h.n)
-                assert order == three_state_clique_order(cliques, h.n), sorted(h.edges)
+                assert_clique_orders_agree(h, recursive_maximal_cliques(h))
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_matches_reference_searches_on_hubs(self, k):
+        # the three-state search takes about 0.9 s at k = 6 and 8 s at k = 7
+        g = hub_with_arms(k)
+        order = assert_clique_orders_agree(g, maximal_cliques(g), three_state=k <= 6)
+        # one arm, every leaf clique in index order, the other arm
+        assert order == [k + 2, k] + list(range(k)) + [k + 1, k + 3]
+
+    def test_matches_frozenset_search_on_p2000(self):
+        g = graph_from_edges(2000, [(v, v + 1) for v in range(1999)])
+        assert assert_clique_orders_agree(g, maximal_cliques(g), three_state=False) == list(range(1999))
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_matches_frozenset_search_on_relabeled_caterpillars(self, seed):
+        # seeds 1 and 3 take about 1.2 s in either search; the three-state
+        # search does not finish on any of them within minutes
+        g = relabeled(caterpillar(3, 9), random.Random(seed))
+        assert assert_clique_orders_agree(g, maximal_cliques(g), three_state=False) is not None
+
+    def test_sorted_bitsets_follow_sorted_vertex_tuples(self):
+        for g in seeded_sweep_graphs(3):
+            if g.chordal_cliques is not None:
+                by_tuple = sorted((frozenset(bit_indices(c)) for c in g.chordal_cliques), key=sorted)
+                assert [frozenset(bit_indices(c)) for c in _sorted_cliques(g)] == by_tuple, sorted(g.edges)
 
     def test_inputs_the_three_state_search_could_not_finish(self):
         rng = random.Random(7)
@@ -786,10 +876,11 @@ class TestCliqueOrder:
             start = time.perf_counter()
             result = recognize(g)
             elapsed = time.perf_counter() - start
-            # K_1100 takes about 1.5 s, P_2000 0.5 s and C_1100 0.3 s on a
-            # 2-core host, the others less; the recursive clique search hit the
-            # recursion limit on K_1100 after 22 s, and the length-by-length
-            # cycle search took 70 s on C_300
+            # K_1100 and C_1100 take about 0.01 s and P_2000 0.03 s on a
+            # 2-core host (P_2000 0.1 s with the clique search on frozensets);
+            # the recursive clique search hit the recursion limit on K_1100
+            # after 22 s, and the length-by-length cycle search took 70 s on
+            # C_300
             assert elapsed < 20, (name, elapsed)
             if kind is None:
                 assert isinstance(result, ClosedRepresentation), name

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -20,10 +21,13 @@ from intorder import (
     normalize_distinguishing,
     order_from_pairs,
     order_to_representation,
+    recognize,
     representation_from_intervals,
     representation_to_order,
     verify_representation,
 )
+from intorder.cli import _fmt_endpoint
+from intorder.gadgets import GadgetSpec, build_gadget, random_interval_graph
 from intorder.representation import (
     representation_from_jsonable,
     representation_to_jsonable,
@@ -419,3 +423,49 @@ class TestRoundTripsAndJson:
     def test_json_rejects_count_mismatch(self):
         with pytest.raises(InputError):
             representation_from_jsonable({"n": 2, "intervals": [[0, 1]]})
+
+
+def recognized_graphs():
+    """Seeded interval graphs and gadget graphs with their recognized
+    representations."""
+    rng = random.Random(19)
+    graphs = [random_interval_graph(rng.randint(1, 40), rng.randrange(10**9))[0] for _ in range(60)]
+    graphs += [build_gadget(GadgetSpec(f, len(f))).graph for f in ((0,), (1, 0), (2, 0, 1), (3, 1, 2, 0))]
+    return [(g, recognize(g)) for g in graphs]
+
+
+class TestIntAndFractionEndpoints:
+    # `recognize` gives int endpoints, the other constructors Fractions; the
+    # two must be indistinguishable by value, hash and output
+
+    def test_recognized_ints_equal_their_fraction_copies(self):
+        for g, rep in recognized_graphs():
+            assert all(type(x) is int for x in rep.left + rep.right), sorted(g.edges)
+            copy = representation_from_intervals(list(zip(rep.left, rep.right)))
+            assert all(type(x) is Fraction for x in copy.left + copy.right)
+            assert rep == copy and hash(rep) == hash(copy)
+            assert json.dumps(representation_to_jsonable(rep)) == json.dumps(representation_to_jsonable(copy))
+            assert [_fmt_endpoint(x) for x in rep.left + rep.right] == [
+                _fmt_endpoint(x) for x in copy.left + copy.right]
+
+    def test_recognized_ints_round_trip_like_fractions(self):
+        for g, rep in recognized_graphs():
+            copy = representation_from_intervals(list(zip(rep.left, rep.right)))
+            order = representation_to_order(rep)
+            assert order == representation_to_order(copy)
+            back = order_to_representation(order)
+            assert back == order_to_representation(representation_to_order(copy))
+            assert verify_representation(g, back) and representation_to_order(back) == order
+            normalized = normalize_distinguishing(rep)
+            assert normalized == normalize_distinguishing(copy)
+            assert verify_representation(g, normalized) and representation_to_order(normalized) == order
+
+    def test_verify_accepts_mixed_int_and_fraction_endpoints(self):
+        # pushing every right endpoint out by 1/2 keeps the same meets, since
+        # the left endpoints stay ints; a one-pair edit of the graph is refused
+        for g, rep in recognized_graphs():
+            mixed = ClosedRepresentation(rep.n, rep.left, tuple(x + Fraction(1, 2) for x in rep.right))
+            assert verify_representation(g, mixed), sorted(g.edges)
+            if g.n > 1:
+                edited = Graph(g.n, g.edges ^ {(0, 1)})
+                assert not verify_representation(edited, mixed), sorted(g.edges)
