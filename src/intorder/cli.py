@@ -276,10 +276,11 @@ def _cmd_orders(g: Graph, args) -> int:
 
 
 def _cmd_gadget(args) -> int:
-    try:
-        values = tuple(int(x) for x in args.f.split(",") if x.strip() != "")
-    except ValueError:
-        raise InputError(f"--f must be comma-separated integers, got {args.f!r}") from None
+    # the edge-list token rule: int() would also take '1_0', '+2' and other scripts' digits
+    tokens = [x.strip(" ") for x in args.f.split(",")]
+    if not all(t.isascii() and t.removeprefix("-").isdecimal() for t in tokens if t):
+        raise InputError(f"--f must be comma-separated integers, got {args.f!r}")
+    values = tuple(int(t) for t in tokens if t)
     stages = args.stages if args.stages is not None else len(values)
     spec = GadgetSpec(values, stages)
     out = build_gadget(spec)

@@ -312,16 +312,14 @@ def validate_path(g: Graph, path: Sequence[int]) -> list[int]:
 
 
 def is_minimal_path(g: Graph, path: Sequence[int]) -> bool:
-    """True when no two non-consecutive path vertices are adjacent.
-
-    Reflexivity makes repeated vertices fail automatically.
-    """
+    """True when each vertex's closed row meets the path in just itself and
+    its path neighbours; reflexivity makes repeated vertices fail."""
     p = validate_path(g, path)
-    for i in range(len(p)):
-        for j in range(i + 2, len(p)):
-            if g.adjacent(p[i], p[j]):
-                return False
-    return True
+    on_path = sum(1 << v for v in set(p))
+    return on_path.bit_count() == len(p) and all(
+        (g.masks[v] | 1 << v) & on_path == sum(1 << w for w in p[max(i - 1, 0) : i + 2])
+        for i, v in enumerate(p)
+    )
 
 
 def refine_to_minimal(g: Graph, path: Sequence[int]) -> list[int]:
@@ -330,24 +328,19 @@ def refine_to_minimal(g: Graph, path: Sequence[int]) -> list[int]:
     Deterministic rule, iterated to a fixpoint: take the smallest i having
     a shortcut, then the largest j > i+1 with p[i] adjacent to p[j], and
     splice out everything strictly between them. The result is a
-    subsequence of the input.
+    subsequence of the input. A splice leaves p[i] no shortcut and gives
+    none to an earlier vertex, so one forward pass reaches the fixpoint,
+    each step jumping to the last position that meets p[i]'s closed row.
     """
     p = validate_path(g, path)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(p) - 2):
-            for j in range(len(p) - 1, i + 1, -1):
-                if g.adjacent(p[i], p[j]):
-                    # a revisited vertex counts as adjacent reflexively;
-                    # merge the two occurrences instead of stuttering
-                    tail = p[j + 1 :] if p[i] == p[j] else p[j:]
-                    p = p[: i + 1] + tail
-                    changed = True
-                    break
-            if changed:
-                break
-    return p
+    last = {v: j for j, v in enumerate(p)}
+    on_walk = sum(1 << v for v in last)
+    out, i = [p[0]], 0
+    while i < len(p) - 1:
+        i = max(last[v] for v in bit_indices((g.masks[p[i]] | 1 << p[i]) & on_walk))
+        if p[i] != out[-1]:
+            out.append(p[i])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,8 @@ from .errors import InputError, InternalInconsistencyError, NotIntervalGraphErro
 from .graphs import (
     Graph,
     StrictPartialOrder,
+    _is_index,
+    _neighbours_of,
     bit_indices,
     component_masks,
     is_associated,
@@ -175,44 +177,41 @@ def pair_graph(g: Graph) -> PairGraph:
     return PairGraph(g, tuple(rows))
 
 
-def _linked_pairs(g: Graph, ab: VertexPair) -> list[VertexPair]:
-    """Pairs linked to `ab`, itself included: non-adjacent pairs in N[a] × N[b]."""
-    a, b = ab
-    masks = g.masks
-    closed_b = masks[b] | 1 << b
-    return [(c, d) for c in bit_indices(masks[a] | 1 << a) for d in bit_indices(closed_b & ~(masks[c] | 1 << c))]
-
-
 def pair_path(
     pg: PairGraph, ab: VertexPair, cd: VertexPair
 ) -> list[VertexPair] | None:
     """Lexicographically least shortest linkage path, or None when the two
-    pairs lie in different components."""
+    pairs lie in different components. Like every path certificate, it is
+    read off BFS layers grown back from cd, each a dict of rows as in `rows`:
+    a row {c: D} links to the non-adjacent pairs in N[c] x N[D]. The walk
+    from (a, b) takes the least c in N[a] whose next row meets N[b], then
+    that row's least d in N[b]."""
+    closed = [m | 1 << v for v, m in enumerate(pg.base.masks)]
     for p in (ab, cd):
-        if p not in pg.component_of:
+        if not (isinstance(p, tuple) and len(p) == 2 and all(_is_index(v) for v in p)
+                and 0 <= min(p) and max(p) < len(closed) and not closed[p[0]] >> p[1] & 1):
             raise InputError(f"pair {p} is not a non-adjacent ordered pair of the graph")
-    if pg.component_of[ab] != pg.component_of[cd]:
-        return None
-    if ab == cd:
-        return [ab]
-    # distances from the target out to ab's level, then walk forward choosing least neighbors
-    dist = {cd: 0}
-    frontier = [cd]
-    while ab not in dist:
-        nxt = []
-        for cur in frontier:
-            for p in _linked_pairs(pg.base, cur):
-                if p not in dist:
-                    dist[p] = dist[cur] + 1
-                    nxt.append(p)
-        frontier = nxt
+    a, b = ab
+    layers = [{cd[0]: 1 << cd[1]}]
+    blocked = closed[:]  # the d of each (c, d) that is adjacent or already reached
+    blocked[cd[0]] |= 1 << cd[1]
+    while not layers[-1].get(a, 0) >> b & 1:
+        reach: dict[int, int] = {}
+        for c, ds in layers[-1].items():
+            near = _neighbours_of(closed, ds)
+            for c2 in bit_indices(closed[c]):
+                reach[c2] = reach.get(c2, 0) | near
+        layers.append({c: fresh for c, ds in reach.items() if (fresh := ds & ~blocked[c])})
+        if not layers[-1]:
+            return None
+        for c, ds in layers[-1].items():
+            blocked[c] |= ds
     path = [ab]
-    cur = ab
-    while cur != cd:
-        cur = min(
-            p for p in _linked_pairs(pg.base, cur) if dist.get(p, -1) == dist[cur] - 1
-        )
-        path.append(cur)
+    for layer in reversed(layers[:-1]):
+        a, b = path[-1]
+        c = next(c for c in bit_indices(closed[a]) if layer.get(c, 0) & closed[b])
+        ds = layer[c] & closed[b]
+        path.append((c, (ds & -ds).bit_length() - 1))
     return path
 
 

@@ -16,16 +16,17 @@ extracted: first the shortest, then least, chordless cycle of length >= 4,
 otherwise the least asteroidal triple. The cycle comes from one search on
 adjacency bitsets: a chordless cycle through a-b-c is b plus an induced a-c
 path avoiding N[b], so one BFS per induced path a-b-c measures the shortest
-cycle and finds the least pair (b, a) opening one, and a walk back along
-that pair's BFS layers spells out the rest. The triple is read off one
-table of component bitsets per vertex. If neither certificate exists while
-the ordering failed, an internal error is raised rather than guessing.
+cycle and finds the least pair (b, a) opening one. The triple is read off
+one table of component bitsets per vertex. Every certificate path is the
+lexicographically least shortest one, by one rule (`_least_path`): BFS
+layers grown back from its target, walked greedily from its source. If
+neither certificate exists while the ordering failed, an internal error is
+raised rather than guessing.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -47,7 +48,8 @@ class Obstruction:
     is sorted ascending and `witness_paths` holds three paths: triple[0] to
     triple[1] avoiding the closed neighborhood of triple[2], then
     triple[0]-triple[2] avoiding triple[1]'s, then triple[1]-triple[2]
-    avoiding triple[0]'s.
+    avoiding triple[0]'s. Every path is the lexicographically least
+    shortest one, read off BFS layers grown back from its target.
     """
 
     kind: str
@@ -133,6 +135,26 @@ def _consecutive_clique_order(cliques: list[int]) -> list[int] | None:
     return order
 
 
+def _least_path(masks: tuple[int, ...], src: int, targets: int, allowed: int) -> tuple[int, ...] | None:
+    """The lexicographically least shortest path from src to the bitset
+    `targets`, src not among them, with inner vertices in `allowed`, or
+    None: BFS layers grown back from the targets until src meets one, then
+    a walk from src to the least neighbour one layer nearer at each step."""
+    layers, layer = [targets], targets  # layers[k]: vertices k steps from the targets
+    allowed &= ~targets  # and, as layers grow, without them
+    while not masks[src] & layer:
+        layer = _neighbours_of(masks, layer) & allowed
+        if not layer:
+            return None
+        layers.append(layer)
+        allowed ^= layer
+    path = [src]
+    for layer in reversed(layers):
+        step = masks[path[-1]] & layer
+        path.append((step & -step).bit_length() - 1)
+    return tuple(path)
+
+
 def _least_shortest_hole(masks: tuple[int, ...]) -> tuple[int, ...] | None:
     """The shortest, then lexicographically least, chordless cycle in
     canonical form (minimum vertex first, second vertex smaller than the
@@ -145,9 +167,8 @@ def _least_shortest_hole(masks: tuple[int, ...]) -> tuple[int, ...] | None:
     every hit is a strict improvement, and the last one is the least
     (b, a) opening a shortest cycle. Every a-c path of that length through
     those vertices is a shortest one, so it is induced and closes a
-    chordless cycle with b. Layers grown back from that pair's targets
-    then let a walk from a take the least neighbour one layer nearer at
-    each step, which spells out the least cycle.
+    chordless cycle with b, and `_least_path` from a to that pair's
+    targets spells out the least cycle.
     """
     n = len(masks)
     full = (1 << n) - 1
@@ -167,19 +188,7 @@ def _least_shortest_hole(masks: tuple[int, ...]) -> tuple[int, ...] | None:
                 layer = reach & allowed & ~seen
                 seen |= layer
                 depth += 1
-    if found is None:
-        return None
-    b, a, targets, allowed = found
-    layers = [targets]  # layers[k]: vertices k steps from the targets
-    seen = targets
-    while len(layers) < best - 2:
-        layers.append(_neighbours_of(masks, layers[-1]) & allowed & ~seen)
-        seen |= layers[-1]
-    cycle = [b, a]
-    for layer in reversed(layers):
-        step = masks[cycle[-1]] & layer
-        cycle.append((step & -step).bit_length() - 1)
-    return tuple(cycle)
+    return None if found is None else (found[0],) + _least_path(masks, *found[1:])
 
 
 def check_triangulated(g: Graph) -> Obstruction | None:
@@ -200,10 +209,9 @@ def check_triangulated(g: Graph) -> Obstruction | None:
        chordless cycle. So the least BFS distance over all such a-b-c, plus
        2, is the shortest length, and the least pair (b, a) attaining it
        opens the least shortest cycle.
-    3. The rest of that cycle is read off the same search: a walk from a,
-       each step to the least neighbour one BFS layer nearer that pair's
-       targets c, grown back from them through the vertices above b
-       outside N[b].
+    3. The rest of that cycle is the least shortest path from a to that
+       pair's targets c through the vertices above b outside N[b]
+       (`_least_path`).
     """
     if g.chordal_cliques is not None:
         return None
@@ -226,31 +234,6 @@ def _component_table(masks: tuple[int, ...], z: int) -> list[int]:
     return table
 
 
-def _shortest_path_avoiding(masks: tuple[int, ...], src: int, dst: int, banned: int) -> tuple[int, ...]:
-    """BFS from src to dst outside the bitset `banned`, neighbours tried in
-    ascending order, each vertex keeping its first discoverer as parent."""
-    parent = {src: None}
-    seen = 1 << src
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        if v == dst:
-            path = []
-            cur: int | None = v
-            while cur is not None:
-                path.append(cur)
-                cur = parent[cur]
-            return tuple(reversed(path))
-        fresh = masks[v] & ~banned & ~seen
-        seen |= fresh
-        for w in bit_indices(fresh):
-            parent[w] = v
-            queue.append(w)
-    raise InternalInconsistencyError(
-        f"no path from {src} to {dst} avoiding {list(bit_indices(banned))} despite component check"
-    )
-
-
 def find_asteroidal_triple(g: Graph) -> Obstruction | None:
     """The lexicographically least asteroidal triple with witness paths.
 
@@ -261,7 +244,8 @@ def find_asteroidal_triple(g: Graph) -> Obstruction | None:
     complete a non-adjacent pair x < y are the bits of
     `comp[y][x] & comp[x][y]` above y (both exclude N[x] and N[y]); pairs
     run in lexicographic order and z ascending, and each z is tested for an
-    x-y path avoiding N[z], so the first hit is the least triple.
+    x-y path avoiding N[z], so the first hit is the least triple. Witness
+    paths avoid the third vertex's closed neighbourhood (`_least_path`).
     """
     masks = g.masks
     everyone = (1 << g.n) - 1
@@ -270,13 +254,17 @@ def find_asteroidal_triple(g: Graph) -> Obstruction | None:
         for y in bit_indices(everyone & ~masks[x] & ~((2 << x) - 1)):
             for z in bit_indices(comp[y][x] & comp[x][y] & ~((2 << y) - 1)):
                 if comp[z][x] >> y & 1:
-                    closed = [masks[v] | 1 << v for v in (x, y, z)]
-                    paths = (
-                        _shortest_path_avoiding(masks, x, y, closed[2]),
-                        _shortest_path_avoiding(masks, x, z, closed[1]),
-                        _shortest_path_avoiding(masks, y, z, closed[0]),
-                    )
-                    return Obstruction(kind=ASTEROIDAL_TRIPLE, triple=(x, y, z), witness_paths=paths)
+                    paths = []
+                    for src, dst, avoid in ((x, y, z), (x, z, y), (y, z, x)):
+                        banned = masks[avoid] | 1 << avoid
+                        path = _least_path(masks, src, 1 << dst, everyone & ~banned)
+                        if path is None:
+                            raise InternalInconsistencyError(
+                                f"no path from {src} to {dst} avoiding {list(bit_indices(banned))} "
+                                "despite component check"
+                            )
+                        paths.append(path)
+                    return Obstruction(kind=ASTEROIDAL_TRIPLE, triple=(x, y, z), witness_paths=tuple(paths))
     return None
 
 

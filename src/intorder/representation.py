@@ -237,6 +237,8 @@ def representation_from_jsonable(obj) -> ClosedRepresentation:
         intervals = obj["intervals"]
     except KeyError as missing:
         raise InputError(f"representation JSON missing key {missing}") from None
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InputError("representation JSON field 'n' must be an integer")
     if not isinstance(intervals, list):
         raise InputError("representation JSON field 'intervals' must be a list")
     r = representation_from_intervals(intervals)

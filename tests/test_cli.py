@@ -133,6 +133,25 @@ class TestOtherCommands:
         code, _, err = run(["gadget", "--f", "1,1"], None)
         assert code == 2 and "distinct" in err
 
+    @pytest.mark.parametrize("f, message", [
+        ("1_0", "comma-separated integers"),
+        ("\u0663,0", "comma-separated integers"),  # an Arabic-Indic digit three
+        (" +2,0", "comma-separated integers"),
+        ("2,\t0", "comma-separated integers"),
+        ("2,0\u00a0", "comma-separated integers"),
+        ("--1,0", "comma-separated integers"),
+        ("1.0,0", "comma-separated integers"),
+        ("-1,0", "values must be nonnegative"),
+    ])
+    def test_gadget_f_takes_plain_ascii_decimals_only(self, f, message):
+        code, out, err = run(["gadget", f"--f={f}"], None)
+        assert (code, out) == (2, "") and message in err
+
+    def test_gadget_f_strips_ascii_spaces_and_skips_empty_tokens(self):
+        code, out, _ = run(["gadget", "--f", " 2 , 0 ,1,", "--stages", "3", "--json"], None)
+        assert code == 0
+        assert out == run(["gadget", "--f", "2,0,1", "--stages", "3", "--json"], None)[1]
+
 
 class TestInputHandling:
     def test_malformed_json(self):

@@ -421,6 +421,33 @@ class TestComplement:
         assert complement(complement(g)).edges == g.edges
 
 
+def all_pairs_is_minimal_path(g, path):
+    """Reference for `is_minimal_path`: every two path vertices at least two
+    apart must be non-adjacent, reflexively, so a repeat fails."""
+    p = list(path)
+    return not any(
+        g.adjacent(p[i], p[j]) for i in range(len(p)) for j in range(i + 2, len(p))
+    )
+
+
+def restart_refine_to_minimal(g, path):
+    """Reference for `refine_to_minimal`: the rule iterated literally,
+    restarting the scan from the front after every splice."""
+    p = list(path)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(p) - 2):
+            for j in range(len(p) - 1, i + 1, -1):
+                if g.adjacent(p[i], p[j]):
+                    p = p[: i + 1] + (p[j + 1 :] if p[i] == p[j] else p[j:])
+                    changed = True
+                    break
+            if changed:
+                break
+    return p
+
+
 class TestMinimalPaths:
     def test_p4_is_minimal(self):
         assert is_minimal_path(p4(), [0, 1, 2, 3])
@@ -461,6 +488,46 @@ class TestMinimalPaths:
             assert refined[0] == walk[0] and refined[-1] == walk[-1]
             it = iter(walk)
             assert all(v in it for v in refined)  # subsequence
+
+    def test_refine_and_check_match_references_exhaustive_n5(self):
+        rng = random.Random(5)
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                for _ in range(3):
+                    walk = random_walk(g, rng, 12)
+                    refined = refine_to_minimal(g, walk)
+                    assert refined == restart_refine_to_minimal(g, walk), (sorted(g.edges), walk)
+                    assert is_minimal_path(g, walk) == all_pairs_is_minimal_path(g, walk)
+                    assert is_minimal_path(g, refined) and all_pairs_is_minimal_path(g, refined)
+
+    def test_refine_and_check_match_references_on_seeded_graphs(self):
+        rng = random.Random(614)
+        for _ in range(200):
+            g = random_graph(rng.randint(6, 14), rng.random(), rng)
+            for _ in range(10):
+                walk = random_walk(g, rng, 60)
+                assert refine_to_minimal(g, walk) == restart_refine_to_minimal(g, walk), (
+                    sorted(g.edges), walk)
+                assert is_minimal_path(g, walk) == all_pairs_is_minimal_path(g, walk)
+
+    def test_long_walk_matches_restart_reference(self):
+        # a walk drifting along a path splices many times; the restart
+        # reference rescans from the front after each splice
+        g = graph_from_edges(300, [(v, v + 1) for v in range(299)])
+        rng = random.Random(8)
+        walk = [0]
+        while len(walk) < 500:
+            v = walk[-1]
+            walk.append(v + 1 if v == 0 or rng.random() < 0.6 else v - 1)
+        refined = refine_to_minimal(g, walk)
+        assert refined == restart_refine_to_minimal(g, walk)
+        assert refined == list(range(walk[-1] + 1))
+
+    def test_repeated_vertex_is_not_minimal(self):
+        assert not is_minimal_path(p4(), [0, 1, 0])
+        assert not is_minimal_path(p4(), [1, 2, 3, 2, 1])
+        assert refine_to_minimal(p4(), [1, 2, 3, 2, 1]) == [1]
+        assert refine_to_minimal(p4(), [0, 1, 2, 1]) == [0, 1]
 
 
 class TestOrders:

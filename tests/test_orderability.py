@@ -478,6 +478,31 @@ class TestPairPath:
         with pytest.raises(InputError):
             pair_path(pg, (0, 1), (0, 2))  # (0, 1) is an edge, not in the pair set
 
+    @pytest.mark.parametrize(
+        "bad", [(0.0, 2), (True, 3), [0, 2], (0, 1, 2), ("0", 2), (0,), (0, 4), (-1, 2), (2, 2)]
+    )
+    def test_malformed_pairs_are_input_errors(self, bad):
+        pg = pair_graph(p4())
+        for ab, cd in ((bad, (0, 2)), ((0, 2), bad)):
+            with pytest.raises(InputError, match="is not a non-adjacent ordered pair"):
+                pair_path(pg, ab, cd)
+
+    def test_matches_all_pairs_search_on_seeded_non_chordal_graphs(self):
+        rng = random.Random(2020)
+        checked = paths = 0
+        while checked < 1500:
+            g = random_graph(rng.randint(6, 14), rng.uniform(0.2, 0.7), rng)
+            if g.chordal_cliques is not None:
+                continue
+            pg = pair_graph(g)
+            for _ in range(15):
+                ab, cd = rng.choice(pg.pairs), rng.choice(pg.pairs)
+                expected = all_pairs_pair_path(pg, ab, cd)
+                assert pair_path(pg, ab, cd) == expected, (sorted(g.edges), ab, cd)
+                checked += 1
+                paths += expected is not None
+        assert paths > 500
+
     def test_matches_bruteforce_shortest_paths(self):
         # compare against full enumeration of shortest linkage paths
         def all_shortest(pg, src, dst):

@@ -31,7 +31,7 @@ from intorder import (
 from intorder import recognition as recognition_module
 from intorder.gadgets import all_graphs, random_interval_graph
 from intorder.graphs import bit_indices, component_masks
-from intorder.recognition import _consecutive_clique_order, _sorted_cliques
+from intorder.recognition import _consecutive_clique_order, _least_path, _least_shortest_hole, _sorted_cliques
 
 
 def three_state_clique_order(cliques, n):
@@ -301,19 +301,14 @@ def neighbours_of(masks, vertices):
     return reach
 
 
-def two_search_least_hole(g):
-    """Reference for `check_triangulated` on graphs the recursive search
-    cannot finish, and the library's former route: one search measures,
-    a second finds. A bitset BFS per induced path a-b-c (a < c, both above
-    b) through the vertices above b outside N[b] gives the shortest cycle
-    length and the least minimum vertex c0 of a cycle that short; then a
-    depth-first search, least candidate first, returns the least cycle of
-    that length whose minimum is c0, pruning a vertex at position i whose
-    BFS distance to c0 above c0 exceeds length - i."""
-    masks = g.masks
+def least_hole_opening(masks):
+    """The hole references' measuring loop: one bitset BFS per induced path
+    a-b-c (a < c, both above b) through the vertices above b outside N[b].
+    Returns the shortest hole length and the last strict improvement
+    (b, a, targets, allowed), or (n + 1, None) on a chordal graph."""
     n = len(masks)
     full = (1 << n) - 1
-    length, c0 = n + 1, -1
+    length, found = n + 1, None
     for b in range(n):
         above = full & ~((2 << b) - 1)
         allowed = above & ~masks[b]
@@ -324,14 +319,110 @@ def two_search_least_hole(g):
             while targets and layer and depth + 3 < length:
                 reach = neighbours_of(masks, layer)
                 if reach & targets:
-                    length, c0 = depth + 3, b
+                    length, found = depth + 3, (b, a, targets, allowed)
                     break
                 layer = reach & allowed & ~seen
                 seen |= layer
                 depth += 1
-    if c0 < 0:
+    return length, found
+
+
+def inline_walk_least_hole(g):
+    """Reference for `_least_shortest_hole`, its former route: after the
+    measuring loop, length - 2 layers grown back from the opening pair's
+    targets, and an inline walk from a to the least neighbour one layer
+    nearer at each step."""
+    masks = g.masks
+    length, found = least_hole_opening(masks)
+    if found is None:
         return None
-    above = full & ~((2 << c0) - 1)
+    b, a, targets, allowed = found
+    layers = [targets]
+    seen = targets
+    while len(layers) < length - 2:
+        layers.append(neighbours_of(masks, layers[-1]) & allowed & ~seen)
+        seen |= layers[-1]
+    cycle = [b, a]
+    for layer in reversed(layers):
+        step = masks[cycle[-1]] & layer
+        cycle.append((step & -step).bit_length() - 1)
+    return tuple(cycle)
+
+
+def queue_shortest_path(masks, src, dst, banned):
+    """Reference for `_least_path`, the former witness-path search: BFS from
+    src to dst outside the bitset `banned`, neighbours tried in ascending
+    order, each vertex keeping its first discoverer as parent; None when dst
+    is out of reach."""
+    parent = {src: None}
+    seen = 1 << src
+    queue = deque([src])
+    while queue:
+        v = queue.popleft()
+        if v == dst:
+            path = []
+            cur = v
+            while cur is not None:
+                path.append(cur)
+                cur = parent[cur]
+            return tuple(reversed(path))
+        fresh = masks[v] & ~banned & ~seen
+        seen |= fresh
+        for w in bit_indices(fresh):
+            parent[w] = v
+            queue.append(w)
+    return None
+
+
+def brute_force_least_path(g, src, dst, banned):
+    """The least of all shortest src-dst paths whose inner vertices avoid
+    the bitset `banned`, by extending every simple path one vertex a round."""
+    paths = [(src,)]
+    while paths:
+        done = [p for p in paths if p[-1] == dst]
+        if done:
+            return min(done)
+        paths = [p + (w,) for p in paths for w in bit_indices(g.masks[p[-1]] & ~banned)
+                 if w not in p]
+    return None
+
+
+def path_cases(g, unbanned=True):
+    """(src, dst, banned) for every ordered pair src != dst: with no ban
+    (when `unbanned`), and with the closed neighbourhood of each third vertex
+    adjacent to neither, as in an asteroidal triple's witness paths."""
+    closed = [m | 1 << v for v, m in enumerate(g.masks)]
+    for src in range(g.n):
+        for dst in range(g.n):
+            if src != dst:
+                if unbanned:
+                    yield src, dst, 0
+                for z in range(g.n):
+                    if not (closed[z] >> src & 1 or closed[z] >> dst & 1):
+                        yield src, dst, closed[z]
+
+
+def assert_least_path(g, src, dst, banned, reference=queue_shortest_path):
+    expected = reference(g.masks if reference is queue_shortest_path else g, src, dst, banned)
+    assert _least_path(g.masks, src, 1 << dst, (1 << g.n) - 1 & ~banned) == expected, (
+        sorted(g.edges), src, dst, banned)
+
+
+def two_search_least_hole(g):
+    """Reference for `check_triangulated` on graphs the recursive search
+    cannot finish, and the library's former route: one search measures,
+    a second finds. A bitset BFS per induced path a-b-c (a < c, both above
+    b) through the vertices above b outside N[b] gives the shortest cycle
+    length and the least minimum vertex c0 of a cycle that short; then a
+    depth-first search, least candidate first, returns the least cycle of
+    that length whose minimum is c0, pruning a vertex at position i whose
+    BFS distance to c0 above c0 exceeds length - i."""
+    masks = g.masks
+    length, found = least_hole_opening(masks)
+    if found is None:
+        return None
+    c0 = found[0]
+    above = (1 << g.n) - 1 & ~((2 << c0) - 1)
     near0 = masks[c0] | 1 << c0
     within = [1 << c0]  # within[k]: vertices at distance <= k from c0 in {c0} + above
     frontier = within[0]
@@ -591,6 +682,55 @@ class TestTriangulated:
         assert lengths[:4] == [152, 300, 1100, 1100]
         # a spliced path of k >= 10 new vertices closes holes of length >= k + 2
         assert len(lengths) > 20 and min(lengths) >= 12, lengths
+
+
+class TestLeastPath:
+    def test_matches_queue_bfs_exhaustive_n6(self):
+        # the unbanned cases at n = 6 would double the time; n <= 5 covers them
+        for n in range(2, 7):
+            for g in all_graphs(n):
+                for case in path_cases(g, unbanned=n < 6):
+                    assert_least_path(g, *case)
+
+    def test_matches_queue_bfs_on_seeded_graphs(self):
+        rng = random.Random(4040)
+        for _ in range(300):
+            g = random_graph(rng.randint(7, 40), rng.uniform(0.03, 0.5), rng)
+            for _ in range(10):
+                src, dst, z = (rng.randrange(g.n) for _ in range(3))
+                if src != dst:
+                    closed = g.masks[z] | 1 << z
+                    assert_least_path(g, src, dst, 0)
+                    if not (closed >> src & 1 or closed >> dst & 1):
+                        assert_least_path(g, src, dst, closed)
+
+    def test_is_the_least_shortest_path_exhaustive_n5(self):
+        for n in range(2, 6):
+            for g in all_graphs(n):
+                for case in path_cases(g):
+                    assert_least_path(g, *case, reference=brute_force_least_path)
+
+    def test_unreachable_targets_and_no_inner_vertex(self):
+        masks = p4().masks
+        assert _least_path(masks, 0, 1 << 3, 0b1011) is None  # 2 is not allowed
+        assert _least_path(masks, 0, 0, 0b1111) is None
+        assert _least_path(masks, 0, 1 << 3, 0) is None
+        assert _least_path(masks, 0, 1 << 1, 0) == (0, 1)  # no inner vertex
+
+    def test_hole_matches_inline_walk_exhaustive_n6(self):
+        for n in range(4, 7):
+            for g in all_graphs(n):
+                assert _least_shortest_hole(g.masks) == inline_walk_least_hole(g), sorted(g.edges)
+
+    def test_hole_matches_inline_walk_on_seeded_graphs(self):
+        rng = random.Random(4041)
+        holes = 0
+        for _ in range(300):
+            g = random_graph(rng.randint(7, 40), rng.uniform(0.03, 0.3), rng)
+            expected = inline_walk_least_hole(g)
+            assert _least_shortest_hole(g.masks) == expected, sorted(g.edges)
+            holes += expected is not None
+        assert holes > 100
 
 
 class TestAsteroidalTriples:

@@ -424,6 +424,11 @@ class TestRoundTripsAndJson:
         with pytest.raises(InputError):
             representation_from_jsonable({"n": 2, "intervals": [[0, 1]]})
 
+    @pytest.mark.parametrize("n", [True, 1.0, "1", None, [1]])
+    def test_json_vertex_count_must_be_an_integer(self, n):
+        with pytest.raises(InputError, match="^representation JSON field 'n' must be an integer$"):
+            representation_from_jsonable({"n": n, "intervals": [[0, 1]]})
+
 
 def recognized_graphs():
     """Seeded interval graphs and gadget graphs with their recognized
