@@ -14,7 +14,9 @@ validation loop, and they and the constructions that meet rows first
 read, which only output, equality and hashing do. Every order the library
 builds is likewise its successor bitsets, given to
 `StrictPartialOrder._from_succ`; its pair set `rel` is derived only for
-equality, hashing and `repr`.
+equality, hashing and `repr`. Validation accepts an interval order, as
+every order of an interval graph is, by its nested up-sets in one step per
+vertex, and walks every pair only of other relations.
 
 Paths are plain sequences of vertices in which consecutive vertices are
 distinct and adjacent; a single vertex is a valid path of length zero.
@@ -104,13 +106,13 @@ class Graph:
 
     def _vertex(self, v: int) -> int:
         """`v`, or an InputError when it is not a vertex of the graph."""
-        if not 0 <= v < self.n:
+        if not 0 <= _index(v) < self.n:
             raise InputError(f"vertex {v} out of range for n={self.n}")
         return v
 
     def adjacent(self, u: int, v: int) -> bool:
         """Reflexive adjacency: true when u == v or {u, v} is an edge."""
-        if not (0 <= u < self.n and 0 <= v < self.n):
+        if not (type(u) is int and type(v) is int and 0 <= u < self.n and 0 <= v < self.n):
             self._vertex(u)  # one of the two raises
             self._vertex(v)
         return u == v or self.masks[u] >> v & 1 == 1
@@ -157,14 +159,27 @@ def _neighbours_of(masks: tuple[int, ...], vertices: int) -> int:
     return reach
 
 
+def _count(counts: list[int], mask: int, up: bool) -> None:
+    """Add one to (up) or take one from every vertex's count in mask, kept
+    bit-sliced: counts[j] holds the vertices whose count has bit j set, so
+    a carry or borrow ripples through O(log k) bitsets."""
+    for j, digit in enumerate(counts):
+        counts[j] = digit ^ mask
+        mask &= digit if up else ~digit
+        if not mask:
+            return
+    counts.append(mask)
+
+
 def _chordal_sweep(masks: tuple[int, ...]) -> tuple[int, ...] | None:
     """Maximum cardinality search plus the perfect-elimination check; on a
     chordal graph, its maximal cliques as bitsets in visit order.
 
     The search visits next an unvisited vertex with the most visited
-    neighbours, least vertex first. Unvisited vertices sit in buckets of
-    bitsets by that count, and a visit lifts its unvisited neighbours one
-    bucket up with one AND per bucket, from the top down. The graph is
+    neighbours, least vertex first. Those counts are kept bit-sliced by
+    `_count`, so a visit lifts its unvisited neighbours with one carry, and
+    the next vertex is found by narrowing the unvisited set from the top
+    slice down: O(log n) bitset operations per visit. The graph is
     chordal iff, for every vertex, its earlier-visited neighbours other than
     the latest of them all lie in that latest one's neighbourhood (Tarjan
     and Yannakakis 1984); otherwise the sweep returns None. The latest one
@@ -177,20 +192,18 @@ def _chordal_sweep(masks: tuple[int, ...]) -> tuple[int, ...] | None:
     1993).
     """
     n = len(masks)
-    buckets = [(1 << n) - 1] + [0] * n
+    everyone, slices = (1 << n) - 1, []  # slices: the counts, stale on visited vertices
     visit_order = [0] * n
     prefix = [0] * (n + 1)  # prefix[k]: the first k visits
     cliques: list[int] = []
     clique, previous = 0, -1  # the last visit's clique and count
-    visited = top = 0
     for step in range(n):
-        while not buckets[top]:
-            top -= 1
-        if top <= previous:
-            cliques.append(clique)
-        v = (buckets[top] & -buckets[top]).bit_length() - 1
-        buckets[top] ^= 1 << v
-        earlier = masks[v] & visited
+        best = everyone & ~prefix[step]
+        for digit in reversed(slices):
+            if best & digit:
+                best &= digit
+        v = (best & -best).bit_length() - 1
+        earlier = masks[v] & prefix[step]
         if earlier:
             latest = visit_order[step - 1]
             if not earlier >> latest & 1:
@@ -198,19 +211,15 @@ def _chordal_sweep(masks: tuple[int, ...]) -> tuple[int, ...] | None:
                 latest = visit_order[j - 1]
             if earlier & ~masks[latest] & ~(1 << latest):
                 return None
-        clique, previous = earlier | 1 << v, top
+        count = earlier.bit_count()
+        if count <= previous:
+            cliques.append(clique)
+        clique, previous = earlier | 1 << v, count
         visit_order[step] = v
-        visited |= 1 << v
-        prefix[step + 1] = visited
-        fresh, k = masks[v] & ~visited, top
-        while fresh:
-            lifted = buckets[k] & fresh
-            if lifted:
-                buckets[k] ^= lifted
-                buckets[k + 1] |= lifted
-                fresh ^= lifted
-            k -= 1
-        top += 1
+        prefix[step + 1] = prefix[step] | 1 << v
+        fresh = masks[v] & ~prefix[step + 1]
+        if fresh:
+            _count(slices, fresh, True)
     if n:
         cliques.append(clique)
     return tuple(cliques)
@@ -239,6 +248,13 @@ def graph_from_edges(
 def _is_index(x) -> bool:
     """The rule for a vertex given from outside the library: an int, never a bool."""
     return type(x) is int or isinstance(x, int) and not isinstance(x, bool)
+
+
+def _index(x) -> int:
+    """`x`, or an InputError when it breaks the rule of `_is_index`."""
+    if not (type(x) is int or _is_index(x)):
+        raise InputError(f"vertex {x!r} is not an integer")
+    return x
 
 
 def _check_endpoints(n: int, u: int, v: int) -> None:
@@ -357,9 +373,11 @@ class StrictPartialOrder:
     set from outside the library by folding it into `succ`; every order the
     library builds is given its rows by `_from_succ` and passes the same
     validation, so every accepted instance is a genuine strict partial
-    order. The rows are plain attributes, not fields: equality, hashing and
-    `repr` see `n` and `rel`, which an order built from rows derives on
-    first read, and only they read it.
+    order. The validation accepts an interval order by `_nested_pred` and
+    walks the pairs of any other relation, which writes every error. The
+    rows are plain attributes, not fields: equality, hashing and `repr` see
+    `n` and `rel`, which an order built from rows derives on first read,
+    and only they read it.
     """
 
     n: int
@@ -377,31 +395,28 @@ class StrictPartialOrder:
                 if not (0 <= u < self.n and 0 <= v < self.n):
                     raise InputError(f"relation pair ({u}, {v}) out of range for n={self.n}")
                 succ[u] |= 1 << v
-        pred = [0] * self.n
-        unclosed = None  # the least row u reaching, in two steps, past succ[u]
-        for u, above in enumerate(succ):
-            if above >> u & 1:
-                raise InputError(f"relation must be irreflexive; got ({u}, {u})")
-            reach, rest, bit = 0, above, 1 << u
-            while rest:
-                low = rest & -rest
-                v = low.bit_length() - 1
-                pred[v] |= bit
-                reach |= succ[v]
-                rest ^= low
-            if unclosed is None and reach & ~above:
-                unclosed = u
-        for u in range(self.n):
-            if succ[u] & pred[u]:
-                v = next(bit_indices(succ[u] & pred[u]))
-                raise InputError(f"relation must be antisymmetric; got both ({u},{v}) and ({v},{u})")
-        if unclosed is not None:
-            u, above = unclosed, succ[unclosed]
-            v = next(v for v in bit_indices(above) if succ[v] & ~above)
-            w = next(bit_indices(succ[v] & ~above))
-            raise InputError(
-                f"relation is not transitively closed: ({u},{v}) and ({v},{w}) but not ({u},{w})"
-            )
+        pred = _nested_pred(succ)
+        if pred is None:  # not an interval order, or not an order at all
+            pred = [0] * self.n
+            unclosed = None  # the least row u reaching, in two steps, past succ[u]
+            for u, above in enumerate(succ):
+                if above >> u & 1:
+                    raise InputError(f"relation must be irreflexive; got ({u}, {u})")
+                for v in bit_indices(above):
+                    pred[v] |= 1 << u
+                if unclosed is None and _neighbours_of(succ, above) & ~above:
+                    unclosed = u
+            for u in range(self.n):
+                if succ[u] & pred[u]:
+                    v = next(bit_indices(succ[u] & pred[u]))
+                    raise InputError(f"relation must be antisymmetric; got both ({u},{v}) and ({v},{u})")
+            if unclosed is not None:
+                u, above = unclosed, succ[unclosed]
+                v = next(v for v in bit_indices(above) if succ[v] & ~above)
+                w = next(bit_indices(succ[v] & ~above))
+                raise InputError(
+                    f"relation is not transitively closed: ({u},{v}) and ({v},{w}) but not ({u},{w})"
+                )
         object.__setattr__(self, "succ", tuple(succ))
         object.__setattr__(self, "pred", tuple(pred))
 
@@ -423,6 +438,7 @@ class StrictPartialOrder:
         return rel
 
     def less(self, u: int, v: int) -> bool:
+        u, v = _index(u), _index(v)
         return 0 <= u < self.n and 0 <= v and self.succ[u] >> v & 1 == 1
 
     def comparable(self, u: int, v: int) -> bool:
@@ -434,6 +450,27 @@ class StrictPartialOrder:
 
     def dual(self) -> "StrictPartialOrder":
         return StrictPartialOrder._from_succ(self.n, self.pred)
+
+
+def _nested_pred(succ: Sequence[int]) -> list[int] | None:
+    """`pred` of the strict interval order whose successor rows are `succ`,
+    or None when they are not one. Its up-sets form a chain (Fishburn 1970):
+    sorted by size, largest first, each row lies inside the one before and
+    misses every vertex walked so far, and rows that do are irreflexive,
+    transitive and 2+2-free. A vertex's predecessors are the vertices
+    walked before it drops out of the rows."""
+    n = len(succ)
+    pred = [0] * n
+    previous, walked = (1 << n) - 1, 0
+    for v in sorted(range(n), key=lambda v: succ[v].bit_count(), reverse=True):
+        row = succ[v]
+        for w in bit_indices(previous & ~row):
+            pred[w] = walked
+        walked |= 1 << v
+        if row & ~(previous & ~walked):
+            return None
+        previous = row
+    return pred
 
 
 def order_from_pairs(n: int, pairs: Iterable[Sequence[int]]) -> StrictPartialOrder:
@@ -472,9 +509,8 @@ def is_associated(g: Graph, o: StrictPartialOrder) -> bool:
     if g.n != o.n:
         raise InputError(f"vertex count mismatch: graph has {g.n}, order has {o.n}")
     everyone = (1 << g.n) - 1
-    return all(
-        o.succ[u] | o.pred[u] == everyone & ~(m | 1 << u) for u, m in enumerate(g.masks)
-    )
+    return all(above | below == everyone & ~(m | 1 << u)
+               for u, (m, above, below) in enumerate(zip(g.masks, o.succ, o.pred)))
 
 
 # ---------------------------------------------------------------------------

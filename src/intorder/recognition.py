@@ -32,7 +32,7 @@ from functools import reduce
 from operator import or_
 
 from .errors import InputError, InternalInconsistencyError
-from .graphs import Graph, _neighbours_of, bit_indices, component_masks, validate_path
+from .graphs import Graph, _count, _neighbours_of, bit_indices, component_masks, validate_path
 from .representation import ClosedRepresentation, verify_representation
 
 CHORDLESS_CYCLE = "chordless_cycle"
@@ -73,18 +73,6 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
     if g.chordal_cliques is None:
         raise InputError("maximal_cliques requires a chordal graph")
     return [frozenset(bit_indices(c)) for c in _sorted_cliques(g)]
-
-
-def _count(counts: list[int], mask: int, up: bool) -> None:
-    """Add one to (up) or take one from every vertex's count in mask, kept
-    bit-sliced: counts[j] holds the vertices whose count has bit j set, so
-    a carry or borrow ripples through O(log k) bitsets."""
-    for j, digit in enumerate(counts):
-        counts[j] = digit ^ mask
-        mask &= digit if up else ~digit
-        if not mask:
-            return
-    counts.append(mask)
 
 
 def _consecutive_clique_order(cliques: list[int]) -> list[int] | None:

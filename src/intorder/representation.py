@@ -5,16 +5,15 @@ Every endpoint is an exact rational, an ``int`` (as `recognize` gives) or a
 there are no floating-point comparisons anywhere. Intersection is
 closed-interval intersection, so a shared single point counts. Point
 intervals (left == right) are accepted on input and split apart by
-``normalize_distinguishing``. The algorithms compare endpoints as ints
-through one scaling, `_integer_endpoints`, and read both the precedence
-order and every "which intervals meet" answer off one sort by left
-endpoint, `_left_prefixes`.
+``normalize_distinguishing``. The algorithms compare endpoints as ints,
+`_integer_endpoints`, and read the precedence order, every "which
+intervals meet" answer and the distinguishing ranks off one sort of all 2n
+endpoints, swept once by `_endpoint_sweep`.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -80,39 +79,39 @@ def representation_from_intervals(intervals: Sequence) -> ClosedRepresentation:
     return ClosedRepresentation(len(lefts), tuple(lefts), tuple(rights))
 
 
-def _integer_endpoints(r: ClosedRepresentation) -> tuple[list[int], list[int]]:
-    """The left and right endpoints times one common denominator: ints that
-    compare exactly as the rationals do."""
-    scale = math.lcm(*(x.denominator for x in r.left + r.right))
-    return tuple([x.numerator * (scale // x.denominator) for x in ends] for ends in (r.left, r.right))
+def _integer_endpoints(r: ClosedRepresentation) -> list[int]:
+    """The 2n endpoints, lefts then rights, as ints that compare exactly as the
+    rationals do: int endpoints as given, others times one common denominator."""
+    ends = r.left + r.right
+    if all(type(x) is int for x in ends):
+        return list(ends)
+    scale = math.lcm(*(x.denominator for x in ends))
+    return [x.numerator * (scale // x.denominator) for x in ends]
 
 
-def _left_prefixes(r: ClosedRepresentation) -> tuple[list[int], list[int], list[int]]:
-    """The integer endpoints, and for each u the bitset of vertices whose
-    intervals start no later than u's ends: with the vertices sorted once by
-    left endpoint, a prefix of that order found by one binary search."""
-    left, right = _integer_endpoints(r)
-    by_left = sorted(range(r.n), key=left.__getitem__)
-    lefts = [left[v] for v in by_left]
-    prefix = [0]  # prefix[k]: the first k vertices by left endpoint
-    for v in by_left:
-        prefix.append(prefix[-1] | 1 << v)
-    return left, right, [prefix[bisect_right(lefts, right[u])] for u in range(r.n)]
+def _endpoint_sweep(r: ClosedRepresentation) -> tuple[list[int], list[int]]:
+    """For each u, the bitsets `started[u]` of the vertices whose intervals
+    start no later than u's ends, and `ended[u]` of those whose intervals
+    end before u's starts: one pass over the indices of `_integer_endpoints`
+    sorted stably, so that at a tie lefts come first, then lower vertices."""
+    n = r.n
+    started, ended = [0] * n, [0] * n
+    opened = closed = 0
+    for i in sorted(range(2 * n), key=_integer_endpoints(r).__getitem__):
+        if i < n:
+            ended[i] = closed
+            opened |= 1 << i
+        else:
+            started[i - n] = opened
+            closed |= 1 << i - n
+    return started, ended
 
 
 def _meeting_masks(r: ClosedRepresentation) -> list[int]:
-    """For each u, the bitset of vertices whose intervals meet u's, u included.
-
-    u meets v iff left(v) <= right(u) and right(v) >= left(u). The first set
-    is u's row of `_left_prefixes` and the second a suffix of the vertices
-    sorted by right endpoint, so each row is one AND of two bitsets."""
-    left, right, started = _left_prefixes(r)
-    by_right = sorted(range(r.n), key=right.__getitem__)
-    rights = [right[v] for v in by_right]
-    suffix = [0] * (r.n + 1)  # suffix[k]: all but the first k vertices by right endpoint
-    for k in range(r.n - 1, -1, -1):
-        suffix[k] = suffix[k + 1] | 1 << by_right[k]
-    return [started[u] & suffix[bisect_left(rights, left[u])] for u in range(r.n)]
+    """For each u, the bitset of vertices whose intervals meet u's, u included:
+    u meets v iff left(v) <= right(u) and right(v) >= left(u), which is one
+    row of each list of `_endpoint_sweep`."""
+    return [row & ~gone for row, gone in zip(*_endpoint_sweep(r))]
 
 
 def induced_graph(r: ClosedRepresentation, labels=None) -> Graph:
@@ -125,7 +124,7 @@ def induced_graph(r: ClosedRepresentation, labels=None) -> Graph:
 def verify_representation(g: Graph, r: ClosedRepresentation) -> bool:
     """True iff adjacency in g matches interval intersection exactly: each
     closed neighbourhood `masks[u] | 1 << u` equals its row of
-    `_meeting_masks`."""
+    `_meeting_masks`, read off one endpoint sweep."""
     if g.n != r.n:
         raise InputError(f"vertex count mismatch: graph has {g.n}, representation has {r.n}")
     return all(m | 1 << u == row for u, (m, row) in enumerate(zip(g.masks, _meeting_masks(r))))
@@ -133,8 +132,9 @@ def verify_representation(g: Graph, r: ClosedRepresentation) -> bool:
 
 def representation_to_order(r: ClosedRepresentation) -> StrictPartialOrder:
     """The order in which u precedes v iff u's interval lies wholly before v's:
-    u's successors are the vertices outside its row of `_left_prefixes`."""
-    _, _, started = _left_prefixes(r)
+    u's successors are the vertices outside its `started` row of
+    `_endpoint_sweep`."""
+    started, _ = _endpoint_sweep(r)
     everyone = (1 << r.n) - 1
     succ = [everyone & ~row for row in started]
     try:
@@ -201,14 +201,10 @@ def normalize_distinguishing(r: ClosedRepresentation) -> ClosedRepresentation:
     nondegenerate), then by vertex index. Strict endpoint comparisons are
     preserved, so the precedence order is preserved as well.
     """
-    left, right = _integer_endpoints(r)
-    tokens = sorted(
-        [(x, 0, v) for v, x in enumerate(left)] + [(x, 1, v) for v, x in enumerate(right)]
-    )
-    ends: tuple[list, list] = ([None] * r.n, [None] * r.n)
-    for position, (_, kind, v) in enumerate(tokens):
-        ends[kind][v] = Fraction(position)
-    return ClosedRepresentation(r.n, tuple(ends[0]), tuple(ends[1]))
+    ends: list = [None] * (2 * r.n)
+    for position, i in enumerate(sorted(range(2 * r.n), key=_integer_endpoints(r).__getitem__)):
+        ends[i] = Fraction(position)
+    return ClosedRepresentation(r.n, tuple(ends[: r.n]), tuple(ends[r.n :]))
 
 
 # ---------------------------------------------------------------------------

@@ -570,6 +570,18 @@ class TestBuriedCandidate:
                         assert stages == list(range(len(stages)))
 
 
+@pytest.mark.parametrize("call,bad", [
+    (lambda g: buried_candidate(g, True, 3), "True"),
+    (lambda g: buried_candidate(g, 0, 2.0), "2.0"),
+    (lambda g: is_buried(g, {1.0, 3}), "1.0"),
+    (lambda g: is_buried(g, [False, 2]), "False"),
+], ids=["candidate-bool", "candidate-float", "buried-float", "buried-bool"])
+def test_vertices_that_are_not_ints_are_refused(call, bad):
+    # a bool is an int to Python, but never a vertex
+    with pytest.raises(InputError, match=f"^vertex {bad} is not an integer$"):
+        call(p4())
+
+
 class TestIsBuried:
     def test_star_leaf_pair(self):
         check = is_buried(star3(), {1, 2})

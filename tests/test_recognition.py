@@ -1,5 +1,6 @@
 import json
 import random
+from bisect import bisect_left
 import sys
 import time
 from collections import deque
@@ -30,7 +31,7 @@ from intorder import (
 )
 from intorder import recognition as recognition_module
 from intorder.gadgets import all_graphs, random_interval_graph
-from intorder.graphs import bit_indices, component_masks
+from intorder.graphs import _chordal_sweep, bit_indices, component_masks
 from intorder.recognition import _consecutive_clique_order, _least_path, _least_shortest_hole, _sorted_cliques
 
 
@@ -154,7 +155,7 @@ def sweep_is_chordal(masks):
     """Reference chordality test: maximum cardinality search with a count
     per vertex, plus the perfect-elimination check on the latest earlier
     neighbour found from a bitset of visit steps. `Graph.chordal_cliques`
-    runs the same search with bucket-level updates and also reads off the
+    runs the same search on bit-sliced counts and also reads off the
     maximal cliques; it must be None exactly when this returns False."""
     n = len(masks)
     buckets = [(1 << n) - 1] + [0] * n
@@ -180,6 +181,51 @@ def sweep_is_chordal(masks):
             seen_at[w] |= 1 << step
         top += 1
     return True
+
+
+def bucket_chordal_sweep(masks):
+    """Reference for `_chordal_sweep`: the same search and checks with the
+    unvisited vertices in one bitset per count, each visit lifting its
+    unvisited neighbours one bucket up by walking the buckets from the top
+    down. The library keeps the counts bit-sliced instead."""
+    n = len(masks)
+    buckets = [(1 << n) - 1] + [0] * n
+    visit_order = [0] * n
+    prefix = [0] * (n + 1)  # prefix[k]: the first k visits
+    cliques = []
+    clique, previous = 0, -1  # the last visit's clique and count
+    visited = top = 0
+    for step in range(n):
+        while not buckets[top]:
+            top -= 1
+        if top <= previous:
+            cliques.append(clique)
+        v = (buckets[top] & -buckets[top]).bit_length() - 1
+        buckets[top] ^= 1 << v
+        earlier = masks[v] & visited
+        if earlier:
+            latest = visit_order[step - 1]
+            if not earlier >> latest & 1:
+                j = bisect_left(range(step), True, key=lambda j: not earlier & ~prefix[j])
+                latest = visit_order[j - 1]
+            if earlier & ~masks[latest] & ~(1 << latest):
+                return None
+        clique, previous = earlier | 1 << v, top
+        visit_order[step] = v
+        visited |= 1 << v
+        prefix[step + 1] = visited
+        fresh, k = masks[v] & ~visited, top
+        while fresh:
+            lifted = buckets[k] & fresh
+            if lifted:
+                buckets[k] ^= lifted
+                buckets[k + 1] |= lifted
+                fresh ^= lifted
+            k -= 1
+        top += 1
+    if n:
+        cliques.append(clique)
+    return tuple(cliques)
 
 
 def set_based_asteroidal_triple(g):
@@ -523,6 +569,37 @@ class TestChordalSweep:
             assert verdict == sweep_is_chordal(g.masks), sorted(g.edges)
             verdicts.add(verdict)
         assert verdicts == {True, False}
+
+    def test_matches_bucket_sweep_exhaustive_n6(self):
+        for n in range(7):
+            for g in all_graphs(n):
+                assert _chordal_sweep(g.masks) == bucket_chordal_sweep(g.masks), sorted(g.edges)
+
+    def test_matches_bucket_sweep_on_seeded_graphs_and_stars(self):
+        cases = seeded_sweep_graphs(20261019)
+        rng = random.Random(20261019)
+        cases += [relabeled(random_interval_graph(rng.randint(5, 80), rng.randrange(10**9))[0], rng)
+                  for _ in range(100)]
+        for n in (2, 3, 9, 200):  # the centre visited first, then last
+            cases += [graph_from_edges(n, [(0, v) for v in range(1, n)]),
+                      graph_from_edges(n, [(v, n - 1) for v in range(n - 1)])]
+        verdicts = set()
+        for g in cases:
+            found = _chordal_sweep(g.masks)
+            assert found == bucket_chordal_sweep(g.masks), sorted(g.edges)
+            verdicts.add(found is not None)
+        assert verdicts == {True, False}
+
+    def test_dense_interval_graph_n2000_within_budget(self):
+        # the bucket walk took 0.2-0.29 s here on a shared 2-core x86-64
+        # host, the bit-sliced counts about 0.015 s
+        g = random_interval_graph(2000, 1000)[0]
+        g.masks
+        start = time.process_time()
+        found = _chordal_sweep(g.masks)
+        elapsed = time.process_time() - start
+        assert elapsed < 0.15, elapsed
+        assert found is not None and len(found) == len(set(found))
 
     def test_cliques_are_the_maximal_cliques(self):
         for g in seeded_sweep_graphs(7):

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import time
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import product
 
@@ -29,6 +30,8 @@ from intorder import (
 from intorder.cli import _fmt_endpoint
 from intorder.gadgets import GadgetSpec, build_gadget, random_interval_graph
 from intorder.representation import (
+    _endpoint_sweep,
+    _meeting_masks,
     representation_from_jsonable,
     representation_to_jsonable,
 )
@@ -115,6 +118,50 @@ def fraction_normalize_distinguishing(r):
     for position, (_, kind, v) in enumerate(tokens):
         ends[kind][v] = Fraction(position)
     return ClosedRepresentation(r.n, tuple(ends[0]), tuple(ends[1]))
+
+
+def bisect_left_prefixes(r):
+    """Reference for `started` of `_endpoint_sweep`: the endpoints scaled to
+    one common denominator, and for each u the first vertices by left
+    endpoint up to the last that starts no later than u ends, found by
+    binary search. The library reads the rows off one sweep of all 2n
+    endpoints."""
+    scale = math.lcm(*(x.denominator for x in r.left + r.right))
+    left = [x.numerator * (scale // x.denominator) for x in r.left]
+    right = [x.numerator * (scale // x.denominator) for x in r.right]
+    by_left = sorted(range(r.n), key=left.__getitem__)
+    lefts = [left[v] for v in by_left]
+    prefix = [0]  # prefix[k]: the first k vertices by left endpoint
+    for v in by_left:
+        prefix.append(prefix[-1] | 1 << v)
+    return left, right, [prefix[bisect_right(lefts, right[u])] for u in range(r.n)]
+
+
+def bisect_meeting_masks(r):
+    """Reference for `_meeting_masks`: u's row of `bisect_left_prefixes`
+    ANDed with the suffix of the vertices sorted by right endpoint that end
+    no earlier than u starts."""
+    left, right, started = bisect_left_prefixes(r)
+    by_right = sorted(range(r.n), key=right.__getitem__)
+    rights = [right[v] for v in by_right]
+    suffix = [0] * (r.n + 1)  # suffix[k]: all but the first k vertices by right endpoint
+    for k in range(r.n - 1, -1, -1):
+        suffix[k] = suffix[k + 1] | 1 << by_right[k]
+    return [started[u] & suffix[bisect_left(rights, left[u])] for u in range(r.n)]
+
+
+def five_point_representations():
+    """Every representation with n <= 3 and endpoints in {0, 1/2, 1, 3/2, 2},
+    in three forms: Fractions, ints (the grid doubled), and ints where the
+    endpoint is whole mixed with Fractions elsewhere."""
+    grid = [Fraction(k, 2) for k in range(5)]
+    intervals = [(a, b) for a in grid for b in grid if a <= b]
+    forms = (lambda x: x, lambda x: int(2 * x), lambda x: int(x) if x.denominator == 1 else x)
+    for n in range(4):
+        for chosen in product(intervals, repeat=n):
+            for form in forms:
+                yield ClosedRepresentation(n, tuple(form(a) for a, _ in chosen),
+                                           tuple(form(b) for _, b in chosen))
 
 
 def small_grid_representations():
@@ -234,6 +281,39 @@ class TestVerify:
         rep = representation_from_intervals([([1, 2], [3, 2]), (1, 2)])
         assert rep.left[0] == Fraction(1, 2)
         assert rep.intersects(0, 1)
+
+
+class TestEndpointSweep:
+    def test_matches_bisect_rows_on_every_five_point_representation(self):
+        kinds = set()
+        count = 0
+        for rep in five_point_representations():
+            started, _ = _endpoint_sweep(rep)
+            assert started == bisect_left_prefixes(rep)[2], rep
+            assert _meeting_masks(rep) == bisect_meeting_masks(rep), rep
+            assert normalize_distinguishing(rep) == fraction_normalize_distinguishing(rep), rep
+            kinds.add(frozenset(type(x).__name__ for x in rep.left + rep.right))
+            count += 1
+        assert count == 3 * (1 + 15 + 15**2 + 15**3)
+        assert kinds == {frozenset(), frozenset({"int"}), frozenset({"Fraction"}),
+                         frozenset({"int", "Fraction"})}, kinds
+
+    def test_matches_bisect_rows_on_seeded_representations(self):
+        rng = random.Random(20261020)
+        cases = list(seeded_rational_representations())
+        cases += [random_representation(rng, rng.randint(1, 60)) for _ in range(100)]
+        cases += [random_interval_graph(rng.randint(1, 80), rng.randrange(10**9))[1] for _ in range(100)]
+        for rep in cases:
+            assert _endpoint_sweep(rep)[0] == bisect_left_prefixes(rep)[2], rep
+            assert _meeting_masks(rep) == bisect_meeting_masks(rep), rep
+
+    def test_int_endpoints_are_used_as_given(self):
+        rep = ClosedRepresentation(3, (0, 5, 5), (5, 9, 5))
+        assert _meeting_masks(rep) == [0b111, 0b111, 0b111]
+        assert representation_to_order(rep).rel == frozenset()
+        rep = ClosedRepresentation(3, (0, 6, Fraction(11, 2)), (5, 9, Fraction(13, 2)))
+        assert _meeting_masks(rep) == [0b001, 0b110, 0b110]
+        assert representation_to_order(rep).rel == {(0, 1), (0, 2)}
 
 
 class TestInducedGraph:
