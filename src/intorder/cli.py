@@ -227,11 +227,11 @@ def _cmd_buried(g: Graph, args) -> int:
 
 def _cmd_wq(g: Graph, args) -> int:
     pg = pair_graph(g)
-    name = g.label_of
+    names = [g.label_of(v) for v in range(g.n)]  # bound once: every pair is named
 
     def payload():
         return {
-            "pairs": [[name(a), name(b)] for a, b in pg.pairs],
+            "pairs": [[names[a], names[b]] for a, b in pg.pairs],
             "component_ids": [pg.component_of[p] for p in pg.pairs],
             "component_count": pg.component_count,
         }
@@ -240,7 +240,7 @@ def _cmd_wq(g: Graph, args) -> int:
         yield f"non-adjacent ordered pairs: {len(pg.pairs)}"
         yield f"components: {pg.component_count}"
         for p in pg.pairs:
-            yield f"({name(p[0])}, {name(p[1])}) -> component {pg.component_of[p]}"
+            yield f"({names[p[0]]}, {names[p[1]]}) -> component {pg.component_of[p]}"
 
     _emit(args.json, payload, text)
     return 0
@@ -338,51 +338,53 @@ def _check_fixtures() -> str | None:
     return None
 
 
+def _connected_non_complete(max_n: int):
+    """The labelled graphs both exhaustive checks walk, n from 1 to max_n."""
+    for n in range(1, max_n + 1):
+        for g in all_graphs(n):
+            if len(components(g)) == 1 and not g.is_complete():
+                yield g
+
+
 def _check_exhaustive_agreement(max_n: int) -> str | None:
     from .oracle import oracle_unique
 
     checked = 0
-    for n in range(1, max_n + 1):
-        for g in all_graphs(n):
-            if isinstance(recognize(g), Obstruction):
-                continue
-            if len(components(g)) != 1 or g.is_complete():
-                continue
-            by_oracle = oracle_unique(g)
-            by_buried = not any(
-                is_buried(g, buried_candidate(g, v, u).members)
-                for v in range(n) for u in range(v + 1, n) if not g.adjacent(v, u)
-            )
-            by_pairs = pair_graph(g).component_count == 2
-            if not (by_oracle == by_buried == by_pairs):
-                return (f"disagreement on n={n} edges={sorted(g.edges)}: "
-                        f"oracle={by_oracle} buried-free={by_buried} two-components={by_pairs}")
-            checked += 1
+    for g in _connected_non_complete(max_n):
+        if isinstance(recognize(g), Obstruction):
+            continue
+        by_oracle = oracle_unique(g)
+        by_buried = not any(
+            is_buried(g, buried_candidate(g, v, u).members)
+            for v in range(g.n) for u in range(v + 1, g.n) if not g.adjacent(v, u)
+        )
+        by_pairs = pair_graph(g).component_count == 2
+        if not (by_oracle == by_buried == by_pairs):
+            return (f"disagreement on n={g.n} edges={sorted(g.edges)}: "
+                    f"oracle={by_oracle} buried-free={by_buried} two-components={by_pairs}")
+        checked += 1
     if checked == 0:
         return "agreement sweep matched no graphs"
     return None
 
 
 def _check_certificates(max_n: int) -> str | None:
-    for n in range(1, max_n + 1):
-        for g in all_graphs(n):
-            if len(components(g)) != 1 or g.is_complete():
-                continue
-            try:  # decide_unique runs the one recognition
-                verdict = decide_unique(g)
-            except NotIntervalGraphError:
-                continue
-            if verdict.unique:
-                if not is_associated(g, verdict.order):
-                    return f"unique order not associated on edges={sorted(g.edges)}"
-            else:
-                o1, o2 = verdict.witness
-                if not (is_associated(g, o1) and is_associated(g, o2)):
-                    return f"witness orders not associated on edges={sorted(g.edges)}"
-                if o2.succ in (o1.succ, o1.pred):
-                    return f"witness orders not genuinely different on edges={sorted(g.edges)}"
-                if verdict.buried is not None and not is_buried(g, verdict.buried.members):
-                    return f"buried certificate invalid on edges={sorted(g.edges)}"
+    for g in _connected_non_complete(max_n):
+        try:  # decide_unique runs the one recognition
+            verdict = decide_unique(g)
+        except NotIntervalGraphError:
+            continue
+        if verdict.unique:
+            if not is_associated(g, verdict.order):
+                return f"unique order not associated on edges={sorted(g.edges)}"
+        else:
+            o1, o2 = verdict.witness
+            if not (is_associated(g, o1) and is_associated(g, o2)):
+                return f"witness orders not associated on edges={sorted(g.edges)}"
+            if o2.succ in (o1.succ, o1.pred):
+                return f"witness orders not genuinely different on edges={sorted(g.edges)}"
+            if verdict.buried is not None and not is_buried(g, verdict.buried.members):
+                return f"buried certificate invalid on edges={sorted(g.edges)}"
     return None
 
 
@@ -463,24 +465,15 @@ def _cmd_selftest(args) -> int:
 # Entry points
 # ---------------------------------------------------------------------------
 
+_COMMANDS = {"recognize": _cmd_recognize, "decide": _cmd_decide, "buried": _cmd_buried,
+             "wq": _cmd_wq, "orders": _cmd_orders, "gadget": _cmd_gadget, "selftest": _cmd_selftest}
+
+
 def _dispatch(argv, stdin_text: str | None) -> int:
-    args = _parser().parse_args(argv)
-    if args.command == "gadget":
-        return _cmd_gadget(args)
-    if args.command == "selftest":
-        return _cmd_selftest(args)
-    g = _load_graph(args, stdin_text)
-    if args.command == "recognize":
-        return _cmd_recognize(g, args)
-    if args.command == "decide":
-        return _cmd_decide(g, args)
-    if args.command == "buried":
-        return _cmd_buried(g, args)
-    if args.command == "wq":
-        return _cmd_wq(g, args)
-    if args.command == "orders":
-        return _cmd_orders(g, args)
-    raise InputError(f"unknown command {args.command!r}")
+    args = _parser().parse_args(argv)  # its required subcommand is a key of _COMMANDS
+    if args.command in ("gadget", "selftest"):  # the two that read no graph
+        return _COMMANDS[args.command](args)
+    return _COMMANDS[args.command](_load_graph(args, stdin_text), args)
 
 
 def run(argv, stdin_text: str | None = None) -> tuple[int, str, str]:

@@ -127,9 +127,11 @@ class Graph:
         return sum(m.bit_count() for m in self.masks) == self.n * (self.n - 1)
 
     def label_of(self, v: int) -> str | int:
-        if self.labels is not None and self.labels[v] is not None:
-            return self.labels[v]
-        return v
+        """The label of vertex v, or v itself when it has none."""
+        if not (type(v) is int and 0 <= v < self.n):
+            v = self._vertex(v)  # raises unless an int subclass in range
+        label = None if self.labels is None else self.labels[v]
+        return v if label is None else label
 
     def same_edges(self, other: "Graph") -> bool:
         """Equality of vertex count and edge set, ignoring labels."""

@@ -1,13 +1,13 @@
 """Unique-orderability decisions with machine-checkable certificates.
 
-Three criteria are implemented and cross-checked on every non-complete
-interval graph, connected or not:
+Three criteria are implemented and cross-checked on every interval graph,
+connected or not:
 
 * the pair graph on ordered non-adjacent vertex pairs, where (a, b) and
   (c, d) are linked when a is adjacent to c and b is adjacent to d
   (adjacency taken reflexively); exactly two components means uniquely
-  orderable, and the component containing the least pair reads off the
-  unique order directly;
+  orderable, and the component containing the least pair orients the
+  unique order;
 * buried subgraphs: a vertex set with a non-adjacent pair inside, disjoint
   from the set of vertices adjacent to all of it, leaving a nonempty
   remainder it has no edges into; finding one yields two genuinely
@@ -24,8 +24,7 @@ fails; every interval graph, and so every input `decide_unique` accepts,
 skips it, and reads the sweep `recognize` already ran. Each step takes a
 whole bitset of new pairs sharing one coordinate, and the fill records
 just each component's rows (its pairs as one bitset of second vertices per
-first vertex, its start's first); component 0's rows are the unique
-order's successor bitsets, and `wq`'s per-pair lists are read off them.
+first vertex, its start's first); `wq`'s per-pair lists are read off them.
 The buried search applies to interval input only. There the components are
 the implication classes of the complement, and by Gallai's theorem each
 span (the vertices a component's pairs use) is the least module holding
@@ -35,9 +34,13 @@ nonempty. The search reads each component's start (least pair) and span
 off its rows in order, regrows the start's closure to check it equals the
 span, and stops at the first span with a remainder: the certificate.
 
-A "not unique" verdict takes one pass: the matched span is the buried set,
-checked once by `is_buried`, and one `_reversal_witness` call reverses an
-order inside one bitset (that set if connected, else the first non-complete
+Every order a decision emits comes from the interval order of the
+representation `recognize` verified, one endpoint sweep serving both. A
+uniquely orderable graph has only that order and its dual: the unique order
+is the one in which the least non-adjacent pair ascends. A "not unique"
+verdict takes one pass: the matched span is the buried set, checked once by
+`is_buried`, and one `_reversal_witness` call reverses the interval order
+inside one bitset (that set if connected, else the first non-complete
 component or the first two) and takes the disagreement triple from it.
 """
 
@@ -513,43 +516,39 @@ class UniquenessVerdict:
 def decide_unique(g: Graph) -> UniquenessVerdict:
     """Decide unique orderability of an interval graph, with certificates.
 
-    Complete graphs are uniquely orderable by the antichain. On every other
-    input the buried-subgraph search (the pair graph's component spans, with
-    one closure regrown per component start) and the component count must
-    agree (a buried subgraph exists iff there are more than two components),
-    or an internal error is raised; on a disconnected graph both say
-    "unique" exactly when it is two complete blocks. The unique order is
-    read off the pair graph. A non-unique witness is one `_reversal_witness`
-    call on the interval order and one vertex bitset: the buried set on a
-    connected graph, and on a disconnected one the first non-complete
-    component, or else the first two components (the interval order stacks
-    complete components by least vertex).
+    The buried-subgraph search and the pair graph's component count must
+    agree, or an internal error is raised: no buried subgraph means exactly
+    two components, or none on a complete graph; on a disconnected graph
+    both say "unique" exactly when it is two complete blocks. Every order
+    is read off the interval order `base` of the representation (see the
+    module docstring); a witness reverses it inside the buried set on a
+    connected graph, else inside the first non-complete component, or else
+    the first two components (`base` stacks complete components by least
+    vertex).
     """
     result = recognize(g)
     if isinstance(result, Obstruction):
         raise NotIntervalGraphError("not an interval graph", obstruction=result)
     pg = pair_graph(g)
-    if g.is_complete():
-        return UniquenessVerdict(
-            unique=True,
-            wq_components=pg.component_count,
-            order=StrictPartialOrder._from_succ(g.n, [0] * g.n),
-        )
+    base = representation_to_order(result)
+    nonedge = _least_nonedge(g.masks, (1 << g.n) - 1)
     cert = _buried_from_spans(g, pg)
-    if (cert is None) != (pg.component_count == 2):
+    if (cert is None) != (pg.component_count == (0 if nonedge is None else 2)):
         raise InternalInconsistencyError(
             f"buried-subgraph search ({'none' if cert is None else 'found'}) disagrees "
             f"with pair-graph component count {pg.component_count}"
         )
     if cert is None:
-        order = order_from_pair_graph(g, pg)
+        order = base if nonedge is None or base.less(*nonedge) else base.dual()
+        if not is_associated(g, order):
+            raise InternalInconsistencyError("interval order is not associated to the graph")
         return UniquenessVerdict(unique=True, wq_components=pg.component_count, order=order)
     comps = component_masks(g.masks, (1 << g.n) - 1)
     inside = sum(1 << v for v in cert.members) if len(comps) == 1 else next(
         (c for c in comps if any(g.masks[v] | 1 << v != c for v in bit_indices(c))),
         comps[0] | comps[1],
     )
-    order1, order2, triple = _reversal_witness(g, representation_to_order(result), inside)
+    order1, order2, triple = _reversal_witness(g, base, inside)
     return UniquenessVerdict(
         unique=False,
         wq_components=pg.component_count,

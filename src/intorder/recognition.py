@@ -17,11 +17,11 @@ otherwise the least asteroidal triple. The cycle comes from one search on
 adjacency bitsets: a chordless cycle through a-b-c is b plus an induced a-c
 path avoiding N[b], so one BFS per induced path a-b-c measures the shortest
 cycle and finds the least pair (b, a) opening one. The triple is read off
-one table of component bitsets per vertex. Every certificate path is the
-lexicographically least shortest one, by one rule (`_least_path`): BFS
-layers grown back from its target, walked greedily from its source. If
-neither certificate exists while the ordering failed, an internal error is
-raised rather than guessing.
+tables of component bitsets, one per vertex the scan reaches. Every
+certificate path is the lexicographically least shortest one, by one rule
+(`_least_path`): BFS layers grown back from its target, walked greedily
+from its source. If neither certificate exists while the ordering failed,
+an internal error is raised rather than guessing.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import reduce
 from operator import or_
 
 from .errors import InputError, InternalInconsistencyError
-from .graphs import Graph, _count, _neighbours_of, bit_indices, component_masks, validate_path
+from .graphs import Graph, _count, _is_index, _neighbours_of, bit_indices, component_masks, validate_path
 from .representation import ClosedRepresentation, verify_representation
 
 CHORDLESS_CYCLE = "chordless_cycle"
@@ -211,37 +211,36 @@ def check_triangulated(g: Graph) -> Obstruction | None:
     return Obstruction(kind=CHORDLESS_CYCLE, cycle=cycle)
 
 
-def _component_table(masks: tuple[int, ...], z: int) -> list[int]:
-    """For each vertex v, the bitset of v's component in G - N[z], or 0 when
-    v lies in N[z]. Vertices of one component share one int."""
-    n = len(masks)
-    table = [0] * n
-    for comp in component_masks(masks, ((1 << n) - 1) & ~(masks[z] | 1 << z)):
-        for v in bit_indices(comp):
-            table[v] = comp
-    return table
-
-
 def find_asteroidal_triple(g: Graph) -> Obstruction | None:
     """The lexicographically least asteroidal triple with witness paths.
 
     A triple of pairwise non-adjacent vertices qualifies when every two of
     them are connected by a path avoiding the closed neighborhood of the
     third (reflexivity puts the third vertex itself in that neighborhood).
-    With `comp[z][v]` the component bitset of v in G - N[z], the z that
-    complete a non-adjacent pair x < y are the bits of
+    With `comp[z][v]` the component bitset of v in G - N[z] (0 for v in
+    N[z]), the z that complete a non-adjacent pair x < y are the bits of
     `comp[y][x] & comp[x][y]` above y (both exclude N[x] and N[y]); pairs
     run in lexicographic order and z ascending, and each z is tested for an
-    x-y path avoiding N[z], so the first hit is the least triple. Witness
-    paths avoid the third vertex's closed neighbourhood (`_least_path`).
+    x-y path avoiding N[z], so the first hit is the least triple; `comp[z]`
+    is built when the scan first reads it. Witness paths avoid the third
+    vertex's closed neighbourhood (`_least_path`).
     """
     masks = g.masks
     everyone = (1 << g.n) - 1
-    comp = [_component_table(masks, z) for z in range(g.n)]
+    comp: list[list[int] | None] = [None] * g.n
+
+    def table(z: int) -> list[int]:
+        row = comp[z] = [0] * g.n
+        for c in component_masks(masks, everyone & ~(masks[z] | 1 << z)):
+            for v in bit_indices(c):
+                row[v] = c
+        return row
+
     for x in range(g.n):
         for y in bit_indices(everyone & ~masks[x] & ~((2 << x) - 1)):
-            for z in bit_indices(comp[y][x] & comp[x][y] & ~((2 << y) - 1)):
-                if comp[z][x] >> y & 1:
+            common = (comp[y] or table(y))[x] & (comp[x] or table(x))[y]
+            for z in bit_indices(common & ~((2 << y) - 1)):
+                if (comp[z] or table(z))[x] >> y & 1:
                     paths = []
                     for src, dst, avoid in ((x, y, z), (x, z, y), (y, z, x)):
                         banned = masks[avoid] | 1 << avoid
@@ -297,9 +296,9 @@ def validate_obstruction(g: Graph, obs: Obstruction) -> bool:
     """Re-check an obstruction directly against the definitions."""
     if obs.kind == CHORDLESS_CYCLE:
         cycle = obs.cycle
-        if cycle is None or len(cycle) < 4 or len(set(cycle)) != len(cycle):
+        if cycle is None or len(cycle) < 4 or not all(_is_index(v) and 0 <= v < g.n for v in cycle):
             return False
-        if not all(0 <= v < g.n for v in cycle):
+        if len(set(cycle)) != len(cycle):
             return False
         # chordless: on the cycle, each vertex sees exactly its two neighbours
         on_cycle = sum(1 << v for v in cycle)
@@ -310,7 +309,7 @@ def validate_obstruction(g: Graph, obs: Obstruction) -> bool:
     if obs.kind == ASTEROIDAL_TRIPLE:
         if obs.triple is None or obs.witness_paths is None or len(obs.witness_paths) != 3:
             return False
-        if not all(0 <= v < g.n for v in obs.triple):
+        if not all(_is_index(v) and 0 <= v < g.n for v in obs.triple):
             return False
         x, y, z = obs.triple
         if g.adjacent(x, y) or g.adjacent(x, z) or g.adjacent(y, z):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InputError, InternalInconsistencyError
@@ -54,6 +55,11 @@ class ClosedRepresentation:
                 raise InputError(
                     f"interval for vertex {v} is empty: left {self.left[v]} > right {self.right[v]}"
                 )
+
+    @cached_property
+    def _sweep(self) -> tuple[list[int], list[int]]:
+        """`_endpoint_sweep(self)`, kept (never mutated) so verification and the order share it."""
+        return _endpoint_sweep(self)
 
     def intersects(self, u: int, v: int) -> bool:
         return self.left[u] <= self.right[v] and self.left[v] <= self.right[u]
@@ -110,8 +116,8 @@ def _endpoint_sweep(r: ClosedRepresentation) -> tuple[list[int], list[int]]:
 def _meeting_masks(r: ClosedRepresentation) -> list[int]:
     """For each u, the bitset of vertices whose intervals meet u's, u included:
     u meets v iff left(v) <= right(u) and right(v) >= left(u), which is one
-    row of each list of `_endpoint_sweep`."""
-    return [row & ~gone for row, gone in zip(*_endpoint_sweep(r))]
+    row of each list of the cached `_endpoint_sweep`."""
+    return [row & ~gone for row, gone in zip(*r._sweep)]
 
 
 def induced_graph(r: ClosedRepresentation, labels=None) -> Graph:
@@ -132,9 +138,9 @@ def verify_representation(g: Graph, r: ClosedRepresentation) -> bool:
 
 def representation_to_order(r: ClosedRepresentation) -> StrictPartialOrder:
     """The order in which u precedes v iff u's interval lies wholly before v's:
-    u's successors are the vertices outside its `started` row of
+    u's successors are the vertices outside its `started` row of the cached
     `_endpoint_sweep`."""
-    started, _ = _endpoint_sweep(r)
+    started, _ = r._sweep
     everyone = (1 << r.n) - 1
     succ = [everyone & ~row for row in started]
     try:

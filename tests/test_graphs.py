@@ -336,6 +336,27 @@ class TestGraphConstruction:
         with pytest.raises(InputError, match=f"^vertex {re.escape(bad)} is not an integer$"):
             call(star3())
 
+    @pytest.mark.parametrize("labels,v,expected", [
+        (("a", "b", "c"), 0, "a"),
+        (("a", None, "c"), 1, 1),
+        (None, 2, 2),
+        (("a", "b", "c"), type("Index", (int,), {})(1), "b"),  # an int subclass is a vertex
+        (("a", "b", "c"), -1, "vertex -1 out of range for n=3"),
+        (("a", "b", "c"), 3, "vertex 3 out of range for n=3"),
+        (("a", "b", "c"), 5, "vertex 5 out of range for n=3"),
+        (None, -1, "vertex -1 out of range for n=3"),
+        (("a", "b", "c"), True, "vertex True is not an integer"),
+        (None, 1.0, "vertex 1.0 is not an integer"),
+        (("a", "b", "c"), "0", "vertex '0' is not an integer"),
+    ])
+    def test_label_of_takes_the_vertex_rule(self, labels, v, expected):
+        g = graph_from_edges(3, [(0, 1)], labels=labels)
+        if isinstance(expected, str) and expected.startswith("vertex "):
+            with pytest.raises(InputError, match=f"^{re.escape(expected)}$"):
+                g.label_of(v)
+        else:
+            assert g.label_of(v) == expected
+
     def test_neighbourhoods_read_off_the_edges(self):
         g = star3()
         assert g.neighbors(0) == frozenset({1, 2, 3})

@@ -37,6 +37,7 @@ from intorder import (
 from intorder import cli as cli_module
 from intorder import graphs as graphs_module
 from intorder import orderability as orderability_module
+from intorder import representation as representation_module
 from intorder.gadgets import all_graphs, build_gadget, GadgetSpec, random_interval_graph
 from intorder.graphs import bit_indices
 from intorder.oracle import oracle_unique
@@ -930,6 +931,97 @@ class TestDecideUnique:
             assert StrictPartialOrder(order.n, frozenset(order.rel)) == order
             assert is_associated(g, order)
         assert order2 != order1 and order2 != order1.dual()
+
+
+class TestUniqueOrderFromTheRepresentation:
+    """The unique order is read off the verified representation's interval
+    order; component 0 of the pair graph, `order_from_pair_graph`, is the
+    oracle."""
+
+    @staticmethod
+    def assert_component_0_order(g, verdict):
+        assert verdict.unique, sorted(g.edges)
+        if verdict.wq_components == 0:  # complete: the antichain
+            assert verdict.order.succ == (0,) * g.n
+        else:
+            assert verdict.order.succ == order_from_pair_graph(g, pair_graph(g)).succ, sorted(g.edges)
+        return verdict.order.succ == representation_to_order(recognize(g)).succ
+
+    def test_matches_component_0_exhaustive_n6(self):
+        unique = as_is = 0
+        for n in range(7):
+            for g in all_graphs(n):
+                try:
+                    verdict = decide_unique(g)
+                except NotIntervalGraphError:
+                    continue
+                if verdict.unique:
+                    as_is += self.assert_component_0_order(g, verdict)
+                    unique += 1
+        assert unique == 8902  # 8895 non-complete, plus K_0 to K_6
+        assert 0 < as_is < unique  # both the interval order and its dual occur
+
+    def test_matches_component_0_on_seeded_graphs(self):
+        rng = random.Random(2024)
+        unique = as_is = 0
+        for _ in range(300):
+            g = relabeled(random_interval_graph(rng.randint(7, 40), rng.randrange(10**9))[0], rng)
+            verdict = decide_unique(g)
+            if verdict.unique:
+                as_is += self.assert_component_0_order(g, verdict)
+                unique += 1
+        assert unique > 100 and 0 < as_is < unique
+
+    def test_two_complete_blocks_take_the_block_of_vertex_0_first(self):
+        g = graph_from_edges(5, [(0, 2), (1, 3), (1, 4), (3, 4)])
+        verdict = decide_unique(g)
+        assert verdict.unique and verdict.wq_components == 2
+        assert verdict.order.rel == frozenset((u, v) for u in (0, 2) for v in (1, 3, 4))
+        for n in range(1, 6):
+            verdict = decide_unique(complete_graph(n))
+            assert verdict.unique and verdict.order.rel == frozenset() and verdict.wq_components == 0
+
+    def test_one_endpoint_sweep_per_decision(self, monkeypatch):
+        sweeps = []
+        original = representation_module._endpoint_sweep
+        monkeypatch.setattr(representation_module, "_endpoint_sweep",
+                            lambda r: sweeps.append(r.n) or original(r))
+        cases = [
+            single_nonedge4(),  # unique
+            p4(),  # unique, the interval order's dual
+            star3(),  # a buried subgraph
+            complete_graph(4),
+            two_k2(),
+            graph_from_edges(5, [(0, 1), (2, 3)]),  # disconnected, not unique
+            random_interval_graph(40, 3)[0],
+            build_gadget(GadgetSpec((2, 0, 1), 3)).graph,
+        ]
+        for g in cases:
+            sweeps.clear()
+            decide_unique(g)
+            assert sweeps == [g.n], sorted(g.edges)
+
+    def test_decision_calls_no_pair_graph_order(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the decision read an order off the pair graph")
+
+        monkeypatch.setattr(orderability_module, "order_from_pair_graph", refuse)
+        for g in (single_nonedge4(), p4(), two_k2(), k3(), random_interval_graph(40, 3)[0]):
+            assert decide_unique(g).unique
+
+    @pytest.mark.parametrize("make,forge", [
+        (single_nonedge4, lambda rows: ()),  # no components on a non-complete graph
+        (single_nonedge4, lambda rows: rows[:1]),
+        (p4, lambda rows: ()),
+        (star3, lambda rows: rows[:2]),  # a buried subgraph with two components
+        (k3, lambda rows: ({0: 0b10},)),  # a component on a complete graph
+    ], ids=["none", "one", "none-p4", "buried-two", "complete-one"])
+    def test_forged_component_count_is_refused(self, make, forge, monkeypatch):
+        g = make()
+        forged = PairGraph(g, forge(pair_graph(g).rows))
+        monkeypatch.setattr(orderability_module, "pair_graph", lambda graph: forged)
+        with pytest.raises(InternalInconsistencyError, match="disagrees with pair-graph component count"):
+            decide_unique(g)
 
 
 class TestAgainstReferenceDecision:

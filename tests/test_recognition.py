@@ -637,6 +637,12 @@ class TestTriangulated:
         assert obs.cycle == (0, 1, 2, 3)
         assert validate_obstruction(c4(), obs)
 
+    @pytest.mark.parametrize("cycle", [(0, True, 2, 3), (0, 1.0, 2, 3), (0, "1", 2, 3), (0, None, 2, 3)])
+    def test_cycle_entries_that_are_not_vertices_are_rejected(self, cycle):
+        # True == 1 and 1.0 == 1 to Python, but neither is a vertex
+        assert validate_obstruction(c4(), Obstruction("chordless_cycle", (0, 1, 2, 3)))
+        assert not validate_obstruction(c4(), Obstruction("chordless_cycle", cycle))
+
     def test_forged_cycles_are_rejected(self):
         # -1 would wrap to vertex 3 and 7 would overrun the adjacency lists
         for cycle in ((-1, 0, 1, 2), (7, 0, 1, 2), (0, 2, 1, 3)):
@@ -826,6 +832,20 @@ class TestAsteroidalTriples:
             forged = Obstruction("asteroidal_triple", triple=triple, witness_paths=paths)
             assert not validate_obstruction(net_graph(), forged), triple
 
+    @pytest.mark.parametrize("triple,paths", [
+        ((3.0, 4, 5), None),
+        ((True, 4, 5), None),
+        ((3, 4, "5"), None),
+        ((3, 4, 5), ((3, 0, 1, 4.0), (3, 0, 2, 5), (4, 1, 2, 5))),
+        ((3, 4, 5), ((3, 0, True, 4), (3, 0, 2, 5), (4, 1, 2, 5))),
+    ], ids=["float", "bool", "str", "path-float", "path-bool"])
+    def test_entries_that_are_not_vertices_are_rejected(self, triple, paths):
+        # every entry takes the vertex rule, and a bad one gives False, never an error
+        obs = find_asteroidal_triple(net_graph())
+        forged = Obstruction("asteroidal_triple", triple=triple,
+                             witness_paths=obs.witness_paths if paths is None else paths)
+        assert not validate_obstruction(net_graph(), forged)
+
     def test_p4_has_none(self):
         assert find_asteroidal_triple(p4()) is None
 
@@ -885,6 +905,37 @@ class TestAsteroidalTriples:
             assert find_asteroidal_triple(g) == expected, sorted(g.edges)
             found += expected is not None
         assert found > 10
+
+    @staticmethod
+    def count_tables(monkeypatch):
+        """Record the vertex set of every G - N[z] a component table is built on."""
+        built, original = [], recognition_module.component_masks
+        monkeypatch.setattr(recognition_module, "component_masks",
+                            lambda masks, allowed: built.append(allowed) or original(masks, allowed))
+        return built
+
+    def test_relabeled_subdivided_claw_n1000_builds_few_tables(self, monkeypatch):
+        legs = [(0, 1), (0, 334), (0, 667)] + [
+            (v, v + 1) for arm in (1, 334, 667) for v in range(arm, arm + 332)
+        ]
+        g = relabeled(graph_from_edges(1000, legs), random.Random(1000))
+        built = self.count_tables(monkeypatch)
+        start = time.perf_counter()
+        obs = find_asteroidal_triple(g)
+        elapsed = time.perf_counter() - start
+        # about 0.01 s on a 2-core host; a table for every vertex up front
+        # took 1.4 s
+        assert elapsed < 0.5, elapsed
+        assert obs.triple == (0, 1, 4)
+        assert validate_obstruction(g, obs)
+        # only the tables of the x, y and z the scan reads
+        assert len(built) == 5
+
+    def test_triple_free_scan_builds_each_table_once(self, monkeypatch):
+        g = random_interval_graph(60, 7)[0]
+        built = self.count_tables(monkeypatch)
+        assert find_asteroidal_triple(g) is None
+        assert len(built) <= g.n
 
 
 class TestRecognize:
