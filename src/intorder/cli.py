@@ -58,6 +58,8 @@ from .representation import (
 )
 
 DEFAULT_SEED = 20260810
+# json.dumps's defaults without its cycle check: every payload is a fresh tree
+_JSON = json.JSONEncoder(check_circular=False)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,7 +138,7 @@ def _emit(as_json: bool, payload, text) -> None:
     """Print `payload()` as JSON with --json, else the lines of `text()`;
     only the output that is printed gets built."""
     if as_json:
-        print(json.dumps(payload()))
+        print(_JSON.encode(payload()))
     else:
         for line in text():
             print(line)

@@ -464,7 +464,7 @@ def _nested_pred(succ: Sequence[int]) -> list[int] | None:
     n = len(succ)
     pred = [0] * n
     previous, walked = (1 << n) - 1, 0
-    for v in sorted(range(n), key=lambda v: succ[v].bit_count(), reverse=True):
+    for v in sorted(range(n), key=[row.bit_count() for row in succ].__getitem__, reverse=True):
         row = succ[v]
         for w in bit_indices(previous & ~row):
             pred[w] = walked

@@ -15,13 +15,15 @@ interval (Lekkerkerker and Boland), and a negative certificate is
 extracted: first the shortest, then least, chordless cycle of length >= 4,
 otherwise the least asteroidal triple. The cycle comes from one search on
 adjacency bitsets: a chordless cycle through a-b-c is b plus an induced a-c
-path avoiding N[b], so one BFS per induced path a-b-c measures the shortest
-cycle and finds the least pair (b, a) opening one. The triple is read off
-tables of component bitsets, one per vertex the scan reaches. Every
-certificate path is the lexicographically least shortest one, by one rule
-(`_least_path`): BFS layers grown back from its target, walked greedily
-from its source. If neither certificate exists while the ordering failed,
-an internal error is raised rather than guessing.
+path avoiding N[b], so one BFS per induced path a-b-c, started at N(a)
+because c is not in it, measures the shortest cycle and finds the least
+pair (b, a) opening one; the scan stops at the first 4-hole, since no
+chordless cycle is shorter. The triple is read off tables of component
+bitsets, one per vertex the scan reaches. Every certificate path is the
+lexicographically least shortest one, by one rule (`_least_path`): BFS
+layers grown back from its target, walked greedily from its source. If
+neither certificate exists while the ordering failed, an internal error is
+raised rather than guessing.
 """
 
 from __future__ import annotations
@@ -151,11 +153,13 @@ def _least_shortest_hole(masks: tuple[int, ...]) -> tuple[int, ...] | None:
     For each b and each induced path a-b-c with a < c, both above b, a
     bitset BFS from a through the vertices above b outside N[b] reaches c
     at the first layer that meets N(c); layer j gives a cycle of length
-    j + 3. A BFS stops once it cannot beat the best length so far, so
-    every hit is a strict improvement, and the last one is the least
-    (b, a) opening a shortest cycle. Every a-c path of that length through
-    those vertices is a shortest one, so it is induced and closes a
-    chordless cycle with b, and `_least_path` from a to that pair's
+    j + 3. The targets c miss N(a), so the BFS starts at layer 1, N(a)
+    inside those vertices. A BFS stops once it cannot beat the best length
+    so far, so every hit is a strict improvement, and the last one is the
+    least (b, a) opening a shortest cycle; a hit of length 4 cannot be
+    beaten, so the scan returns at once. Every a-c path of that length
+    through those vertices is a shortest one, so it is induced and closes
+    a chordless cycle with b, and `_least_path` from a to that pair's
     targets spells out the least cycle.
     """
     n = len(masks)
@@ -166,11 +170,14 @@ def _least_shortest_hole(masks: tuple[int, ...]) -> tuple[int, ...] | None:
         allowed = above & ~masks[b]
         for a in bit_indices(masks[b] & above):
             targets = masks[b] & ~masks[a] & ~((2 << a) - 1)
-            seen = layer = 1 << a
-            depth = 0
+            layer = masks[a] & allowed
+            seen = layer | 1 << a
+            depth = 1
             while targets and layer and depth + 3 < best:
                 reach = _neighbours_of(masks, layer)
                 if reach & targets:
+                    if depth == 1:  # a 4-hole: no chordless cycle is shorter
+                        return (b,) + _least_path(masks, a, targets, allowed)
                     best, found = depth + 3, (b, a, targets, allowed)
                     break
                 layer = reach & allowed & ~seen
@@ -196,7 +203,9 @@ def check_triangulated(g: Graph) -> Obstruction | None:
        conversely a shortest such path is induced and, with b, closes a
        chordless cycle. So the least BFS distance over all such a-b-c, plus
        2, is the shortest length, and the least pair (b, a) attaining it
-       opens the least shortest cycle.
+       opens the least shortest cycle. c is not in N(a), so each BFS starts
+       one layer out, and the scan stops at the first pair that closes a
+       4-hole: pairs run in order, and no chordless cycle is shorter.
     3. The rest of that cycle is the least shortest path from a to that
        pair's targets c through the vertices above b outside N[b]
        (`_least_path`).
@@ -293,10 +302,14 @@ def recognize(g: Graph) -> ClosedRepresentation | Obstruction:
 
 
 def validate_obstruction(g: Graph, obs: Obstruction) -> bool:
-    """Re-check an obstruction directly against the definitions."""
+    """Re-check an obstruction directly against the definitions. A field of
+    the wrong shape (not a tuple or list, or of the wrong length) gives
+    False, as a wrong entry does."""
     if obs.kind == CHORDLESS_CYCLE:
         cycle = obs.cycle
-        if cycle is None or len(cycle) < 4 or not all(_is_index(v) and 0 <= v < g.n for v in cycle):
+        if not isinstance(cycle, (tuple, list)) or len(cycle) < 4:
+            return False
+        if not all(_is_index(v) and 0 <= v < g.n for v in cycle):
             return False
         if len(set(cycle)) != len(cycle):
             return False
@@ -307,15 +320,18 @@ def validate_obstruction(g: Graph, obs: Obstruction) -> bool:
             for i, c in enumerate(cycle)
         )
     if obs.kind == ASTEROIDAL_TRIPLE:
-        if obs.triple is None or obs.witness_paths is None or len(obs.witness_paths) != 3:
+        triple, paths = obs.triple, obs.witness_paths
+        if not (isinstance(triple, (tuple, list)) and len(triple) == 3
+                and isinstance(paths, (tuple, list)) and len(paths) == 3
+                and all(isinstance(path, (tuple, list)) for path in paths)):
             return False
-        if not all(_is_index(v) and 0 <= v < g.n for v in obs.triple):
+        if not all(_is_index(v) and 0 <= v < g.n for v in triple):
             return False
-        x, y, z = obs.triple
+        x, y, z = triple
         if g.adjacent(x, y) or g.adjacent(x, z) or g.adjacent(y, z):
             return False
         expectations = ((x, y, z), (x, z, y), (y, z, x))
-        for (a, b, avoid), path in zip(expectations, obs.witness_paths):
+        for (a, b, avoid), path in zip(expectations, paths):
             try:
                 validate_path(g, path)
             except InputError:

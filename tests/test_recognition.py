@@ -31,7 +31,7 @@ from intorder import (
 )
 from intorder import recognition as recognition_module
 from intorder.gadgets import all_graphs, random_interval_graph
-from intorder.graphs import _chordal_sweep, bit_indices, component_masks
+from intorder.graphs import Graph, _chordal_sweep, bit_indices, component_masks
 from intorder.recognition import _consecutive_clique_order, _least_path, _least_shortest_hole, _sorted_cliques
 
 
@@ -395,6 +395,15 @@ def inline_walk_least_hole(g):
     return tuple(cycle)
 
 
+def full_scan_least_hole(masks):
+    """Reference for `_least_shortest_hole`, its former route: the measuring
+    loop over every opening (b, a), on past a 4-hole, with each BFS opened
+    by a depth-0 test at a itself, then `_least_path` from the last strict
+    improvement."""
+    length, found = least_hole_opening(masks)
+    return None if found is None else (found[0],) + _least_path(masks, *found[1:])
+
+
 def queue_shortest_path(masks, src, dst, banned):
     """Reference for `_least_path`, the former witness-path search: BFS from
     src to dst outside the bitset `banned`, neighbours tried in ascending
@@ -637,9 +646,11 @@ class TestTriangulated:
         assert obs.cycle == (0, 1, 2, 3)
         assert validate_obstruction(c4(), obs)
 
-    @pytest.mark.parametrize("cycle", [(0, True, 2, 3), (0, 1.0, 2, 3), (0, "1", 2, 3), (0, None, 2, 3)])
+    @pytest.mark.parametrize("cycle", [(0, True, 2, 3), (0, 1.0, 2, 3), (0, "1", 2, 3), (0, None, 2, 3),
+                                       5, {0, 1, 2, 3}, None, (0, 1, 2)])
     def test_cycle_entries_that_are_not_vertices_are_rejected(self, cycle):
-        # True == 1 and 1.0 == 1 to Python, but neither is a vertex
+        # True == 1 and 1.0 == 1 to Python, but neither is a vertex; a cycle
+        # that is not a tuple or list of at least 4 entries gives False too
         assert validate_obstruction(c4(), Obstruction("chordless_cycle", (0, 1, 2, 3)))
         assert not validate_obstruction(c4(), Obstruction("chordless_cycle", cycle))
 
@@ -682,6 +693,18 @@ class TestTriangulated:
         obs = check_triangulated(g)
         assert obs.cycle == (0, 1, 2, 3, 4)
         assert validate_obstruction(g, obs)
+
+    def test_four_hole_beside_a_dense_interval_graph_is_found_fast(self):
+        # C4 on 0-3 beside the n = 1000 graph shifted by 4 (336,029 edges):
+        # the hole opens at b = 0, and the scan stops there; going on over
+        # every later opening took 0.5-0.7 s on a 2-core host
+        h, _ = random_interval_graph(1000, 1000)
+        g = Graph._from_rows(list(c4().masks) + [m << 4 for m in h.masks])
+        start = time.perf_counter()
+        obs = check_triangulated(g)
+        elapsed = time.perf_counter() - start
+        assert obs.cycle == (0, 1, 2, 3)
+        assert elapsed < 0.05, elapsed
 
     def test_matches_bruteforce_on_small_graphs(self):
         from itertools import permutations
@@ -805,6 +828,26 @@ class TestLeastPath:
             for g in all_graphs(n):
                 assert _least_shortest_hole(g.masks) == inline_walk_least_hole(g), sorted(g.edges)
 
+    def test_hole_matches_full_scan_exhaustive_n6(self):
+        fours = 0
+        for n in range(7):
+            for g in all_graphs(n):
+                expected = full_scan_least_hole(g.masks)
+                assert _least_shortest_hole(g.masks) == expected, sorted(g.edges)
+                fours += expected is not None and len(expected) == 4
+        assert fours > 10000
+
+    def test_hole_matches_full_scan_on_seeded_graphs(self):
+        rng = random.Random(4042)
+        lengths = set()
+        for _ in range(2000):
+            g = random_graph(rng.randint(6, 40), rng.uniform(0.03, 0.4), rng)
+            expected = full_scan_least_hole(g.masks)
+            assert _least_shortest_hole(g.masks) == expected, sorted(g.edges)
+            lengths.add(0 if expected is None else len(expected))
+        # chordal graphs, 4-holes and longer holes all occur
+        assert {0, 4, 5, 6} <= lengths, lengths
+
     def test_hole_matches_inline_walk_on_seeded_graphs(self):
         rng = random.Random(4041)
         holes = 0
@@ -838,9 +881,18 @@ class TestAsteroidalTriples:
         ((3, 4, "5"), None),
         ((3, 4, 5), ((3, 0, 1, 4.0), (3, 0, 2, 5), (4, 1, 2, 5))),
         ((3, 4, 5), ((3, 0, True, 4), (3, 0, 2, 5), (4, 1, 2, 5))),
-    ], ids=["float", "bool", "str", "path-float", "path-bool"])
+        ((3, 4), None),
+        ((3, 4, 5, 0), None),
+        (5, None),
+        ((3, 4, 5), 5),
+        ((3, 4, 5), ((3, 0, 1, 4), (3, 0, 2, 5))),
+        ((3, 4, 5), ((3, 0, 1, 4), (3, 0, 2, 5), 5)),
+        ((3, 4, 5), ((3, 0, 1, 4), {3, 0, 2, 5}, (4, 1, 2, 5))),
+    ], ids=["float", "bool", "str", "path-float", "path-bool", "short-triple", "long-triple", "int-triple",
+            "int-paths", "two-paths", "int-path", "set-path"])
     def test_entries_that_are_not_vertices_are_rejected(self, triple, paths):
-        # every entry takes the vertex rule, and a bad one gives False, never an error
+        # every entry takes the vertex rule, every field must be a tuple or
+        # list of the right length, and a bad one gives False, never an error
         obs = find_asteroidal_triple(net_graph())
         forged = Obstruction("asteroidal_triple", triple=triple,
                              witness_paths=obs.witness_paths if paths is None else paths)
