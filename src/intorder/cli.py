@@ -6,7 +6,9 @@ certificate found, as requested), 1 negative verdict with certificate,
 (always a bug). Output is JSON with --json, otherwise human-readable text
 derived from the same data.
 Output is byte-identical across runs for identical inputs and seeds, except
-for the per-check `seconds` that `selftest --json` reports.
+for the per-check `seconds` that `selftest --json` reports. The `gadget`,
+`orders` and `selftest` commands import `gadgets` and `oracle` when they
+run, so no other command's process loads them.
 """
 
 from __future__ import annotations
@@ -18,16 +20,8 @@ import json
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 
 from .errors import InputError, InternalInconsistencyError, NotIntervalGraphError
-from .gadgets import (
-    GadgetSpec,
-    all_graphs,
-    build_gadget,
-    gadget_to_jsonable,
-    random_interval_graph,
-)
 from .graphs import (
     Graph,
     components,
@@ -36,7 +30,6 @@ from .graphs import (
     parse_edgelist,
     parse_graph_json,
 )
-from .oracle import enumerate_associated_orders
 from .orderability import (
     _order_pairs_jsonable,
     buried_candidate,
@@ -249,6 +242,8 @@ def _cmd_wq(g: Graph, args) -> int:
 
 
 def _cmd_orders(g: Graph, args) -> int:
+    from .oracle import enumerate_associated_orders
+
     if args.max_n > 16:
         raise InputError("--max-n must be at most 16")
     enumeration = enumerate_associated_orders(g, max_n=args.max_n)
@@ -278,6 +273,8 @@ def _cmd_orders(g: Graph, args) -> int:
 
 
 def _cmd_gadget(args) -> int:
+    from .gadgets import GadgetSpec, build_gadget, gadget_to_jsonable
+
     # the edge-list token rule: int() would also take '1_0', '+2' and other scripts' digits
     tokens = [x.strip(" ") for x in args.f.split(",")]
     if not all(t.isascii() and t.removeprefix("-").isdecimal() for t in tokens if t):
@@ -342,6 +339,8 @@ def _check_fixtures() -> str | None:
 
 def _connected_non_complete(max_n: int):
     """The labelled graphs both exhaustive checks walk, n from 1 to max_n."""
+    from .gadgets import all_graphs
+
     for n in range(1, max_n + 1):
         for g in all_graphs(n):
             if len(components(g)) == 1 and not g.is_complete():
@@ -391,6 +390,8 @@ def _check_certificates(max_n: int) -> str | None:
 
 
 def _check_gadgets() -> str | None:
+    from .gadgets import GadgetSpec, build_gadget
+
     for values in ((0, 1, 2), (2, 0, 1), (5,)):
         spec = GadgetSpec(tuple(values), len(values))
         out = build_gadget(spec)
@@ -410,6 +411,8 @@ def _check_gadgets() -> str | None:
 
 def _check_round_trips(seed: int) -> str | None:
     import random as _random
+
+    from .gadgets import random_interval_graph
 
     rng = _random.Random(seed)
     for trial in range(200):

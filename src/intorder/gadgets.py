@@ -15,12 +15,11 @@ normalizes them to distinguishing form.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, InternalInconsistencyError
-from .graphs import Graph, graph_from_edges, graph_to_jsonable
+from .graphs import Graph, Record, graph_from_edges, graph_to_jsonable
 from .representation import (
     ClosedRepresentation,
     induced_graph,
@@ -53,8 +52,7 @@ def suffix_minima(values: Sequence[int], stage: int) -> frozenset[int]:
     )
 
 
-@dataclass(frozen=True)
-class GadgetSpec:
+class GadgetSpec(Record, frozen=True):
     """An injective prefix and how many x/y stages to realize."""
 
     f: tuple[int, ...]
@@ -71,8 +69,7 @@ class GadgetSpec:
             )
 
 
-@dataclass
-class GadgetOutput:
+class GadgetOutput(Record):
     graph: Graph
     representation: ClosedRepresentation
     predicted_members: frozenset[int]

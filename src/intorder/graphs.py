@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -35,8 +34,62 @@ from .errors import InputError
 VertexPair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Graph:
+def _refuse_assignment(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _hash_fields(self) -> int:
+    return hash(self._values())
+
+
+class Record:
+    """Base of the package's data records.
+
+    A subclass's annotations, in order, are its fields, listed in
+    `_fields`. Subclassing writes an `__init__` that takes them by position
+    or keyword, with class attributes as defaults, stores them and then
+    calls `__post_init__` when the class has one. Records are equal when
+    their classes are the same and their fields are, and `repr` names every
+    field. `class R(Record, frozen=True)` refuses assignment and hashes the
+    fields; other records are unhashable. It stands in for `dataclasses`,
+    whose import (with the `inspect` it pulls in) and per-class code
+    generation took a quarter of a command line process's import.
+    """
+
+    def __init_subclass__(cls, frozen: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(cls.__annotations__)
+        params = "".join(f", {f}=_defaults[{f!r}]" if f in cls.__dict__ else f", {f}" for f in fields)
+        # a frozen record refuses assignment, so its fields go straight into its dict
+        lines = [f"def __init__(self{params}):", " d = self.__dict__" if frozen else " pass"]
+        lines += (f" d[{f!r}] = {f}" if frozen else f" self.{f} = {f}" for f in fields)
+        if hasattr(cls, "__post_init__"):  # looked up per call, so rebinding it takes effect
+            lines.append(" self.__post_init__()")
+        namespace: dict = {}
+        exec("\n".join(lines), {"_defaults": cls.__dict__}, namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls._fields = fields
+        if frozen:
+            cls.__setattr__, cls.__delattr__, cls.__hash__ = _refuse_assignment, _refuse_deletion, _hash_fields
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):  # also sets __hash__ to None, which frozen records replace
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+
+class Graph(Record, frozen=True):
     """Undirected graph on vertices 0..n-1, reflexive by convention.
 
     `Graph(n, edges, labels)` validates the edge set and derives `masks`
@@ -365,8 +418,7 @@ def refine_to_minimal(g: Graph, path: Sequence[int]) -> list[int]:
 # Strict partial orders
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StrictPartialOrder:
+class StrictPartialOrder(Record, frozen=True):
     """Irreflexive, antisymmetric, transitively closed relation on 0..n-1.
 
     An order is its successor rows: `succ` and `pred` hold the vertices

@@ -16,18 +16,15 @@ can still take a vast search, the branches popped by `MAX_BRANCHES`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError, InternalInconsistencyError
-from .graphs import Graph, StrictPartialOrder, _neighbours_of
+from .graphs import Graph, Record, StrictPartialOrder, _neighbours_of
 
 DEFAULT_MAX_N = 12
 MAX_ORDERS = 100_000
 MAX_BRANCHES = 4 * MAX_ORDERS
 
 
-@dataclass
-class OrientationSet:
+class OrientationSet(Record):
     """Every associated order, sorted canonically, with duality classes."""
 
     orders: tuple[StrictPartialOrder, ...]

@@ -46,13 +46,13 @@ component or the first two) and takes the disagreement triple from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import InputError, InternalInconsistencyError, NotIntervalGraphError
 from .graphs import (
     Graph,
+    Record,
     StrictPartialOrder,
     _is_index,
     _neighbours_of,
@@ -70,8 +70,7 @@ VertexPair = tuple[int, int]
 # Pair graph
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PairGraph:
+class PairGraph(Record):
     """Ordered non-adjacent pairs with their linkage components.
 
     Component ids follow each component's least pair. By id, `rows` holds
@@ -222,8 +221,7 @@ def pair_path(
 # Buried subgraphs
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LeveledSet:
+class LeveledSet(Record):
     """Least fixpoint grown from a non-adjacent pair, with entry stages.
 
     Stage 0 holds the generating pair; a vertex enters stage s+1 when some
@@ -270,8 +268,7 @@ def buried_candidate(g: Graph, v: int, u: int) -> LeveledSet:
     return LeveledSet(v, u, level)
 
 
-@dataclass
-class BuriedCheck:
+class BuriedCheck(Record):
     """Outcome of the buried-subgraph definition check on a vertex set."""
 
     buried: bool
@@ -322,8 +319,7 @@ def is_buried(g: Graph, vertex_set: Iterable[int]) -> BuriedCheck:
     )
 
 
-@dataclass(frozen=True)
-class BuriedCertificate:
+class BuriedCertificate(Record, frozen=True):
     """A buried subgraph plus everything needed to re-validate it."""
 
     members: frozenset[int]
@@ -496,8 +492,7 @@ def order_from_pair_graph(g: Graph, pg: PairGraph) -> StrictPartialOrder:
 # The decision
 # ---------------------------------------------------------------------------
 
-@dataclass
-class UniquenessVerdict:
+class UniquenessVerdict(Record):
     """Outcome of decide_unique, with whichever certificate applies.
 
     Exactly one of `order` (unique case) or `witness` plus `triple`

@@ -29,20 +29,27 @@ raised rather than guessing.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
 from .errors import InputError, InternalInconsistencyError
-from .graphs import Graph, _count, _is_index, _neighbours_of, bit_indices, component_masks, validate_path
+from .graphs import (
+    Graph,
+    Record,
+    _count,
+    _is_index,
+    _neighbours_of,
+    bit_indices,
+    component_masks,
+    validate_path,
+)
 from .representation import ClosedRepresentation, verify_representation
 
 CHORDLESS_CYCLE = "chordless_cycle"
 ASTEROIDAL_TRIPLE = "asteroidal_triple"
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(Record, frozen=True):
     """Why a graph is not an interval graph.
 
     For kind == "chordless_cycle", `cycle` lists the cycle's vertices once,

@@ -14,13 +14,12 @@ endpoints, swept once by `_endpoint_sweep`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 from .errors import InputError, InternalInconsistencyError
-from .graphs import Graph, StrictPartialOrder, bit_indices
+from .graphs import Graph, Record, StrictPartialOrder, bit_indices
 
 
 def _as_fraction(value) -> Fraction:
@@ -39,8 +38,7 @@ def _as_fraction(value) -> Fraction:
     raise InputError(f"endpoint {value!r} is not an integer or [numerator, denominator] pair")
 
 
-@dataclass(frozen=True)
-class ClosedRepresentation:
+class ClosedRepresentation(Record, frozen=True):
     """Closed intervals [left(v), right(v)] for vertices 0..n-1."""
 
     n: int

@@ -3,19 +3,29 @@ by name and wraps `StrictPartialOrder.__post_init__`, so a rename or a move
 under `src/` must fail here rather than break a traced benchmark run later."""
 
 import importlib
-import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import intorder
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+LOAD_TRACING = """
+import importlib.util
+spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+"""
+
 
 def load_layer_spans():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.LAYER_SPANS
+    namespace = {"TRACING": TRACING}
+    exec(LOAD_TRACING, namespace)
+    return namespace["tracing"].LAYER_SPANS
 
 
 def test_every_layer_span_names_a_function_of_its_module():
@@ -38,3 +48,23 @@ def test_order_check_span_wraps_the_validation():
     object.__setattr__(order, "rel", frozenset({(0, 1), (1, 2)}))
     with pytest.raises(InputError, match="not transitively closed"):
         check(order)
+
+
+def test_tracer_installs_right_after_importing_the_cli():
+    # a traced `cli` op imports intorder.cli in a fresh process, then installs
+    # the tracer, which looks its modules up in sys.modules
+    script = f"TRACING = {str(TRACING)!r}" + LOAD_TRACING + """
+import intorder.cli
+tracer = tracing.Tracer()
+tracer.install()
+code, out, _ = intorder.cli.run(["decide", "--json"], '{"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}')
+tracer.uninstall()
+print(code, sorted({span[0] for span in tracer.spans}))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(intorder.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, spans = proc.stdout.split(" ", 1)
+    assert code == "1"
+    assert "orderability.decide_self" in spans and "cli.run_self" in spans

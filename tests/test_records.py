@@ -1,0 +1,140 @@
+"""The package's twelve data records, by behaviour: construction by position
+or keyword with defaults, argument errors, the checks `__post_init__` runs,
+`repr`, equality within one class, hashing of the frozen records and the
+refusal to assign to them."""
+
+import pytest
+
+from intorder import (
+    BuriedCertificate,
+    BuriedCheck,
+    ClosedRepresentation,
+    GadgetOutput,
+    GadgetSpec,
+    Graph,
+    InputError,
+    LeveledSet,
+    Obstruction,
+    OrientationSet,
+    PairGraph,
+    StrictPartialOrder,
+    UniquenessVerdict,
+)
+
+P3 = Graph(3, frozenset({(0, 1), (1, 2)}))
+REP = ClosedRepresentation(3, (0, 1, 2), (1, 2, 3))
+ORDER = StrictPartialOrder(3, frozenset({(0, 2)}))
+CERT = BuriedCertificate(frozenset({0, 2}), frozenset({1}), frozenset({3}), (0, 2), 3, (0, 2))
+
+# class, frozen, fields in order, values, how many of them are required, and
+# another value for the last field
+RECORDS = [
+    (Graph, True, ("n", "edges", "labels"), (3, frozenset({(0, 1)}), ("a", "b", "c")), 2, None),
+    (StrictPartialOrder, True, ("n", "rel"), (3, frozenset({(0, 1)})), 2, frozenset()),
+    (ClosedRepresentation, True, ("n", "left", "right"), (2, (0, 1), (1, 2)), 3, (2, 2)),
+    (Obstruction, True, ("kind", "cycle", "triple", "witness_paths"),
+     ("asteroidal_triple", None, (3, 4, 5), ((3, 0, 1, 4), (3, 0, 2, 5), (4, 1, 2, 5))), 1, None),
+    (PairGraph, False, ("base", "rows"), (P3, ({0: 0b100}, {2: 0b001})), 2, ()),
+    (LeveledSet, False, ("v", "u", "level"), (0, 2, {0: 0, 2: 0, 1: 1}), 3, {0: 0, 2: 0}),
+    (BuriedCheck, False, ("buried", "separators", "outside", "witness_nonedge", "witness_outside"),
+     (True, frozenset({1}), frozenset({3}), (0, 2), 3), 5, None),
+    (BuriedCertificate, True,
+     ("members", "separators", "outside", "witness_nonedge", "witness_outside", "pair"),
+     (frozenset({0, 2}), frozenset({1}), frozenset({3}), (0, 2), 3, (0, 2)), 6, (2, 0)),
+    (UniquenessVerdict, False, ("unique", "wq_components", "order", "witness", "triple", "buried"),
+     (False, 4, None, (ORDER, ORDER.dual()), (0, 1, 2), CERT), 2, None),
+    (GadgetSpec, True, ("f", "stages"), ((2, 0, 1), 3), 2, 2),
+    (GadgetOutput, False,
+     ("graph", "representation", "predicted_members", "predicted_separators", "predicted_outside"),
+     (P3, REP, frozenset({0, 2}), frozenset({1}), frozenset()), 5, frozenset({3})),
+    (OrientationSet, False, ("orders", "dual_classes"), ((ORDER, ORDER.dual()), 1), 2, 2),
+]
+IDS = [row[0].__name__ for row in RECORDS]
+
+
+@pytest.fixture(params=RECORDS, ids=IDS)
+def row(request):
+    return request.param
+
+
+def test_the_table_names_all_twelve_records():
+    assert len({cls for cls, *_ in RECORDS}) == 12
+
+
+def test_positional_and_keyword_construction_agree(row):
+    cls, _, fields, values, _, _ = row
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(fields, values)))
+    for name, value in zip(fields, values):
+        assert getattr(by_position, name) == value
+        assert getattr(by_keyword, name) == value
+    assert by_position == by_keyword
+
+
+def test_optional_fields_default_to_none(row):
+    cls, _, fields, values, required, _ = row
+    record = cls(*values[:required])
+    for name in fields[required:]:
+        assert getattr(record, name) is None
+
+
+def test_argument_errors(row):
+    cls, _, fields, values, required, _ = row
+    with pytest.raises(TypeError, match="missing"):
+        cls(*values[:required - 1])
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        cls(*values, bogus=1)
+    with pytest.raises(TypeError, match="positional argument"):
+        cls(*values, None)
+    with pytest.raises(TypeError, match="multiple values"):
+        cls(*values, **{fields[0]: values[0]})
+
+
+def test_repr_names_every_field_in_order(row):
+    cls, _, fields, values, _, _ = row
+    inner = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values))
+    assert repr(cls(*values)) == f"{cls.__name__}({inner})"
+
+
+def test_equality_reads_every_field_within_one_class(row):
+    cls, _, _, values, _, last = row
+    record = cls(*values)
+    assert record == cls(*values)
+    assert record != cls(*values[:-1], last)
+    assert record.__eq__(tuple(values)) is NotImplemented
+    assert record != tuple(values)
+    other_cls, _, _, other_values, _, _ = RECORDS[(RECORDS.index(row) + 1) % len(RECORDS)]
+    assert record.__eq__(other_cls(*other_values)) is NotImplemented
+    assert record != other_cls(*other_values)
+
+
+def test_frozen_records_hash_and_refuse_assignment(row):
+    cls, frozen, fields, values, _, last = row
+    record = cls(*values)
+    if frozen:
+        assert hash(record) == hash(cls(*values))
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, last)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert record == cls(*values)
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+        setattr(record, fields[-1], last)
+        assert getattr(record, fields[-1]) == last
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: GadgetSpec((1, 1), 2), "pairwise distinct"),
+    (lambda: GadgetSpec((0, 1), 3), "stage count 3 must be between 0 and len"),
+    (lambda: ClosedRepresentation(2, (0, 3), (1, 2)), "interval for vertex 1 is empty"),
+    (lambda: ClosedRepresentation(2, (0,), (1,)), "one entry per vertex"),
+    (lambda: Graph(-1, frozenset()), "nonnegative"),
+    (lambda: Graph(n=2, edges=frozenset({(1, 0)})), "not canonical"),
+    (lambda: StrictPartialOrder(3, frozenset({(0, 1), (1, 2)})), "not transitively closed"),
+])
+def test_post_init_checks_still_run(build, message):
+    with pytest.raises(InputError, match=message):
+        build()
