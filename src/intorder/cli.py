@@ -20,6 +20,7 @@ import json
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 from .errors import InputError, InternalInconsistencyError, NotIntervalGraphError
 from .graphs import (

@@ -6,10 +6,9 @@ is always true and explicit self-loops are rejected on input. Labels are
 cosmetic (they survive into certificates) and never affect any algorithm.
 
 A graph is its neighbourhood bitsets: `Graph.masks`, one int per vertex,
-is the only adjacency form, and `adjacent`, `neighbors`, components and
-path checks all read it. The parsers fill those rows in their one
-validation loop, and they and the constructions that meet rows first
-(`induced_graph`, `complement`, `induced_subgraph`) hand them to
+is the only adjacency form, and `adjacent`, components and path checks
+all read it. The parsers fill those rows in their one validation loop, and
+they and `induced_graph`, which meets rows first, hand them to
 `Graph._from_rows`. The edge set of such a graph is derived on first
 read, which only output, equality and hashing do. Every order the library
 builds is likewise its successor bitsets, given to
@@ -159,9 +158,7 @@ class Graph(Record, frozen=True):
 
     def _vertex(self, v: int) -> int:
         """`v`, or an InputError when it is not a vertex of the graph."""
-        if not 0 <= _index(v) < self.n:
-            raise InputError(f"vertex {v} out of range for n={self.n}")
-        return v
+        return _vertex_below(self.n, v)
 
     def adjacent(self, u: int, v: int) -> bool:
         """Reflexive adjacency: true when u == v or {u, v} is an edge."""
@@ -169,12 +166,6 @@ class Graph(Record, frozen=True):
             self._vertex(u)  # one of the two raises
             self._vertex(v)
         return u == v or self.masks[u] >> v & 1 == 1
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(bit_indices(self.masks[self._vertex(v)]))
-
-    def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return frozenset(bit_indices(self.masks[self._vertex(v)] | 1 << v))
 
     def is_complete(self) -> bool:
         return sum(m.bit_count() for m in self.masks) == self.n * (self.n - 1)
@@ -293,7 +284,10 @@ def graph_from_edges(
         raise InputError("vertex count must be nonnegative")
     rows = [0] * n
     for pair in edge_list:
-        u, v = pair
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise InputError(f"malformed edge entry: {pair!r}") from None
         _check_endpoints(n, u, v)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
@@ -312,6 +306,13 @@ def _index(x) -> int:
     return x
 
 
+def _vertex_below(n: int, v) -> int:
+    """`v`, or an InputError when it is not a vertex of 0..n-1."""
+    if not 0 <= _index(v) < n:
+        raise InputError(f"vertex {v} out of range for n={n}")
+    return v
+
+
 def _check_endpoints(n: int, u: int, v: int) -> None:
     if not (_is_index(u) and _is_index(v)):
         raise InputError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
@@ -319,11 +320,6 @@ def _check_endpoints(n: int, u: int, v: int) -> None:
         raise InputError(f"edge endpoint out of range for n={n}: ({u}, {v})")
     if u == v:
         raise InputError(f"explicit self-loop ({u}, {v}) rejected; adjacency is reflexive implicitly")
-
-
-def complete_graph(n: int) -> Graph:
-    everyone = (1 << n) - 1
-    return Graph._from_rows([everyone ^ 1 << v for v in range(n)])
 
 
 def component_masks(masks: tuple[int, ...], allowed: int) -> list[int]:
@@ -345,26 +341,6 @@ def components(g: Graph) -> list[set[int]]:
     return [set(bit_indices(c)) for c in component_masks(g.masks, (1 << g.n) - 1)]
 
 
-def complement(g: Graph) -> Graph:
-    everyone = (1 << g.n) - 1
-    return Graph._from_rows([everyone & ~(m | 1 << u) for u, m in enumerate(g.masks)], g.labels)
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph on the given vertices, reindexed densely in sorted order."""
-    kept = sorted(g._vertex(v) for v in set(vertices))
-    index = {v: i for i, v in enumerate(kept)}
-    inside = sum(1 << v for v in kept)
-    rows = [sum(1 << index[w] for w in bit_indices(g.masks[v] & inside)) for v in kept]
-    labels = tuple(g.labels[v] for v in kept) if g.labels is not None else None
-    return Graph._from_rows(rows, labels)
-
-
-def universal_vertices(g: Graph) -> set[int]:
-    """Vertices adjacent to every other vertex."""
-    return {v for v, m in enumerate(g.masks) if (m | 1 << v).bit_count() == g.n}
-
-
 # ---------------------------------------------------------------------------
 # Paths
 # ---------------------------------------------------------------------------
@@ -380,38 +356,6 @@ def validate_path(g: Graph, path: Sequence[int]) -> list[int]:
         if a == b or not g.masks[a] >> b & 1:
             raise InputError(f"consecutive path vertices {a}, {b} are not adjacent")
     return p
-
-
-def is_minimal_path(g: Graph, path: Sequence[int]) -> bool:
-    """True when each vertex's closed row meets the path in just itself and
-    its path neighbours; reflexivity makes repeated vertices fail."""
-    p = validate_path(g, path)
-    on_path = sum(1 << v for v in set(p))
-    return on_path.bit_count() == len(p) and all(
-        (g.masks[v] | 1 << v) & on_path == sum(1 << w for w in p[max(i - 1, 0) : i + 2])
-        for i, v in enumerate(p)
-    )
-
-
-def refine_to_minimal(g: Graph, path: Sequence[int]) -> list[int]:
-    """Shortcut a path to a minimal path with the same endpoints.
-
-    Deterministic rule, iterated to a fixpoint: take the smallest i having
-    a shortcut, then the largest j > i+1 with p[i] adjacent to p[j], and
-    splice out everything strictly between them. The result is a
-    subsequence of the input. A splice leaves p[i] no shortcut and gives
-    none to an earlier vertex, so one forward pass reaches the fixpoint,
-    each step jumping to the last position that meets p[i]'s closed row.
-    """
-    p = validate_path(g, path)
-    last = {v: j for j, v in enumerate(p)}
-    on_walk = sum(1 << v for v in last)
-    out, i = [p[0]], 0
-    while i < len(p) - 1:
-        i = max(last[v] for v in bit_indices((g.masks[p[i]] | 1 << p[i]) & on_walk))
-        if p[i] != out[-1]:
-            out.append(p[i])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -492,11 +436,11 @@ class StrictPartialOrder(Record, frozen=True):
         return rel
 
     def less(self, u: int, v: int) -> bool:
-        u, v = _index(u), _index(v)
-        return 0 <= u < self.n and 0 <= v and self.succ[u] >> v & 1 == 1
-
-    def comparable(self, u: int, v: int) -> bool:
-        return self.less(u, v) or self.less(v, u)
+        """u < v, for vertices u and v of the order."""
+        if not (type(u) is int and type(v) is int and 0 <= u < self.n and 0 <= v < self.n):
+            _vertex_below(self.n, u)  # one of the two raises
+            _vertex_below(self.n, v)
+        return self.succ[u] >> v & 1 == 1
 
     def pairs(self) -> Iterator[VertexPair]:
         """The pairs of `rel` in sorted order, read off `succ`."""
@@ -525,35 +469,6 @@ def _nested_pred(succ: Sequence[int]) -> list[int] | None:
             return None
         previous = row
     return pred
-
-
-def order_from_pairs(n: int, pairs: Iterable[Sequence[int]]) -> StrictPartialOrder:
-    """Transitively close the given pairs (Warshall's algorithm on successor
-    rows) and validate the result, naming the least vertex on a cycle."""
-    succ = [0] * n
-    for pair in pairs:
-        u, v = pair
-        if not (_is_index(u) and _is_index(v)):
-            raise InputError(f"pair ({u!r}, {v!r}) is not a pair of integers")
-        if not (0 <= u < n and 0 <= v < n):
-            raise InputError(f"pair ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise InputError(f"pair ({u}, {u}) violates irreflexivity")
-        succ[u] |= 1 << v
-    for k in range(n):
-        for u in range(n):
-            if succ[u] >> k & 1:
-                succ[u] |= succ[k]
-    for s in range(n):
-        if succ[s] >> s & 1:
-            raise InputError(f"pairs contain a cycle through vertex {s}")
-    return StrictPartialOrder._from_succ(n, succ)
-
-
-def incomparability_graph(o: StrictPartialOrder) -> Graph:
-    """Graph whose distinct vertices are adjacent iff order-incomparable."""
-    everyone = (1 << o.n) - 1
-    return Graph._from_rows([everyone & ~(o.succ[u] | o.pred[u] | 1 << u) for u in range(o.n)])
 
 
 def is_associated(g: Graph, o: StrictPartialOrder) -> bool:

@@ -103,10 +103,6 @@ class PairGraph(Record):
             for b in bit_indices(bs)
         }
 
-    def linked(self, ab: VertexPair, cd: VertexPair) -> bool:
-        """Pairs are linked when first meets first and second meets second."""
-        return self.base.adjacent(ab[0], cd[0]) and self.base.adjacent(ab[1], cd[1])
-
 
 def pair_graph(g: Graph) -> PairGraph:
     """One flood fill over the pairs in sorted order, so component ids follow

@@ -59,17 +59,6 @@ class ClosedRepresentation(Record, frozen=True):
         """`_endpoint_sweep(self)`, kept (never mutated) so verification and the order share it."""
         return _endpoint_sweep(self)
 
-    def intersects(self, u: int, v: int) -> bool:
-        return self.left[u] <= self.right[v] and self.left[v] <= self.right[u]
-
-    def wholly_before(self, u: int, v: int) -> bool:
-        return self.right[u] < self.left[v]
-
-    def is_distinguishing(self) -> bool:
-        """All 2n endpoints pairwise distinct and every interval nondegenerate."""
-        values = list(self.left) + list(self.right)
-        return len(set(values)) == 2 * self.n
-
 
 def representation_from_intervals(intervals: Sequence) -> ClosedRepresentation:
     """Build a representation from (left, right) pairs of ints or rationals."""
@@ -165,11 +154,6 @@ def find_two_plus_two(o: StrictPartialOrder) -> tuple[int, int, int, int] | None
     return None
 
 
-def is_interval_order(o: StrictPartialOrder) -> bool:
-    """True iff no two disjoint comparable pairs sit side by side unrelated."""
-    return find_two_plus_two(o) is None
-
-
 def order_to_representation(o: StrictPartialOrder) -> ClosedRepresentation:
     """Intervals whose precedence order is exactly o.
 
@@ -228,20 +212,3 @@ def representation_to_jsonable(r: ClosedRepresentation) -> dict:
         ],
     }
 
-
-def representation_from_jsonable(obj) -> ClosedRepresentation:
-    if not isinstance(obj, dict):
-        raise InputError("representation JSON must be an object")
-    try:
-        n = obj["n"]
-        intervals = obj["intervals"]
-    except KeyError as missing:
-        raise InputError(f"representation JSON missing key {missing}") from None
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InputError("representation JSON field 'n' must be an integer")
-    if not isinstance(intervals, list):
-        raise InputError("representation JSON field 'intervals' must be a list")
-    r = representation_from_intervals(intervals)
-    if r.n != n:
-        raise InputError(f"representation lists {r.n} intervals but declares n={n}")
-    return r

@@ -1,4 +1,5 @@
-"""Shared fixtures, graph constructors, and hypothesis strategies."""
+"""Shared graph constructors, the graph, order and representation helpers
+that only tests use, and hypothesis strategies."""
 
 from __future__ import annotations
 
@@ -6,7 +7,134 @@ import random
 
 from hypothesis import strategies as st
 
-from intorder import Graph, StrictPartialOrder, complete_graph, graph_from_edges
+from intorder import (Graph, InputError, StrictPartialOrder, find_two_plus_two, graph_from_edges,
+                      representation_from_intervals, validate_path)
+from intorder.graphs import _is_index, bit_indices
+
+
+def complete_graph(n: int) -> Graph:
+    everyone = (1 << n) - 1
+    return Graph._from_rows([everyone ^ 1 << v for v in range(n)])
+
+
+def complement(g: Graph) -> Graph:
+    everyone = (1 << g.n) - 1
+    return Graph._from_rows([everyone & ~(m | 1 << u) for u, m in enumerate(g.masks)], g.labels)
+
+
+def induced_subgraph(g: Graph, vertices) -> Graph:
+    """Subgraph on the given vertices, reindexed densely in sorted order."""
+    kept = sorted(g._vertex(v) for v in set(vertices))
+    index = {v: i for i, v in enumerate(kept)}
+    inside = sum(1 << v for v in kept)
+    rows = [sum(1 << index[w] for w in bit_indices(g.masks[v] & inside)) for v in kept]
+    labels = tuple(g.labels[v] for v in kept) if g.labels is not None else None
+    return Graph._from_rows(rows, labels)
+
+
+def universal_vertices(g: Graph) -> set[int]:
+    """Vertices adjacent to every other vertex."""
+    return {v for v, m in enumerate(g.masks) if (m | 1 << v).bit_count() == g.n}
+
+
+def neighbors(g: Graph, v: int) -> frozenset[int]:
+    return frozenset(bit_indices(g.masks[g._vertex(v)]))
+
+
+def closed_neighborhood(g: Graph, v: int) -> frozenset[int]:
+    return frozenset(bit_indices(g.masks[g._vertex(v)] | 1 << v))
+
+
+def is_minimal_path(g: Graph, path) -> bool:
+    """True when each vertex's closed row meets the path in just itself and
+    its path neighbours; reflexivity makes repeated vertices fail."""
+    p = validate_path(g, path)
+    on_path = sum(1 << v for v in set(p))
+    return on_path.bit_count() == len(p) and all(
+        (g.masks[v] | 1 << v) & on_path == sum(1 << w for w in p[max(i - 1, 0) : i + 2])
+        for i, v in enumerate(p)
+    )
+
+
+def refine_to_minimal(g: Graph, path) -> list[int]:
+    """Shortcut a path to a minimal path with the same endpoints, in one
+    forward pass: from p[i], jump to the last position meeting its closed row."""
+    p = validate_path(g, path)
+    last = {v: j for j, v in enumerate(p)}
+    on_walk = sum(1 << v for v in last)
+    out, i = [p[0]], 0
+    while i < len(p) - 1:
+        i = max(last[v] for v in bit_indices((g.masks[p[i]] | 1 << p[i]) & on_walk))
+        if p[i] != out[-1]:
+            out.append(p[i])
+    return out
+
+
+def order_from_pairs(n: int, pairs) -> StrictPartialOrder:
+    """Transitively close the given pairs (Warshall's algorithm on successor
+    rows) and validate the result, naming the least vertex on a cycle."""
+    succ = [0] * n
+    for u, v in pairs:
+        if not (_is_index(u) and _is_index(v)):
+            raise InputError(f"pair ({u!r}, {v!r}) is not a pair of integers")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"pair ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise InputError(f"pair ({u}, {u}) violates irreflexivity")
+        succ[u] |= 1 << v
+    for k in range(n):
+        for u in range(n):
+            if succ[u] >> k & 1:
+                succ[u] |= succ[k]
+    for s in range(n):
+        if succ[s] >> s & 1:
+            raise InputError(f"pairs contain a cycle through vertex {s}")
+    return StrictPartialOrder._from_succ(n, succ)
+
+
+def comparable(o: StrictPartialOrder, u: int, v: int) -> bool:
+    return o.less(u, v) or o.less(v, u)
+
+
+def incomparability_graph(o: StrictPartialOrder) -> Graph:
+    """Graph whose distinct vertices are adjacent iff order-incomparable."""
+    everyone = (1 << o.n) - 1
+    return Graph._from_rows([everyone & ~(o.succ[u] | o.pred[u] | 1 << u) for u in range(o.n)])
+
+
+def is_interval_order(o: StrictPartialOrder) -> bool:
+    return find_two_plus_two(o) is None
+
+
+def intersects(r, u: int, v: int) -> bool:
+    return r.left[u] <= r.right[v] and r.left[v] <= r.right[u]
+
+
+def wholly_before(r, u: int, v: int) -> bool:
+    return r.right[u] < r.left[v]
+
+
+def is_distinguishing(r) -> bool:
+    """All 2n endpoints pairwise distinct and every interval nondegenerate."""
+    return len(set(r.left + r.right)) == 2 * r.n
+
+
+def representation_from_jsonable(obj):
+    """The inverse of `representation_to_jsonable`, checked."""
+    if not (isinstance(obj, dict) and "n" in obj and isinstance(obj.get("intervals"), list)):
+        raise InputError("representation JSON must be an object with 'n' and an 'intervals' list")
+    n = obj["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InputError("representation JSON field 'n' must be an integer")
+    r = representation_from_intervals(obj["intervals"])
+    if r.n != n:
+        raise InputError(f"representation lists {r.n} intervals but declares n={n}")
+    return r
+
+
+def linked(pg, ab, cd) -> bool:
+    """Pairs are linked when first meets first and second meets second."""
+    return pg.base.adjacent(ab[0], cd[0]) and pg.base.adjacent(ab[1], cd[1])
 
 
 def single_nonedge4() -> Graph:
@@ -64,7 +192,7 @@ def random_walk(g: Graph, rng: random.Random, max_steps: int | None = None) -> l
     walk = [rng.randrange(g.n)]
     steps = rng.randint(0, max_steps if max_steps is not None else 2 * g.n)
     for _ in range(steps):
-        nbrs = sorted(g.neighbors(walk[-1]))
+        nbrs = sorted(neighbors(g, walk[-1]))
         if not nbrs:
             break
         walk.append(rng.choice(nbrs))

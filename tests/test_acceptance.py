@@ -16,7 +16,27 @@ from itertools import combinations
 
 import pytest
 
-from conftest import c4, empty3, single_nonedge4, net_graph, random_graph, random_walk, star3, two_k2
+from conftest import (
+    c4,
+    comparable,
+    empty3,
+    incomparability_graph,
+    induced_subgraph,
+    is_interval_order,
+    is_minimal_path,
+    linked,
+    neighbors,
+    net_graph,
+    order_from_pairs,
+    random_graph,
+    random_walk,
+    refine_to_minimal,
+    single_nonedge4,
+    star3,
+    two_k2,
+    universal_vertices,
+    wholly_before,
+)
 from intorder import (
     ClosedRepresentation,
     GadgetSpec,
@@ -27,23 +47,16 @@ from intorder import (
     decide_unique,
     enumerate_associated_orders,
     find_buried,
-    incomparability_graph,
     induced_graph,
-    induced_subgraph,
     is_associated,
     is_buried,
-    is_interval_order,
-    is_minimal_path,
-    order_from_pairs,
     order_to_representation,
     pair_graph,
     pair_path,
     random_interval_graph,
     recognize,
-    refine_to_minimal,
     representation_from_intervals,
     representation_to_order,
-    universal_vertices,
 )
 from intorder.gadgets import all_graphs
 from intorder.oracle import OrientationSet
@@ -227,7 +240,7 @@ def test_criterion_5a_path_meets_straddling_vertex():
         walk = random_walk(g, rng)
         v0, vn = walk[0], walk[-1]
         for w in range(n):
-            if rep.wholly_before(w, v0) or rep.wholly_before(vn, w):
+            if wholly_before(rep, w, v0) or wholly_before(rep, vn, w):
                 continue
             effective += 1
             if not any(g.adjacent(x, w) for x in walk):
@@ -247,7 +260,7 @@ def _random_minimal_path(g, rep, rng):
         (v, u)
         for v in range(g.n)
         for u in range(g.n)
-        if v != u and not g.adjacent(v, u) and rep.wholly_before(v, u)
+        if v != u and not g.adjacent(v, u) and wholly_before(rep, v, u)
     ]
     if not candidates:
         return None
@@ -258,7 +271,7 @@ def _random_minimal_path(g, rep, rng):
         x = queue.pop(0)
         if x == vn:
             break
-        for w in sorted(g.neighbors(x)):
+        for w in sorted(neighbors(g, x)):
             if w not in parent:
                 parent[w] = x
                 queue.append(w)
@@ -300,11 +313,11 @@ def test_criterion_5b_minimal_path_endpoint_monotonicity():
         # vertices wholly before the start touch at most the second vertex;
         # vertices wholly after the end touch at most the second-to-last
         for v in range(n):
-            if rep.wholly_before(v, path[0]):
+            if wholly_before(rep, v, path[0]):
                 for i, x in enumerate(path):
                     if i != 1 and g.adjacent(x, v):
                         violations += 1
-            if rep.wholly_before(path[-1], v):
+            if wholly_before(rep, path[-1], v):
                 for i, x in enumerate(path):
                     if i != last - 1 and g.adjacent(x, v):
                         violations += 1
@@ -351,14 +364,14 @@ def test_criterion_5d_orientation_transport(corpus):
                 reversed_reachable += 1
         if item.graph.n > 7:
             continue
-        linked = [
+        links = [
             (p, q)
             for i, p in enumerate(pg.pairs)
             for q in pg.pairs[i + 1 :]
-            if pg.linked(p, q)
+            if linked(pg, p, q)
         ]
         for order in item.enum.orders:
-            for (a, b), (c, d) in linked:
+            for (a, b), (c, d) in links:
                 checks += 1
                 if order.less(a, b) and not order.less(c, d):
                     violations += 1
@@ -391,7 +404,7 @@ def grown_set_trials():
             (v, u)
             for v in range(n)
             for u in range(n)
-            if v != u and not g.adjacent(v, u) and rep.wholly_before(v, u)
+            if v != u and not g.adjacent(v, u) and wholly_before(rep, v, u)
         ]
         if not candidates:
             continue
@@ -408,11 +421,11 @@ def test_criterion_5e_level_monotonicity(grown_set_trials):
         members = sorted(level)
         for x in members:
             for y in members:
-                if rep.wholly_before(u, x) and rep.left[x] <= rep.left[y]:
+                if wholly_before(rep, u, x) and rep.left[x] <= rep.left[y]:
                     comparisons += 1
                     if level[x] > level[y]:
                         violations += 1
-                if rep.wholly_before(x, v) and rep.right[y] <= rep.right[x]:
+                if wholly_before(rep, x, v) and rep.right[y] <= rep.right[x]:
                     comparisons += 1
                     if level[x] > level[y]:
                         violations += 1
@@ -511,7 +524,7 @@ def test_criterion_6_round_trips():
                 if len({a, b, c, d}) != 4:
                     continue
                 if all(
-                    not order.comparable(x, y)
+                    not comparable(order, x, y)
                     for x, y in ((a, c), (a, d), (b, c), (b, d))
                 ):
                     return True

@@ -250,7 +250,7 @@ class TestCertificateFeedback:
 
     def test_representation_json_revalidates(self):
         from intorder import graph_from_jsonable, verify_representation
-        from intorder.representation import representation_from_jsonable
+        from conftest import representation_from_jsonable
 
         star = json.dumps({"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]})
         g = graph_from_jsonable(json.loads(star))
@@ -258,7 +258,8 @@ class TestCertificateFeedback:
         assert verify_representation(g, representation_from_jsonable(json.loads(out)))
 
     def test_order_json_revalidates(self):
-        from intorder import graph_from_jsonable, is_associated, order_from_pairs
+        from conftest import order_from_pairs
+        from intorder import graph_from_jsonable, is_associated
 
         p4_json = json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]})
         g = graph_from_jsonable(json.loads(p4_json))

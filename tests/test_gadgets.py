@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import is_distinguishing, neighbors
 from intorder import (
     ClosedRepresentation,
     GadgetSpec,
@@ -64,7 +65,7 @@ class TestGadget:
         assert out.predicted_separators == frozenset({2, x_vertex(0)})
         assert out.predicted_outside == frozenset({3})
         assert not g.adjacent(0, 1)  # the generating non-adjacent pair
-        assert g.adjacent(3, 2) and g.neighbors(3) == frozenset({2})
+        assert g.adjacent(3, 2) and neighbors(g, 3) == frozenset({2})
 
     def test_all_true_prediction(self):
         out = build_gadget(GadgetSpec((0, 1, 2), 3))
@@ -141,7 +142,7 @@ class TestRandomIntervalGraph:
         for seed in range(50):
             g, rep = random_interval_graph(1 + seed % 12, seed)
             assert verify_representation(g, rep)
-            assert rep.is_distinguishing()
+            assert is_distinguishing(rep)
 
     def test_deterministic_for_fixed_seed(self):
         a = random_interval_graph(9, 123)

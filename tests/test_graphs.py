@@ -7,24 +7,38 @@ from itertools import product
 import pytest
 from hypothesis import given
 
-from conftest import single_nonedge4, graphs, k3, p4, partial_orders, random_graph, random_walk, star3, two_k2, empty3
+from conftest import (
+    closed_neighborhood,
+    comparable,
+    complement,
+    empty3,
+    graphs,
+    incomparability_graph,
+    induced_subgraph,
+    is_minimal_path,
+    k3,
+    neighbors,
+    order_from_pairs,
+    p4,
+    partial_orders,
+    random_graph,
+    random_walk,
+    refine_to_minimal,
+    single_nonedge4,
+    star3,
+    two_k2,
+    universal_vertices,
+)
 from intorder import (
     Graph,
     InputError,
     StrictPartialOrder,
-    complement,
     components,
     graph_from_edges,
     graph_from_jsonable,
     graph_to_jsonable,
-    incomparability_graph,
-    induced_subgraph,
     is_associated,
-    is_minimal_path,
-    order_from_pairs,
     parse_edgelist,
-    refine_to_minimal,
-    universal_vertices,
 )
 from intorder.gadgets import all_graphs, random_interval_graph
 from intorder.graphs import _nested_pred, bit_indices, validate_path
@@ -299,6 +313,12 @@ class TestGraphConstruction:
         with pytest.raises(InputError):
             graph_from_edges(3, [(1, 1)])
 
+    @pytest.mark.parametrize("entry", [(0, 1, 2), (0,), 5, None, [], "012", {0, 1, 2}])
+    def test_entry_that_is_not_a_pair_is_an_input_error(self, entry):
+        # the message `graph_from_jsonable` gives for a malformed entry
+        with pytest.raises(InputError, match=f"^malformed edge entry: {re.escape(repr(entry))}$"):
+            graph_from_edges(3, [(0, 1), entry])
+
     def test_reflexive_adjacency(self):
         g = graph_from_edges(3, [])
         assert g.adjacent(1, 1)
@@ -311,8 +331,8 @@ class TestGraphConstruction:
             lambda: g.adjacent(v, 0),
             lambda: g.adjacent(0, v),
             lambda: g.adjacent(v, v),
-            lambda: g.neighbors(v),
-            lambda: g.closed_neighborhood(v),
+            lambda: neighbors(g, v),
+            lambda: closed_neighborhood(g, v),
         ):
             with pytest.raises(InputError, match=f"vertex {v} out of range for n=4"):
                 call()
@@ -321,14 +341,14 @@ class TestGraphConstruction:
         (lambda g: g.adjacent(True, 2), "True"),
         (lambda g: g.adjacent(2, False), "False"),
         (lambda g: g.adjacent(1.0, 9), "1.0"),
-        (lambda g: g.neighbors(1.0), "1.0"),
-        (lambda g: g.closed_neighborhood(True), "True"),
+        (lambda g: neighbors(g, 1.0), "1.0"),
+        (lambda g: closed_neighborhood(g, True), "True"),
         (lambda g: validate_path(g, [True, 2]), "True"),
         (lambda g: validate_path(g, [0, "1"]), "'1'"),
         (lambda g: induced_subgraph(g, [0, 2.0]), "2.0"),
         (lambda g: order_from_pairs(g.n, [(0, 1)]).less(True, 1), "True"),
         (lambda g: order_from_pairs(g.n, [(0, 1)]).less(0, 1.0), "1.0"),
-        (lambda g: order_from_pairs(g.n, [(0, 1)]).comparable(False, 9), "False"),
+        (lambda g: comparable(order_from_pairs(g.n, [(0, 1)]), False, 9), "False"),
     ])
     def test_vertices_that_are_not_ints_are_refused(self, call, bad):
         # a bool is an int to Python, but never a vertex
@@ -358,9 +378,9 @@ class TestGraphConstruction:
 
     def test_neighbourhoods_read_off_the_edges(self):
         g = star3()
-        assert g.neighbors(0) == frozenset({1, 2, 3})
-        assert g.neighbors(3) == frozenset({0})
-        assert g.closed_neighborhood(3) == frozenset({0, 3})
+        assert neighbors(g, 0) == frozenset({1, 2, 3})
+        assert neighbors(g, 3) == frozenset({0})
+        assert closed_neighborhood(g, 3) == frozenset({0, 3})
         assert [g.adjacent(0, v) for v in range(4)] == [True] * 4
         assert [g.adjacent(1, v) for v in range(4)] == [True, True, False, False]
 
@@ -790,11 +810,22 @@ class TestOrders:
     def test_pairs_are_the_sorted_relation(self, o):
         assert list(o.pairs()) == sorted(o.rel)
 
-    def test_vertices_outside_the_order_are_never_below_or_above(self):
+    @pytest.mark.parametrize("u,v,bad", [
+        (0, 7, 7), (5, 0, 5), (-1, 0, -1), (-1, 2, -1), (0, -1, -1), (3, 0, 3), (0, 3, 3), (-3, 2, -3),
+        (9, -2, 9), (2, 3, 3),
+    ])
+    def test_vertex_outside_the_order_is_an_input_error(self, u, v, bad):
+        # the range rule of `Graph.adjacent`, which names the first bad vertex
         o = order_from_pairs(3, [(0, 1), (1, 2)])
-        for u, v in [(-1, 2), (0, -1), (3, 0), (0, 3), (-3, 2)]:
-            assert not o.less(u, v) and not o.comparable(u, v), (u, v)
-        assert o.less(0, 2) and o.comparable(2, 0) and not o.less(2, 0)
+        message = f"^vertex {bad} out of range for n=3$"
+        for call in (lambda: o.less(u, v), lambda: comparable(o, u, v), lambda: empty3().adjacent(u, v)):
+            with pytest.raises(InputError, match=message):
+                call()
+
+    def test_less_and_comparable_within_the_order(self):
+        o = order_from_pairs(3, [(0, 1), (1, 2)])
+        assert o.less(0, 2) and comparable(o, 2, 0) and not o.less(2, 0)
+        assert [(u, v) for u in range(3) for v in range(3) if o.less(u, v)] == sorted(o.rel)
 
     def test_bitsets_are_not_fields(self):
         o = order_from_pairs(3, [(0, 1), (1, 2)])

@@ -6,17 +6,15 @@ from collections import deque
 import pytest
 from hypothesis import given
 
-from conftest import empty3, single_nonedge4, graphs, k3, p4, random_graph, star3, two_k2
+from conftest import complement, empty3, single_nonedge4, graphs, k3, order_from_pairs, p4, random_graph, star3, two_k2
 from intorder import (
     InputError,
     StrictPartialOrder,
-    complement,
     enumerate_associated_orders,
     graph_from_edges,
     is_associated,
     oracle,
     oracle_unique,
-    order_from_pairs,
     random_interval_graph,
 )
 from intorder.cli import run
@@ -131,7 +129,7 @@ class TestEnumeration:
         assert {o.rel for o in enum.orders} == {expected.rel, expected.dual().rel}
 
     def test_four_cycle_orders_exist_but_are_not_interval(self):
-        from intorder import is_interval_order
+        from conftest import is_interval_order
 
         g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         enum = enumerate_associated_orders(g)

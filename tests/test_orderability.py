@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import c4, empty3, random_graph, single_nonedge4, k3, p4, star3, two_k2
+from conftest import c4, complete_graph, empty3, linked, random_graph, single_nonedge4, k3, p4, star3, two_k2
 from intorder import (
     BuriedCertificate,
     BuriedCheck,
@@ -17,7 +17,6 @@ from intorder import (
     StrictPartialOrder,
     UniquenessVerdict,
     buried_candidate,
-    complete_graph,
     components,
     decide_unique,
     find_buried,
@@ -512,7 +511,7 @@ class TestPairPath:
                 extended = []
                 for path in queue:
                     for q in pg.pairs:
-                        if q in path or not pg.linked(path[-1], q):
+                        if q in path or not linked(pg, path[-1], q):
                             continue
                         if q == dst:
                             best.append(path + [q])

@@ -3,29 +3,33 @@
 `import intorder` resolves each public name on first use, and
 `python -m intorder` loads only the modules its command runs: neither
 `dataclasses` (with the `inspect` it pulls in) nor the test-family and
-oracle modules, which only `gadget`, `orders` and `selftest` use.
+oracle modules, which only `gadget`, `orders` and `selftest` use. Every
+annotation in the package resolves, and every public definition is used
+by another part of the package or by the benchmark's tracer.
 """
 
+import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
+import typing
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import intorder
 from intorder.cli import run
+from test_layer_spans import load_layer_spans
 
 EXPORTS = {
     "errors": ["InputError", "InternalInconsistencyError", "NotIntervalGraphError"],
     "gadgets": ["GadgetOutput", "GadgetSpec", "all_graphs", "build_gadget", "random_interval_graph",
                 "suffix_minima"],
-    "graphs": ["Graph", "StrictPartialOrder", "complement", "complete_graph", "components",
-               "graph_from_edges", "graph_from_jsonable", "graph_to_jsonable", "incomparability_graph",
-               "induced_subgraph", "is_associated", "is_minimal_path", "order_from_pairs",
-               "parse_edgelist", "parse_graph_json", "refine_to_minimal", "universal_vertices",
-               "validate_path"],
+    "graphs": ["Graph", "StrictPartialOrder", "components", "graph_from_edges", "graph_from_jsonable",
+               "graph_to_jsonable", "is_associated", "parse_edgelist", "parse_graph_json", "validate_path"],
     "oracle": ["OrientationSet", "enumerate_associated_orders", "oracle_unique"],
     "orderability": ["BuriedCertificate", "BuriedCheck", "LeveledSet", "PairGraph", "UniquenessVerdict",
                      "buried_candidate", "decide_unique", "find_buried", "is_buried",
@@ -33,7 +37,7 @@ EXPORTS = {
                      "verdict_to_jsonable"],
     "recognition": ["Obstruction", "check_triangulated", "find_asteroidal_triple", "maximal_cliques",
                     "recognize", "validate_obstruction"],
-    "representation": ["ClosedRepresentation", "find_two_plus_two", "induced_graph", "is_interval_order",
+    "representation": ["ClosedRepresentation", "find_two_plus_two", "induced_graph",
                        "normalize_distinguishing", "order_to_representation",
                        "representation_from_intervals", "representation_to_order",
                        "verify_representation"],
@@ -41,6 +45,13 @@ EXPORTS = {
 NAMES = {name for names in EXPORTS.values() for name in names}
 STAR = '{"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}'
 NEVER_IMPORTED = {"dataclasses", "inspect", "intorder.gadgets", "intorder.oracle"}
+SRC = Path(intorder.__file__).resolve().parent
+MODULES = sorted(path.stem for path in SRC.glob("*.py") if not path.stem.startswith("_"))
+# public definitions that nothing else in src/ refers to, kept for a reason
+UNREFERENCED = {
+    "cli.run": "the in-process entry point: tests and the benchmark run commands through it",
+    "orderability.pair_path": "the certificate that two pairs share a pair-graph component",
+}
 
 
 def python(*args, stdin=""):
@@ -96,3 +107,67 @@ def test_module_entry_point_imports_only_what_the_command_runs(command):
     after_site = names[names.index("site") + 1:] if "site" in names else names
     assert {"intorder.cli", "intorder.graphs", "intorder.orderability"} <= set(after_site)
     assert not NEVER_IMPORTED & set(after_site)
+
+
+def annotated(module):
+    """Each function and class the module defines, and each method of its classes."""
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        yield value
+        if inspect.isclass(value):
+            for member in vars(value).values():
+                # plain, class and static methods, properties and cached properties
+                member = getattr(member, "__func__", getattr(member, "fget", getattr(member, "func", member)))
+                if inspect.isfunction(member):
+                    yield member
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_annotation_resolves(module):
+    defining = importlib.import_module(f"intorder.{module}")
+    checked = list(annotated(defining))
+    assert checked
+    for value in checked:
+        typing.get_type_hints(value)  # NameError for a name the module does not import
+
+
+def public_definitions(tree):
+    """(name, node) of each public top-level function and class and each
+    public method of a public class, methods named `Class.method`."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def names_used(node) -> Counter:
+    """Each name the code under `node` refers to, as a variable, an
+    attribute or an import, with its count."""
+    found: Counter = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            found[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            found[child.attr] += 1
+        elif isinstance(child, ast.alias):
+            found[child.name] += 1
+    return found
+
+
+def test_every_public_definition_is_used():
+    # a definition is used when code elsewhere in src/ names it, outside its
+    # own body, or when the benchmark's tracer wraps it
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    used = sum((names_used(tree) for tree in trees.values()), Counter())
+    traced = {f"{module}.{attr}" for _, module, attr in load_layer_spans()}
+    unreferenced = set()
+    for module, tree in trees.items():
+        for name, node in public_definitions(tree):
+            bare = name.rpartition(".")[2]
+            if used[bare] == names_used(node)[bare]:
+                unreferenced.add(f"{module}.{name}")
+    assert unreferenced - traced - set(UNREFERENCED) == set()
+    assert set(UNREFERENCED) <= unreferenced  # no entry outlives its reason

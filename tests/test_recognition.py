@@ -8,7 +8,19 @@ from itertools import combinations
 
 import pytest
 
-from conftest import c4, single_nonedge4, net_graph, k3, p4, random_graph
+from conftest import (
+    c4,
+    closed_neighborhood,
+    complete_graph,
+    incomparability_graph,
+    is_interval_order,
+    k3,
+    neighbors,
+    net_graph,
+    p4,
+    random_graph,
+    single_nonedge4,
+)
 from intorder import (
     ClosedRepresentation,
     InputError,
@@ -17,11 +29,8 @@ from intorder import (
     check_triangulated,
     enumerate_associated_orders,
     find_asteroidal_triple,
-    complete_graph,
     graph_from_edges,
     graph_to_jsonable,
-    incomparability_graph,
-    is_interval_order,
     maximal_cliques,
     parse_graph_json,
     recognize,
@@ -140,9 +149,9 @@ def recursive_maximal_cliques(g):
         if not p and not x:
             found.append(frozenset(r))
             return
-        pivot = max(sorted(p | x), key=lambda w: len(g.neighbors(w) & p))
-        for v in sorted(p - g.neighbors(pivot)):
-            expand(r | {v}, p & g.neighbors(v), x & g.neighbors(v))
+        pivot = max(sorted(p | x), key=lambda w: len(neighbors(g, w) & p))
+        for v in sorted(p - neighbors(g, pivot)):
+            expand(r | {v}, p & neighbors(g, v), x & neighbors(g, v))
             p.discard(v)
             x.add(v)
 
@@ -243,7 +252,7 @@ def set_based_asteroidal_triple(g):
             queue = deque([s])
             while queue:
                 v = queue.popleft()
-                for w in sorted(g.neighbors(v)):
+                for w in sorted(neighbors(g, v)):
                     if w not in banned and comp[w] == -1:
                         comp[w] = cid
                         queue.append(w)
@@ -261,13 +270,13 @@ def set_based_asteroidal_triple(g):
                     path.append(v)
                     v = parent[v]
                 return tuple(reversed(path))
-            for w in sorted(g.neighbors(v)):
+            for w in sorted(neighbors(g, v)):
                 if w not in banned and w not in parent:
                     parent[w] = v
                     queue.append(w)
         raise AssertionError("no path despite the component check")
 
-    comp = {z: components_avoiding(g.closed_neighborhood(z)) for z in range(g.n)}
+    comp = {z: components_avoiding(closed_neighborhood(g, z)) for z in range(g.n)}
 
     def connected_avoiding(a, b, z):
         return comp[z][a] != -1 and comp[z][a] == comp[z][b]
@@ -277,9 +286,9 @@ def set_based_asteroidal_triple(g):
             continue
         if connected_avoiding(x, y, z) and connected_avoiding(x, z, y) and connected_avoiding(y, z, x):
             paths = (
-                shortest_path_avoiding(x, y, g.closed_neighborhood(z)),
-                shortest_path_avoiding(x, z, g.closed_neighborhood(y)),
-                shortest_path_avoiding(y, z, g.closed_neighborhood(x)),
+                shortest_path_avoiding(x, y, closed_neighborhood(g, z)),
+                shortest_path_avoiding(x, z, closed_neighborhood(g, y)),
+                shortest_path_avoiding(y, z, closed_neighborhood(g, x)),
             )
             return Obstruction(kind="asteroidal_triple", triple=(x, y, z), witness_paths=paths)
     return None
@@ -296,7 +305,7 @@ def recursive_lex_least_chordless_cycle(g, length):
     length, in canonical form (minimum vertex first, second vertex smaller
     than the last), by a recursive depth-first search that extends chordless
     paths in ascending vertex order from every start vertex."""
-    adj = [g.neighbors(v) for v in range(g.n)]
+    adj = [neighbors(g, v) for v in range(g.n)]
 
     def dfs(path, used):
         c0 = path[0]
@@ -916,7 +925,7 @@ class TestAsteroidalTriples:
                 v = stack.pop()
                 if v == dst:
                     return True
-                for w in g.neighbors(v):
+                for w in neighbors(g, v):
                     if w not in banned and w not in seen:
                         seen.add(w)
                         stack.append(w)
@@ -926,9 +935,9 @@ class TestAsteroidalTriples:
             (x, y, z)
             for x, y, z in combinations(range(g.n), 3)
             if not (g.adjacent(x, y) or g.adjacent(x, z) or g.adjacent(y, z))
-            and reaches_avoiding(x, y, g.closed_neighborhood(z))
-            and reaches_avoiding(x, z, g.closed_neighborhood(y))
-            and reaches_avoiding(y, z, g.closed_neighborhood(x))
+            and reaches_avoiding(x, y, closed_neighborhood(g, z))
+            and reaches_avoiding(x, z, closed_neighborhood(g, y))
+            and reaches_avoiding(y, z, closed_neighborhood(g, x))
         ]
         assert len(triples) > 1
         obs = find_asteroidal_triple(g)
@@ -1080,7 +1089,7 @@ class TestRecognize:
 
     def test_two_plus_two_incomparability_graph_rejected(self):
         # the incomparability graph of two disjoint chains is the 4-cycle
-        from intorder import order_from_pairs
+        from conftest import order_from_pairs
 
         g = incomparability_graph(order_from_pairs(4, [(0, 1), (2, 3)]))
         assert isinstance(recognize(g), Obstruction)

@@ -9,18 +9,26 @@ from itertools import product
 import pytest
 from hypothesis import given
 
-from conftest import single_nonedge4, partial_orders
+from conftest import (
+    comparable,
+    incomparability_graph,
+    intersects,
+    is_distinguishing,
+    is_interval_order,
+    order_from_pairs,
+    partial_orders,
+    representation_from_jsonable,
+    single_nonedge4,
+    wholly_before,
+)
 from intorder import (
     ClosedRepresentation,
     Graph,
     InputError,
     StrictPartialOrder,
     find_two_plus_two,
-    incomparability_graph,
     induced_graph,
-    is_interval_order,
     normalize_distinguishing,
-    order_from_pairs,
     order_to_representation,
     recognize,
     representation_from_intervals,
@@ -32,7 +40,6 @@ from intorder.gadgets import GadgetSpec, build_gadget, random_interval_graph
 from intorder.representation import (
     _endpoint_sweep,
     _meeting_masks,
-    representation_from_jsonable,
     representation_to_jsonable,
 )
 
@@ -105,7 +112,7 @@ def pairwise_induced_graph(r):
     `ClosedRepresentation.intersects` on the Fractions themselves. The
     library reads the pairs off one sorted sweep over integer endpoints."""
     return Graph(r.n, frozenset(
-        (u, v) for u in range(r.n) for v in range(u + 1, r.n) if r.intersects(u, v)
+        (u, v) for u in range(r.n) for v in range(u + 1, r.n) if intersects(r, u, v)
     ))
 
 
@@ -280,7 +287,7 @@ class TestVerify:
     def test_rational_endpoints(self):
         rep = representation_from_intervals([([1, 2], [3, 2]), (1, 2)])
         assert rep.left[0] == Fraction(1, 2)
-        assert rep.intersects(0, 1)
+        assert intersects(rep, 0, 1)
 
 
 class TestEndpointSweep:
@@ -389,7 +396,7 @@ class TestIntervalOrders:
                     if len(four) != 4:
                         continue
                     cross = [(a, c), (a, d), (b, c), (b, d)]
-                    if all(not order.comparable(x, y) for x, y in cross):
+                    if all(not comparable(order, x, y) for x, y in cross):
                         return True
             return False
 
@@ -419,12 +426,12 @@ class TestIntervalOrders:
 class TestOrderToRepresentation:
     def test_antichain_intervals_pairwise_meet(self):
         rep = order_to_representation(StrictPartialOrder(3, frozenset()))
-        assert all(rep.intersects(u, v) for u in range(3) for v in range(3))
+        assert all(intersects(rep, u, v) for u in range(3) for v in range(3))
 
     def test_chain_intervals_disjoint_increasing(self):
         o = order_from_pairs(3, [(0, 1), (1, 2)])
         rep = order_to_representation(o)
-        assert rep.wholly_before(0, 1) and rep.wholly_before(1, 2)
+        assert wholly_before(rep, 0, 1) and wholly_before(rep, 1, 2)
 
     def test_single_nonedge4_order_representation_verifies(self):
         o = StrictPartialOrder(4, frozenset({(0, 2)}))
@@ -453,8 +460,8 @@ class TestOrderToRepresentation:
 class TestNormalize:
     def test_touching_intervals_stay_intersecting(self):
         rep = normalize_distinguishing(representation_from_intervals([(0, 2), (2, 4)]))
-        assert rep.is_distinguishing()
-        assert rep.intersects(0, 1)
+        assert is_distinguishing(rep)
+        assert intersects(rep, 0, 1)
 
     def test_point_interval_becomes_nondegenerate(self):
         rep = normalize_distinguishing(representation_from_intervals([(3, 3)]))
@@ -462,7 +469,7 @@ class TestNormalize:
 
     def test_distinguishing_input_keeps_graph_and_order(self):
         rep = representation_from_intervals([(0, 3), (2, 5), (7, 9)])
-        assert rep.is_distinguishing()
+        assert is_distinguishing(rep)
         normalized = normalize_distinguishing(rep)
         assert induced_graph(normalized).edges == induced_graph(rep).edges
         assert representation_to_order(normalized).rel == representation_to_order(rep).rel
@@ -476,7 +483,7 @@ class TestNormalize:
         for _ in range(500):
             rep = random_representation(rng, rng.randint(1, 10))
             normalized = normalize_distinguishing(rep)
-            assert normalized.is_distinguishing()
+            assert is_distinguishing(normalized)
             assert induced_graph(normalized).edges == induced_graph(rep).edges
             assert representation_to_order(normalized).rel == representation_to_order(rep).rel
 
