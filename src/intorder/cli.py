@@ -20,7 +20,6 @@ import json
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 
 from .errors import InputError, InternalInconsistencyError, NotIntervalGraphError
 from .graphs import (
@@ -124,8 +123,10 @@ def _load_graph(args, stdin_text: str | None) -> Graph:
     return parse_edgelist(text)
 
 
-def _fmt_endpoint(x: int | Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _interval_lines(rep, name):
+    """One line per vertex: its name and its interval's endpoints, each as `str` writes it."""
+    for v in range(rep.n):
+        yield f"{name(v)}: [{rep.left[v]!s}, {rep.right[v]!s}]"
 
 
 def _emit(as_json: bool, payload, text) -> None:
@@ -160,8 +161,7 @@ def _cmd_recognize(g: Graph, args) -> int:
 
     def text():
         yield "interval graph: yes"
-        for v in range(g.n):
-            yield f"{name(v)}: [{_fmt_endpoint(result.left[v])}, {_fmt_endpoint(result.right[v])}]"
+        yield from _interval_lines(result, name)
 
     _emit(args.json, lambda: representation_to_jsonable(result), text)
     return 0
@@ -291,9 +291,7 @@ def _cmd_gadget(args) -> int:
         yield "predicted B: " + _names(name, sorted(out.predicted_members))
         yield "predicted K: " + _names(name, sorted(out.predicted_separators))
         yield "predicted R: " + _names(name, sorted(out.predicted_outside))
-        rep = out.representation
-        for v in range(out.graph.n):
-            yield f"{name(v)}: [{_fmt_endpoint(rep.left[v])}, {_fmt_endpoint(rep.right[v])}]"
+        yield from _interval_lines(out.representation, name)
 
     _emit(args.json, lambda: gadget_to_jsonable(out), text)
     return 0

@@ -52,7 +52,7 @@ def suffix_minima(values: Sequence[int], stage: int) -> frozenset[int]:
     )
 
 
-class GadgetSpec(Record, frozen=True):
+class GadgetSpec(Record):
     """An injective prefix and how many x/y stages to realize."""
 
     f: tuple[int, ...]

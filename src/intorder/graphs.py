@@ -10,12 +10,12 @@ is the only adjacency form, and `adjacent`, components and path checks
 all read it. The parsers fill those rows in their one validation loop, and
 they and `induced_graph`, which meets rows first, hand them to
 `Graph._from_rows`. The edge set of such a graph is derived on first
-read, which only output, equality and hashing do. Every order the library
-builds is likewise its successor bitsets, given to
-`StrictPartialOrder._from_succ`; its pair set `rel` is derived only for
-equality, hashing and `repr`. Validation accepts an interval order, as
-every order of an interval graph is, by its nested up-sets in one step per
-vertex, and walks every pair only of other relations.
+read, which only output, equality and hashing do. An order is likewise
+its successor bitsets, the fields of `StrictPartialOrder` with `n`, and
+its pair set `rel` is derived on first read. Validation accepts an
+interval order, as every order of an interval graph is, by its nested
+up-sets in one step per vertex, and walks every pair only of other
+relations.
 
 Paths are plain sequences of vertices in which consecutive vertices are
 distinct and adjacent; a single vertex is a valid path of length zero.
@@ -33,18 +33,6 @@ from .errors import InputError
 VertexPair = tuple[int, int]
 
 
-def _refuse_assignment(self, name, value):
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _refuse_deletion(self, name):
-    raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _hash_fields(self) -> int:
-    return hash(self._values())
-
-
 class Record:
     """Base of the package's data records.
 
@@ -52,20 +40,20 @@ class Record:
     `_fields`. Subclassing writes an `__init__` that takes them by position
     or keyword, with class attributes as defaults, stores them and then
     calls `__post_init__` when the class has one. Records are equal when
-    their classes are the same and their fields are, and `repr` names every
-    field. `class R(Record, frozen=True)` refuses assignment and hashes the
-    fields; other records are unhashable. It stands in for `dataclasses`,
-    whose import (with the `inspect` it pulls in) and per-class code
-    generation took a quarter of a command line process's import.
+    their classes are the same and their fields are, hash their fields, and
+    refuse assignment and deletion; `repr` names every field. It stands in
+    for `dataclasses`, whose import (with the `inspect` it pulls in) and
+    per-class code generation took a quarter of a command line process's
+    import.
     """
 
-    def __init_subclass__(cls, frozen: bool = False, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = tuple(cls.__annotations__)
         params = "".join(f", {f}=_defaults[{f!r}]" if f in cls.__dict__ else f", {f}" for f in fields)
-        # a frozen record refuses assignment, so its fields go straight into its dict
-        lines = [f"def __init__(self{params}):", " d = self.__dict__" if frozen else " pass"]
-        lines += (f" d[{f!r}] = {f}" if frozen else f" self.{f} = {f}" for f in fields)
+        # a record refuses assignment, so its fields go straight into its dict
+        lines = [f"def __init__(self{params}):", " d = self.__dict__"]
+        lines += (f" d[{f!r}] = {f}" for f in fields)
         if hasattr(cls, "__post_init__"):  # looked up per call, so rebinding it takes effect
             lines.append(" self.__post_init__()")
         namespace: dict = {}
@@ -73,27 +61,37 @@ class Record:
         cls.__init__ = namespace["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
         cls._fields = fields
-        if frozen:
-            cls.__setattr__, cls.__delattr__, cls.__hash__ = _refuse_assignment, _refuse_deletion, _hash_fields
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
 
-    def __eq__(self, other):  # also sets __hash__ to None, which frozen records replace
+    def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
 
 
-class Graph(Record, frozen=True):
+class Graph(Record):
     """Undirected graph on vertices 0..n-1, reflexive by convention.
 
-    `Graph(n, edges, labels)` validates the edge set and derives `masks`
-    on first read. `Graph._from_rows` is given `masks` instead, and derives
-    `edges` on first read, which only output, equality and hashing do.
+    `masks` holds the neighbour sets as int bitsets, self excluded: bit w
+    of `masks[v]` is set iff w is in N(v); read vertices back with
+    `bit_indices`. `Graph(n, edges, labels)` fills them in the loop that
+    validates the edges. `Graph._from_rows` is given `masks` instead, and
+    derives `edges` on first read, which only output, equality and hashing
+    do.
     """
 
     n: int
@@ -101,15 +99,8 @@ class Graph(Record, frozen=True):
     labels: tuple[str | None, ...] | None = None
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InputError("vertex count must be nonnegative")
-        for u, v in self.edges:
-            if not (_is_index(u) and _is_index(v)):
-                raise InputError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
-            if not (0 <= u < v < self.n):
-                raise InputError(
-                    f"edge ({u}, {v}) is not canonical or out of range for n={self.n}"
-                )
+        vars(self)["edges"] = frozenset(self.edges)
+        vars(self)["masks"] = tuple(_edge_rows(self.n, self.edges, canonical=True))
         self._check_labels()
 
     @classmethod
@@ -139,16 +130,6 @@ class Graph(Record, frozen=True):
         edges = frozenset(_upper_pairs(self.masks))
         vars(self)["edges"] = edges
         return edges
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """Neighbor sets as int bitsets, self excluded: bit w of `masks[v]`
-        is set iff w is in N(v). Read vertices back with `bit_indices`."""
-        bits = [0] * self.n
-        for u, v in self.edges:
-            bits[u] |= 1 << v
-            bits[v] |= 1 << u
-        return tuple(bits)
 
     @cached_property
     def chordal_cliques(self) -> tuple[int, ...] | None:
@@ -280,18 +261,33 @@ def graph_from_edges(
 
     Self-loops are rejected: reflexivity is implicit and never stored.
     """
-    if n < 0:
-        raise InputError("vertex count must be nonnegative")
-    rows = [0] * n
+    return Graph._from_rows(_edge_rows(n, edge_list), tuple(labels) if labels is not None else None)
+
+
+def _edge_rows(n: int, edge_list: Iterable[Sequence[int]], canonical: bool = False) -> list[int]:
+    """The rows of n vertices holding the given edges, each entry checked;
+    with `canonical`, every edge (u, v) must have u < v."""
+    rows = [0] * _vertex_count(n)
     for pair in edge_list:
         try:
             u, v = pair
         except (TypeError, ValueError):
             raise InputError(f"malformed edge entry: {pair!r}") from None
+        if canonical and _is_index(u) and _is_index(v) and not 0 <= u < v < n:
+            raise InputError(f"edge ({u}, {v}) is not canonical or out of range for n={n}")
         _check_endpoints(n, u, v)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph._from_rows(rows, tuple(labels) if labels is not None else None)
+    return rows
+
+
+def _vertex_count(n) -> int:
+    """`n`, or an InputError unless it is an int, never a bool, and nonnegative."""
+    if not _is_index(n):
+        raise InputError("vertex count must be an integer")
+    if n < 0:
+        raise InputError("vertex count must be nonnegative")
+    return n
 
 
 def _is_index(x) -> bool:
@@ -362,40 +358,35 @@ def validate_path(g: Graph, path: Sequence[int]) -> list[int]:
 # Strict partial orders
 # ---------------------------------------------------------------------------
 
-class StrictPartialOrder(Record, frozen=True):
+class StrictPartialOrder(Record):
     """Irreflexive, antisymmetric, transitively closed relation on 0..n-1.
 
-    An order is its successor rows: `succ` and `pred` hold the vertices
-    above and below each vertex as `Graph.masks`-style int bitsets, and
-    every method reads them. `StrictPartialOrder(n, rel)` validates a pair
-    set from outside the library by folding it into `succ`; every order the
-    library builds is given its rows by `_from_succ` and passes the same
-    validation, so every accepted instance is a genuine strict partial
-    order. The validation accepts an interval order by `_nested_pred` and
-    walks the pairs of any other relation, which writes every error. The
-    rows are plain attributes, not fields: equality, hashing and `repr` see
-    `n` and `rel`, which an order built from rows derives on first read,
-    and only they read it.
+    An order is its successor rows: `succ` holds the vertices above each
+    vertex as `Graph.masks`-style int bitsets, and `pred` those below, and
+    every method reads them. `StrictPartialOrder(n, succ)` checks the rows,
+    so every instance is a genuine strict partial order: it accepts an
+    interval order by `_nested_pred` and walks the pairs of any other
+    relation, which writes every error. The pair set `rel` is derived on
+    first read.
     """
 
     n: int
-    rel: frozenset[VertexPair]
+    succ: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InputError("vertex count must be nonnegative")
-        succ = vars(self).get("succ")
-        if succ is None:  # built from `rel`
-            succ = [0] * self.n
-            for u, v in self.rel:
-                if not (_is_index(u) and _is_index(v)):
-                    raise InputError(f"relation pair ({u!r}, {v!r}) is not a pair of integers")
-                if not (0 <= u < self.n and 0 <= v < self.n):
-                    raise InputError(f"relation pair ({u}, {v}) out of range for n={self.n}")
-                succ[u] |= 1 << v
-        pred = _nested_pred(succ)
+        n = _vertex_count(self.n)
+        succ = vars(self)["succ"] = tuple(self.succ)
+        if len(succ) != n:
+            raise InputError(f"an order on {n} vertices takes {n} successor rows, got {len(succ)}")
+        # the nested up-sets lie inside 0..n-1, so only rows they refuse are range-checked
+        pred = _nested_pred(succ) if set(map(type, succ)) <= {int} else None
         if pred is None:  # not an interval order, or not an order at all
-            pred = [0] * self.n
+            for u, row in enumerate(succ):
+                if not _is_index(row):
+                    raise InputError(f"successor row {row!r} of vertex {u} is not an integer")
+                if not 0 <= row < 1 << n:
+                    raise InputError(f"successor row {row} of vertex {u} is out of range for n={n}")
+            pred = [0] * n
             unclosed = None  # the least row u reaching, in two steps, past succ[u]
             for u, above in enumerate(succ):
                 if above >> u & 1:
@@ -404,7 +395,7 @@ class StrictPartialOrder(Record, frozen=True):
                     pred[v] |= 1 << u
                 if unclosed is None and _neighbours_of(succ, above) & ~above:
                     unclosed = u
-            for u in range(self.n):
+            for u in range(n):
                 if succ[u] & pred[u]:
                     v = next(bit_indices(succ[u] & pred[u]))
                     raise InputError(f"relation must be antisymmetric; got both ({u},{v}) and ({v},{u})")
@@ -415,25 +406,12 @@ class StrictPartialOrder(Record, frozen=True):
                 raise InputError(
                     f"relation is not transitively closed: ({u},{v}) and ({v},{w}) but not ({u},{w})"
                 )
-        object.__setattr__(self, "succ", tuple(succ))
-        object.__setattr__(self, "pred", tuple(pred))
+        vars(self)["pred"] = tuple(pred)
 
-    @classmethod
-    def _from_succ(cls, n: int, succ: Sequence[int]) -> "StrictPartialOrder":
-        """The order whose successor bitsets are `succ`, validated by
-        `__post_init__` as any other order is."""
-        order = object.__new__(cls)
-        vars(order).update(n=n, succ=tuple(succ))
-        order.__post_init__()
-        return order
-
-    def __getattr__(self, name: str):
-        # only reached when `rel` is missing, on an order built by `_from_succ`
-        if name != "rel":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rel = frozenset(self.pairs())
-        vars(self)["rel"] = rel
-        return rel
+    @cached_property
+    def rel(self) -> frozenset[VertexPair]:
+        """The pair set of the order, read off `succ`."""
+        return frozenset(self.pairs())
 
     def less(self, u: int, v: int) -> bool:
         """u < v, for vertices u and v of the order."""
@@ -447,16 +425,16 @@ class StrictPartialOrder(Record, frozen=True):
         return ((u, v) for u in range(self.n) for v in bit_indices(self.succ[u]))
 
     def dual(self) -> "StrictPartialOrder":
-        return StrictPartialOrder._from_succ(self.n, self.pred)
+        return StrictPartialOrder(self.n, self.pred)
 
 
 def _nested_pred(succ: Sequence[int]) -> list[int] | None:
     """`pred` of the strict interval order whose successor rows are `succ`,
     or None when they are not one. Its up-sets form a chain (Fishburn 1970):
-    sorted by size, largest first, each row lies inside the one before and
-    misses every vertex walked so far, and rows that do are irreflexive,
-    transitive and 2+2-free. A vertex's predecessors are the vertices
-    walked before it drops out of the rows."""
+    sorted by size, largest first, each row lies inside the one before (the
+    first inside 0..n-1) and misses every vertex walked so far, and int
+    rows that do are irreflexive, transitive and 2+2-free. A vertex's
+    predecessors are the vertices walked before it drops out of the rows."""
     n = len(succ)
     pred = [0] * n
     previous, walked = (1 << n) - 1, 0

@@ -8,7 +8,7 @@ or below a under every vertex at or above b. The branch dies when that
 would relate two adjacent vertices; it can neither reverse a pair nor close
 a cycle, since the relation is closed and a, b are not yet comparable.
 Each branch works on its own copy of the rows, and each leaf is an order,
-built and validated once by `StrictPartialOrder._from_succ`. The orders
+built and validated once by the `StrictPartialOrder` constructor. The orders
 come sorted as their sorted pair lists are. Desk-scale only: the vertex
 count is bounded by `max_n`, the orders by `MAX_ORDERS` and, as few orders
 can still take a vast search, the branches popped by `MAX_BRANCHES`.
@@ -62,7 +62,7 @@ def enumerate_associated_orders(g: Graph, max_n: int = DEFAULT_MAX_N) -> Orienta
                     [p | below if above >> y & 1 else p for y, p in enumerate(pred)],
                 ))
     orders = sorted(
-        (StrictPartialOrder._from_succ(n, succ) for succ in leaves),
+        (StrictPartialOrder(n, succ) for succ in leaves),
         key=lambda o: bytes(x for pair in o.pairs() for x in pair),
     )
     return OrientationSet(orders=tuple(orders), dual_classes=len({min(o.succ, o.pred) for o in orders}))

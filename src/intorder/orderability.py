@@ -315,7 +315,7 @@ def is_buried(g: Graph, vertex_set: Iterable[int]) -> BuriedCheck:
     )
 
 
-class BuriedCertificate(Record, frozen=True):
+class BuriedCertificate(Record):
     """A buried subgraph plus everything needed to re-validate it."""
 
     members: frozenset[int]
@@ -400,7 +400,7 @@ def _associated_order(g: Graph, succ: list[int], what: str) -> StrictPartialOrde
     order associated to g; anything else is a bug in the construction named
     by `what`."""
     try:
-        order = StrictPartialOrder._from_succ(g.n, succ)
+        order = StrictPartialOrder(g.n, succ)
     except InputError as exc:
         raise InternalInconsistencyError(f"{what} is not a partial order: {exc}") from exc
     if not is_associated(g, order):

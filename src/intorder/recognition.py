@@ -49,7 +49,7 @@ CHORDLESS_CYCLE = "chordless_cycle"
 ASTEROIDAL_TRIPLE = "asteroidal_triple"
 
 
-class Obstruction(Record, frozen=True):
+class Obstruction(Record):
     """Why a graph is not an interval graph.
 
     For kind == "chordless_cycle", `cycle` lists the cycle's vertices once,

@@ -38,7 +38,7 @@ def _as_fraction(value) -> Fraction:
     raise InputError(f"endpoint {value!r} is not an integer or [numerator, denominator] pair")
 
 
-class ClosedRepresentation(Record, frozen=True):
+class ClosedRepresentation(Record):
     """Closed intervals [left(v), right(v)] for vertices 0..n-1."""
 
     n: int
@@ -131,7 +131,7 @@ def representation_to_order(r: ClosedRepresentation) -> StrictPartialOrder:
     everyone = (1 << r.n) - 1
     succ = [everyone & ~row for row in started]
     try:
-        return StrictPartialOrder._from_succ(r.n, succ)
+        return StrictPartialOrder(r.n, succ)
     except InputError as exc:  # geometrically impossible
         raise InternalInconsistencyError(
             f"interval precedence failed to be a strict partial order: {exc}"

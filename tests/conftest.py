@@ -89,7 +89,17 @@ def order_from_pairs(n: int, pairs) -> StrictPartialOrder:
     for s in range(n):
         if succ[s] >> s & 1:
             raise InputError(f"pairs contain a cycle through vertex {s}")
-    return StrictPartialOrder._from_succ(n, succ)
+    return StrictPartialOrder(n, succ)
+
+
+def order_on(n: int, rel) -> StrictPartialOrder:
+    """The order on 0..n-1 whose pairs are `rel`, each (u, v) with both
+    in range, folded into successor rows as given: nothing is closed, so
+    the constructor sees every flaw of the relation."""
+    succ = [0] * n
+    for u, v in rel:
+        succ[u] |= 1 << v
+    return StrictPartialOrder(n, succ)
 
 
 def comparable(o: StrictPartialOrder, u: int, v: int) -> bool:
@@ -230,4 +240,4 @@ def partial_orders(draw, max_n: int = 7):
         if extra:
             rel |= extra
             changed = True
-    return StrictPartialOrder(n, frozenset(rel))
+    return order_on(n, rel)

@@ -44,8 +44,7 @@ def test_order_check_span_wraps_the_validation():
     check = StrictPartialOrder.__dict__.get("__post_init__")
     assert inspect.isfunction(check)
     order = object.__new__(StrictPartialOrder)
-    object.__setattr__(order, "n", 3)
-    object.__setattr__(order, "rel", frozenset({(0, 1), (1, 2)}))
+    vars(order).update(n=3, succ=(0b010, 0b100, 0))
     with pytest.raises(InputError, match="not transitively closed"):
         check(order)
 
@@ -59,12 +58,13 @@ tracer = tracing.Tracer()
 tracer.install()
 code, out, _ = intorder.cli.run(["decide", "--json"], '{"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}')
 tracer.uninstall()
-print(code, sorted({span[0] for span in tracer.spans}))
+print(code, tracer.counts["graphs.order_pairs"], sorted({span[0] for span in tracer.spans}))
 """
     env = dict(os.environ, PYTHONPATH=str(Path(intorder.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    code, spans = proc.stdout.split(" ", 1)
+    code, order_pairs, spans = proc.stdout.split(" ", 2)
     assert code == "1"
+    assert int(order_pairs) > 0  # counted from `StrictPartialOrder.rel` of each order built
     assert "orderability.decide_self" in spans and "cli.run_self" in spans

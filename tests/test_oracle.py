@@ -6,10 +6,9 @@ from collections import deque
 import pytest
 from hypothesis import given
 
-from conftest import complement, empty3, single_nonedge4, graphs, k3, order_from_pairs, p4, random_graph, star3, two_k2
+from conftest import complement, empty3, single_nonedge4, graphs, k3, order_from_pairs, order_on, p4, random_graph, star3, two_k2
 from intorder import (
     InputError,
-    StrictPartialOrder,
     enumerate_associated_orders,
     graph_from_edges,
     is_associated,
@@ -81,7 +80,7 @@ def set_based_enumeration(g):
     backtrack()
 
     ordered = sorted(results, key=lambda fs: sorted(fs))
-    orders = tuple(StrictPartialOrder(g.n, fs) for fs in ordered)
+    orders = tuple(order_on(g.n, fs) for fs in ordered)
     class_keys = set()
     for fs in ordered:
         forward = tuple(sorted(fs))

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import c4, complete_graph, empty3, linked, random_graph, single_nonedge4, k3, p4, star3, two_k2
+from conftest import c4, complete_graph, empty3, linked, order_on, random_graph, single_nonedge4, k3, p4, star3, two_k2
 from intorder import (
     BuriedCertificate,
     BuriedCheck,
@@ -14,7 +14,6 @@ from intorder import (
     LeveledSet,
     NotIntervalGraphError,
     PairGraph,
-    StrictPartialOrder,
     UniquenessVerdict,
     buried_candidate,
     components,
@@ -273,7 +272,7 @@ def stacked_order(g, comps, block_rank):
         for x in ci
         for y in cj
     }
-    order = StrictPartialOrder(g.n, frozenset(rel))
+    order = order_on(g.n, rel)
     assert is_associated(g, order)
     return order
 
@@ -295,9 +294,9 @@ def reference_two_orders_from_buried(g, cert, base):
                     rel1.add((x, y))
             elif base.less(x, anchor):
                 rel1.add((x, y))
-    order1 = StrictPartialOrder(g.n, frozenset(rel1))
+    order1 = order_on(g.n, rel1)
     rel2 = {((y, x) if (x in members and y in members) else (x, y)) for x, y in rel1}
-    order2 = StrictPartialOrder(g.n, frozenset(rel2))
+    order2 = order_on(g.n, rel2)
     assert is_associated(g, order1) and is_associated(g, order2)
     assert order2 != order1 and order2 != order1.dual()
     a, b = cert.witness_nonedge
@@ -314,7 +313,7 @@ def reference_disconnected_verdict(g, comps, base, wq_count):
     if incomplete:
         blk = comps[incomplete[0]]
         rel2 = {((y, x) if (x in blk and y in blk) else (x, y)) for x, y in base.rel}
-        order2 = StrictPartialOrder(g.n, frozenset(rel2))
+        order2 = order_on(g.n, rel2)
         assert is_associated(g, order2)
         assert order2 != base and order2 != base.dual()
         a, b = min((a, b) for a in blk for b in blk if a < b and not g.adjacent(a, b))
@@ -344,15 +343,13 @@ def reference_decide(g):
         )
     if g.is_complete():
         return UniquenessVerdict(
-            unique=True, wq_components=pg.component_count, order=StrictPartialOrder(g.n, frozenset())
+            unique=True, wq_components=pg.component_count, order=order_on(g.n, ())
         )
     cert = per_pair_scan_buried(g)
     assert (cert is None) == (pg.component_count == 2)
     if cert is None:
         chosen = pg.component_of[pg.pairs[0]]
-        order = StrictPartialOrder(
-            g.n, frozenset(p for p in pg.pairs if pg.component_of[p] == chosen)
-        )
+        order = order_on(g.n, (p for p in pg.pairs if pg.component_of[p] == chosen))
         return UniquenessVerdict(unique=True, wq_components=pg.component_count, order=order)
     order1, order2, triple = reference_two_orders_from_buried(
         g, cert, representation_to_order(rep)
@@ -786,7 +783,7 @@ class TestTwoOrders:
         g = star3()
         cert = find_buried(g)
         with pytest.raises(InputError):
-            two_orders_from_buried(g, cert, StrictPartialOrder(4, frozenset()))
+            two_orders_from_buried(g, cert, order_on(4, ()))
 
 
 class TestOrderFromPairGraph:
@@ -927,7 +924,7 @@ class TestDecideUnique:
         assert not verdict.unique
         order1, order2 = verdict.witness
         for order in (order1, order2):
-            assert StrictPartialOrder(order.n, frozenset(order.rel)) == order
+            assert order_on(order.n, order.rel) == order
             assert is_associated(g, order)
         assert order2 != order1 and order2 != order1.dual()
 

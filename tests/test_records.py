@@ -1,7 +1,7 @@
 """The package's twelve data records, by behaviour: construction by position
 or keyword with defaults, argument errors, the checks `__post_init__` runs,
-`repr`, equality within one class, hashing of the frozen records and the
-refusal to assign to them."""
+`repr`, equality within one class, hashing, and the refusal to assign to
+or delete a field."""
 
 import pytest
 
@@ -19,35 +19,38 @@ from intorder import (
     PairGraph,
     StrictPartialOrder,
     UniquenessVerdict,
+    decide_unique,
+    pair_graph,
 )
 
 P3 = Graph(3, frozenset({(0, 1), (1, 2)}))
 REP = ClosedRepresentation(3, (0, 1, 2), (1, 2, 3))
-ORDER = StrictPartialOrder(3, frozenset({(0, 2)}))
+ORDER = StrictPartialOrder(3, (0b100, 0, 0))
 CERT = BuriedCertificate(frozenset({0, 2}), frozenset({1}), frozenset({3}), (0, 2), 3, (0, 2))
 
-# class, frozen, fields in order, values, how many of them are required, and
-# another value for the last field
+# class, whether it hashes (a record holding a dict does not), fields in
+# order, values, how many of them are required, and another value for the
+# last field
 RECORDS = [
     (Graph, True, ("n", "edges", "labels"), (3, frozenset({(0, 1)}), ("a", "b", "c")), 2, None),
-    (StrictPartialOrder, True, ("n", "rel"), (3, frozenset({(0, 1)})), 2, frozenset()),
+    (StrictPartialOrder, True, ("n", "succ"), (3, (0b010, 0, 0)), 2, (0, 0, 0)),
     (ClosedRepresentation, True, ("n", "left", "right"), (2, (0, 1), (1, 2)), 3, (2, 2)),
     (Obstruction, True, ("kind", "cycle", "triple", "witness_paths"),
      ("asteroidal_triple", None, (3, 4, 5), ((3, 0, 1, 4), (3, 0, 2, 5), (4, 1, 2, 5))), 1, None),
     (PairGraph, False, ("base", "rows"), (P3, ({0: 0b100}, {2: 0b001})), 2, ()),
     (LeveledSet, False, ("v", "u", "level"), (0, 2, {0: 0, 2: 0, 1: 1}), 3, {0: 0, 2: 0}),
-    (BuriedCheck, False, ("buried", "separators", "outside", "witness_nonedge", "witness_outside"),
+    (BuriedCheck, True, ("buried", "separators", "outside", "witness_nonedge", "witness_outside"),
      (True, frozenset({1}), frozenset({3}), (0, 2), 3), 5, None),
     (BuriedCertificate, True,
      ("members", "separators", "outside", "witness_nonedge", "witness_outside", "pair"),
      (frozenset({0, 2}), frozenset({1}), frozenset({3}), (0, 2), 3, (0, 2)), 6, (2, 0)),
-    (UniquenessVerdict, False, ("unique", "wq_components", "order", "witness", "triple", "buried"),
+    (UniquenessVerdict, True, ("unique", "wq_components", "order", "witness", "triple", "buried"),
      (False, 4, None, (ORDER, ORDER.dual()), (0, 1, 2), CERT), 2, None),
     (GadgetSpec, True, ("f", "stages"), ((2, 0, 1), 3), 2, 2),
-    (GadgetOutput, False,
+    (GadgetOutput, True,
      ("graph", "representation", "predicted_members", "predicted_separators", "predicted_outside"),
      (P3, REP, frozenset({0, 2}), frozenset({1}), frozenset()), 5, frozenset({3})),
-    (OrientationSet, False, ("orders", "dual_classes"), ((ORDER, ORDER.dual()), 1), 2, 2),
+    (OrientationSet, True, ("orders", "dual_classes"), ((ORDER, ORDER.dual()), 1), 2, 2),
 ]
 IDS = [row[0].__name__ for row in RECORDS]
 
@@ -108,22 +111,20 @@ def test_equality_reads_every_field_within_one_class(row):
     assert record != other_cls(*other_values)
 
 
-def test_frozen_records_hash_and_refuse_assignment(row):
-    cls, frozen, fields, values, _, last = row
+def test_records_hash_and_refuse_assignment(row):
+    cls, hashes, fields, values, _, last = row
     record = cls(*values)
-    if frozen:
+    if hashes:
         assert hash(record) == hash(cls(*values))
-        for name in fields:
-            with pytest.raises(AttributeError):
-                setattr(record, name, last)
-            with pytest.raises(AttributeError):
-                delattr(record, name)
-        assert record == cls(*values)
     else:
-        with pytest.raises(TypeError, match="unhashable"):
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
             hash(record)
-        setattr(record, fields[-1], last)
-        assert getattr(record, fields[-1]) == last
+    for name in fields:
+        with pytest.raises(AttributeError, match=f"cannot assign to field {name!r}"):
+            setattr(record, name, last)
+        with pytest.raises(AttributeError, match=f"cannot delete field {name!r}"):
+            delattr(record, name)
+    assert record == cls(*values)
 
 
 @pytest.mark.parametrize("build,message", [
@@ -133,8 +134,21 @@ def test_frozen_records_hash_and_refuse_assignment(row):
     (lambda: ClosedRepresentation(2, (0,), (1,)), "one entry per vertex"),
     (lambda: Graph(-1, frozenset()), "nonnegative"),
     (lambda: Graph(n=2, edges=frozenset({(1, 0)})), "not canonical"),
-    (lambda: StrictPartialOrder(3, frozenset({(0, 1), (1, 2)})), "not transitively closed"),
+    (lambda: StrictPartialOrder(3, (0b010, 0b100, 0)), "not transitively closed"),
 ])
 def test_post_init_checks_still_run(build, message):
     with pytest.raises(InputError, match=message):
         build()
+
+
+def test_a_verdict_and_a_pair_graph_cannot_be_rewritten():
+    # a verdict that said unique while it carried a witness, or a pair graph
+    # with no components, could be made by assignment before records refused it
+    star = Graph(4, frozenset({(0, 1), (0, 2), (0, 3)}))
+    verdict = decide_unique(star)
+    with pytest.raises(AttributeError, match="cannot assign to field 'unique'"):
+        verdict.unique = True
+    pg = pair_graph(star)
+    with pytest.raises(AttributeError, match="cannot assign to field 'rows'"):
+        pg.rows = ()
+    assert (verdict.unique, pg.component_count) == (False, 6)

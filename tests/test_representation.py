@@ -16,6 +16,7 @@ from conftest import (
     is_distinguishing,
     is_interval_order,
     order_from_pairs,
+    order_on,
     partial_orders,
     representation_from_jsonable,
     single_nonedge4,
@@ -25,7 +26,6 @@ from intorder import (
     ClosedRepresentation,
     Graph,
     InputError,
-    StrictPartialOrder,
     find_two_plus_two,
     induced_graph,
     normalize_distinguishing,
@@ -35,7 +35,6 @@ from intorder import (
     representation_to_order,
     verify_representation,
 )
-from intorder.cli import _fmt_endpoint
 from intorder.gadgets import GadgetSpec, build_gadget, random_interval_graph
 from intorder.representation import (
     _endpoint_sweep,
@@ -86,7 +85,7 @@ def all_orders(max_n):
         for chosen in product((False, True), repeat=len(cells)):
             rel = frozenset(c for c, keep in zip(cells, chosen) if keep)
             try:
-                yield StrictPartialOrder(n, rel)
+                yield order_on(n, rel)
             except InputError:
                 pass
 
@@ -385,7 +384,7 @@ class TestIntervalOrders:
         assert is_interval_order(order_from_pairs(3, [(0, 1), (1, 2)]))
 
     def test_single_nonedge4_order_accepted(self):
-        assert is_interval_order(StrictPartialOrder(4, frozenset({(0, 2)})))
+        assert is_interval_order(order_on(4, {(0, 2)}))
 
     @given(partial_orders())
     def test_matches_bruteforce_four_tuple_scan(self, o):
@@ -425,7 +424,7 @@ class TestIntervalOrders:
 
 class TestOrderToRepresentation:
     def test_antichain_intervals_pairwise_meet(self):
-        rep = order_to_representation(StrictPartialOrder(3, frozenset()))
+        rep = order_to_representation(order_on(3, ()))
         assert all(intersects(rep, u, v) for u in range(3) for v in range(3))
 
     def test_chain_intervals_disjoint_increasing(self):
@@ -434,7 +433,7 @@ class TestOrderToRepresentation:
         assert wholly_before(rep, 0, 1) and wholly_before(rep, 1, 2)
 
     def test_single_nonedge4_order_representation_verifies(self):
-        o = StrictPartialOrder(4, frozenset({(0, 2)}))
+        o = order_on(4, {(0, 2)})
         rep = order_to_representation(o)
         assert verify_representation(single_nonedge4(), rep)
 
@@ -537,8 +536,7 @@ class TestIntAndFractionEndpoints:
             assert all(type(x) is Fraction for x in copy.left + copy.right)
             assert rep == copy and hash(rep) == hash(copy)
             assert json.dumps(representation_to_jsonable(rep)) == json.dumps(representation_to_jsonable(copy))
-            assert [_fmt_endpoint(x) for x in rep.left + rep.right] == [
-                _fmt_endpoint(x) for x in copy.left + copy.right]
+            assert [str(x) for x in rep.left + rep.right] == [str(x) for x in copy.left + copy.right]
 
     def test_recognized_ints_round_trip_like_fractions(self):
         for g, rep in recognized_graphs():
