@@ -374,6 +374,8 @@ def _check_certificates(max_n: int) -> str | None:
             verdict = decide_unique(g)
         except NotIntervalGraphError:
             continue
+        if verdict.wq_components != pair_graph(g).component_count:  # the full fill
+            return f"component count differs from the pair graph's on edges={sorted(g.edges)}"
         if verdict.unique:
             if not is_associated(g, verdict.order):
                 return f"unique order not associated on edges={sorted(g.edges)}"

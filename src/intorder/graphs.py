@@ -24,6 +24,7 @@ distinct and adjacent; a single vertex is a valid path of length zero.
 from __future__ import annotations
 
 import json
+import sys
 from bisect import bisect_left
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -99,8 +100,19 @@ class Graph(Record):
     labels: tuple[str | None, ...] | None = None
 
     def __post_init__(self):
-        vars(self)["edges"] = frozenset(self.edges)
-        vars(self)["masks"] = tuple(_edge_rows(self.n, self.edges, canonical=True))
+        edges = self.edges
+        if not isinstance(edges, (set, frozenset)):  # read any other iterable once
+            edges = _tupled(edges, "edges")
+        vars(self)["masks"] = tuple(_edge_rows(self.n, edges, canonical=True))
+        try:
+            vars(self)["edges"] = frozenset(edges)
+        except TypeError:  # every entry is a checked pair: find the list or the like
+            for pair in edges:
+                try:
+                    hash(pair)
+                except TypeError:
+                    raise InputError(f"unhashable edge entry: {pair!r}") from None
+            raise
         self._check_labels()
 
     @classmethod
@@ -115,6 +127,7 @@ class Graph(Record):
 
     def _check_labels(self) -> None:
         if self.labels is not None:
+            vars(self)["labels"] = _tupled(self.labels, "labels")
             if len(self.labels) != self.n:
                 raise InputError("labels must have one entry per vertex (None for unnamed)")
             # a certificate names vertices by label, so a shared label makes it unreadable
@@ -261,14 +274,14 @@ def graph_from_edges(
 
     Self-loops are rejected: reflexivity is implicit and never stored.
     """
-    return Graph._from_rows(_edge_rows(n, edge_list), tuple(labels) if labels is not None else None)
+    return Graph._from_rows(_edge_rows(n, edge_list), labels)
 
 
 def _edge_rows(n: int, edge_list: Iterable[Sequence[int]], canonical: bool = False) -> list[int]:
     """The rows of n vertices holding the given edges, each entry checked;
     with `canonical`, every edge (u, v) must have u < v."""
     rows = [0] * _vertex_count(n)
-    for pair in edge_list:
+    for pair in _tupled(edge_list, "edges"):
         try:
             u, v = pair
         except (TypeError, ValueError):
@@ -282,12 +295,23 @@ def _edge_rows(n: int, edge_list: Iterable[Sequence[int]], canonical: bool = Fal
 
 
 def _vertex_count(n) -> int:
-    """`n`, or an InputError unless it is an int, never a bool, and nonnegative."""
+    """`n`, or an InputError unless it is an int, never a bool, nonnegative
+    and at most `sys.maxsize`, the longest list of rows Python can index."""
     if not _is_index(n):
         raise InputError("vertex count must be an integer")
     if n < 0:
         raise InputError("vertex count must be nonnegative")
+    if n > sys.maxsize:
+        raise InputError(f"vertex count must be at most {sys.maxsize}")
     return n
+
+
+def _tupled(values, what: str) -> tuple:
+    """`values` as a tuple, or an InputError when it is not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InputError(f"{what} must be iterable, got {values!r}") from None
 
 
 def _is_index(x) -> bool:
@@ -375,7 +399,7 @@ class StrictPartialOrder(Record):
 
     def __post_init__(self):
         n = _vertex_count(self.n)
-        succ = vars(self)["succ"] = tuple(self.succ)
+        succ = vars(self)["succ"] = _tupled(self.succ, "successor rows")
         if len(succ) != n:
             raise InputError(f"an order on {n} vertices takes {n} successor rows, got {len(succ)}")
         # the nested up-sets lie inside 0..n-1, so only rows they refuse are range-checked
@@ -488,7 +512,7 @@ def graph_from_jsonable(obj) -> Graph:
     # one pass over the entries, ORing each good one into the rows; a bad
     # shape anywhere is reported before the labels, the first bad endpoint
     # after them
-    rows = [0] * n
+    rows = [0] * _vertex_count(n) if n >= 0 else []  # a negative count is reported later
     first_bad = None
     for item in raw_edges:
         if not (isinstance(item, list) and len(item) == 2):

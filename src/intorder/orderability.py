@@ -7,32 +7,35 @@ connected or not:
   (c, d) are linked when a is adjacent to c and b is adjacent to d
   (adjacency taken reflexively); exactly two components means uniquely
   orderable, and the component containing the least pair orients the
-  unique order;
+  unique order (a decision counts the components without building it);
 * buried subgraphs: a vertex set with a non-adjacent pair inside, disjoint
   from the set of vertices adjacent to all of it, leaving a nonempty
   remainder it has no edges into; finding one yields two genuinely
   different associated orders;
 * a brute-force enumeration oracle lives separately in `oracle`.
 
-The first two run on the neighbourhood bitsets `Graph.masks` caches. The
-pair graph is flood-filled by one-coordinate steps (Golumbic's implication
-classes of the complement) plus a diagonal step across each induced
-four-cycle, with the unvisited pairs kept as one bitset per row and one per
-column. A chordal graph has no induced four-cycle, so the diagonal step
-runs only when the chordality sweep cached as `Graph.chordal_cliques`
-fails; every interval graph, and so every input `decide_unique` accepts,
-skips it, and reads the sweep `recognize` already ran. Each step takes a
-whole bitset of new pairs sharing one coordinate, and the fill records
-just each component's rows (its pairs as one bitset of second vertices per
-first vertex, its start's first); `wq`'s per-pair lists are read off them.
-The buried search applies to interval input only. There the components are
-the implication classes of the complement, and by Gallai's theorem each
-span (the vertices a component's pairs use) is the least module holding
-the class's pairs; it is buried exactly when its remainder V - members -
-touched (touched being the union of the members' neighbourhoods) is
-nonempty. The search reads each component's start (least pair) and span
-off its rows in order, regrows the start's closure to check it equals the
-span, and stops at the first span with a remainder: the certificate.
+The first two run on the neighbourhood bitsets `Graph.masks` caches. One
+flood fill, `_flood`, finds a component: by one-coordinate steps
+(Golumbic's implication classes of the complement) plus a diagonal step
+across each induced four-cycle, over unvisited pairs kept as one bitset
+per row and one per column, recording the component as its rows (one
+bitset of second vertices per first vertex). `pair_graph`, the full fill,
+floods from every non-adjacent pair, on any graph; it serves `wq`,
+`pair_path`, selftest and the tests. The decision fills half of it. On an
+interval graph the components are the implication classes of the
+complement, each inside any transitive orientation of the complement or
+inside its reverse (Golumbic 1980, ch. 5), and the verified interval order
+is one such orientation. So `_upward_classes` floods over that order's
+pairs alone: it meets each class once, and its reversal is the other
+component, so the count is twice the number of classes.
+
+The buried search applies to interval input only. By Gallai's theorem a
+class's span (the vertices its pairs use, shared with its reversal) is the
+least module holding the class's pairs; it is buried exactly when its
+remainder V - members - touched (touched being the union of the members'
+neighbourhoods) is nonempty. The search reads the classes' spans in order
+of their least unordered pair, regrows closures to check them, and stops
+at the first span with a remainder: the certificate.
 
 Every order a decision emits comes from the interval order of the
 representation `recognize` verified, one endpoint sweep serving both. A
@@ -104,75 +107,108 @@ class PairGraph(Record):
         }
 
 
-def pair_graph(g: Graph) -> PairGraph:
-    """One flood fill over the pairs in sorted order, so component ids follow
-    each component's least pair. From (a, b) it steps to the non-adjacent
-    pairs (c, b), c in N(a), and (a, d), d in N(b), and diagonally to
-    non-adjacent (c, d) with c, d in N(a) ∩ N(b). Any other link (a, b)–(c, d)
-    factors through (c, b) or (a, d) unless c ~ b and a ~ d, and then
-    a–c–b–d is an induced four-cycle: the diagonal case. So the components
-    are those of the full link relation on every graph. A chordal graph has
-    no induced four-cycle, so the diagonal step runs only when the cached
-    sweep `Graph.chordal_cliques` fails; every interval graph skips it, and
-    after `recognize` the sweep is not run again.
+def _flood(masks: tuple[int, ...], row: list[int], col: list[int],
+           a: int, b: int, diagonal: bool) -> dict[int, int]:
+    """The component of the unvisited pair (a, b), by one flood fill over
+    the unvisited pairs: `row[a]` holds the b and `col[b]` the a of each.
+    From (a, b) it steps to the unvisited pairs (c, b), c in N(a), and
+    (a, d), d in N(b), and with `diagonal` to unvisited (c, d) with c, d in
+    N(a) ∩ N(b): the bits of `cs = masks[a] & col[b]`, of
+    `ds = masks[b] & row[a]` and, for each c in `common = masks[a] & masks[b]`,
+    of `common & row[c]`. A step clears its whole bitset from the index it
+    was read from with one operation; a lowest-bit loop over it then clears
+    each pair from the other index, records it and pushes it. Returns the
+    component's pairs as one bitset of second vertices per first vertex,
+    keyed from a on."""
+    row[a] ^= 1 << b
+    col[b] ^= 1 << a
+    found, stack = {a: 1 << b}, [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        cs = masks[a] & col[b]
+        if cs:  # the pairs (c, b)
+            col[b] ^= cs
+            bit = 1 << b
+            while cs:
+                low = cs & -cs
+                c = low.bit_length() - 1
+                row[c] ^= bit
+                found[c] = found.get(c, 0) | bit
+                stack.append((c, b))
+                cs ^= low
+        ds = masks[b] & row[a]
+        if ds:  # the pairs (a, d)
+            row[a] ^= ds
+            found[a] |= ds
+            bit = 1 << a
+            while ds:
+                low = ds & -ds
+                d = low.bit_length() - 1
+                col[d] ^= bit
+                stack.append((a, d))
+                ds ^= low
+        if diagonal:  # the pairs (c, d) across a four-cycle
+            common = masks[a] & masks[b]
+            for c in bit_indices(common):
+                ds = common & row[c]
+                if ds:
+                    row[c] ^= ds
+                    found[c] = found.get(c, 0) | ds
+                    for d in bit_indices(ds):
+                        col[d] ^= 1 << c
+                        stack.append((c, d))
+    return found
 
-    The unvisited pairs are indexed twice: `row[a]` holds the b and `col[b]`
-    the a of each unvisited (a, b). The steps from (a, b) are then the bits
-    of `cs = masks[a] & col[b]`, of `ds = masks[b] & row[a]` and, for each c
-    in `common = masks[a] & masks[b]`, of `common & row[c]`. A step clears
-    its whole bitset from the index it was read from with one operation; a
-    lowest-bit loop over it then clears each pair from the other index,
-    records it in the component's rows and pushes it. A component's rows
-    are keyed from its first pair, its start, on."""
+
+def pair_graph(g: Graph) -> PairGraph:
+    """Every component of the pair graph, each flooded by `_flood` from the
+    least unvisited pair, so component ids follow each component's least
+    pair. Any link (a, b)–(c, d) other than `_flood`'s steps factors through
+    (c, b) or (a, d) unless c ~ b and a ~ d, and then a–c–b–d is an induced
+    four-cycle: the diagonal step. So the components are those of the full
+    link relation on every graph. A chordal graph has no induced four-cycle,
+    so the diagonal step runs only when the cached sweep
+    `Graph.chordal_cliques` fails; every interval graph skips it, and after
+    `recognize` the sweep is not run again. The unvisited pairs start as
+    every non-adjacent ordered pair, in `row` and, by symmetry, `col`."""
     masks = g.masks
     diagonal = g.chordal_cliques is None
     everyone = (1 << g.n) - 1
     row = [everyone & ~(m | 1 << a) for a, m in enumerate(masks)]
     col = row[:]  # non-adjacency is symmetric
     rows: list[dict[int, int]] = []
-
     for start in range(g.n):
         while row[start]:
             b = (row[start] & -row[start]).bit_length() - 1
-            row[start] ^= 1 << b
-            col[b] ^= 1 << start
-            found, stack = {start: 1 << b}, [(start, b)]
-            while stack:
-                a, b = stack.pop()
-                cs = masks[a] & col[b]
-                if cs:  # the pairs (c, b)
-                    col[b] ^= cs
-                    bit = 1 << b
-                    while cs:
-                        low = cs & -cs
-                        c = low.bit_length() - 1
-                        row[c] ^= bit
-                        found[c] = found.get(c, 0) | bit
-                        stack.append((c, b))
-                        cs ^= low
-                ds = masks[b] & row[a]
-                if ds:  # the pairs (a, d)
-                    row[a] ^= ds
-                    found[a] |= ds
-                    bit = 1 << a
-                    while ds:
-                        low = ds & -ds
-                        d = low.bit_length() - 1
-                        col[d] ^= bit
-                        stack.append((a, d))
-                        ds ^= low
-                if diagonal:  # the pairs (c, d) across a four-cycle
-                    common = masks[a] & masks[b]
-                    for c in bit_indices(common):
-                        ds = common & row[c]
-                        if ds:
-                            row[c] ^= ds
-                            found[c] = found.get(c, 0) | ds
-                            for d in bit_indices(ds):
-                                col[d] ^= 1 << c
-                                stack.append((c, d))
-            rows.append(found)
+            rows.append(_flood(masks, row, col, start, b, diagonal))
     return PairGraph(g, tuple(rows))
+
+
+def _upward_classes(g: Graph, base: StrictPartialOrder) -> list[dict[int, int]]:
+    """The implication classes of an interval graph's complement, each as
+    `_flood`'s rows of the pairs that `base`, its interval order, orients
+    upward, in order of their least unordered pair.
+
+    `base` is checked associated first, since the fill relies on it: it is
+    then a transitive orientation of the complement, holding every class
+    or its reversal whole, so the flood runs over its pairs alone, rows
+    `base.succ` and columns `base.pred`, with no diagonal step (g is
+    chordal). At each x in turn the next class starts at the lowest bit y
+    of `row[x] | col[x]` (every lower one is visited), as (x, y) when it
+    lies in `row[x]`, else as (y, x)."""
+    if not is_associated(g, base):
+        raise InternalInconsistencyError("interval order is not associated to the graph")
+    masks = g.masks
+    row, col = list(base.succ), list(base.pred)
+    classes: list[dict[int, int]] = []
+    for x in range(g.n):
+        while row[x] | col[x]:
+            free = row[x] | col[x]
+            low = free & -free
+            y = low.bit_length() - 1
+            classes.append(_flood(masks, row, col, x, y, False) if row[x] & low
+                           else _flood(masks, row, col, y, x, False))
+    return classes
 
 
 def pair_path(
@@ -326,37 +362,48 @@ class BuriedCertificate(Record):
     pair: VertexPair
 
 
-def _buried_from_spans(g: Graph, pg: PairGraph) -> BuriedCertificate | None:
+def _buried_from_spans(g: Graph, classes: Iterable[dict[int, int]]) -> BuriedCertificate | None:
     """Certificate for the lexicographically first buried pair of an interval
-    graph, read off its pair graph `pg` (see the module docstring), or None.
+    graph, read off the implication classes of its complement (see the
+    module docstring), or None.
 
-    A component's start (v, u) is its first row's vertex and that row's
-    lowest bit. A component and its reversal share a span, and the lesser
-    of their starts has v < u, so the components whose start has v < u
-    reach every class at its least unordered pair; only their spans are
-    built. Each one's closure must equal its span, which catches a pair
-    graph that merges or splits too much, and non-chordal input, where the
-    diagonal step merges classes. The first span with a remainder is the
+    Each class is given as rows of pairs, as `_upward_classes` gives them,
+    in order of their least unordered pair; so is a pair-graph component.
+    A class and its reversal are two components with one span, the union
+    of the rows, and their least pairs are (a, least bit of row a), a the
+    least row, and (b, least row holding b), b the least second. Each of
+    the two that ascends has its closure regrown and checked to equal the
+    span, which catches classes merged or split too much, and non-chordal
+    input, where the diagonal step merges classes. The lesser is the class's
+    least unordered pair, where a scan of the components by least pair
+    first reaches the class. The first span with a remainder is the
     certificate's members, checked once by `is_buried`."""
     masks = g.masks
     everyone = (1 << g.n) - 1
-    for component in pg.rows:
-        v, seconds = next(iter(component.items()))
-        u = (seconds & -seconds).bit_length() - 1
-        if v > u:
-            continue
-        span = members = covered = 0
-        for a, bs in component.items():
+    for rows in classes:
+        span = seconds = 0
+        for a, bs in rows.items():
             span |= 1 << a | bs
-        for w, _, covered in _closure_stages(masks, v, u):
-            members |= 1 << w
-        if members != span:
-            raise InternalInconsistencyError(
-                f"closure grown from ({v}, {u}) differs from the span of its "
-                "pair-graph component"
-            )
+            seconds |= bs
+        first = min(rows)
+        least = (seconds & -seconds).bit_length() - 1
+        # one of the two ascends: if the first descends, least < first
+        starts = sorted(p for p in {
+            (first, (rows[first] & -rows[first]).bit_length() - 1),
+            (least, min(c for c, ds in rows.items() if ds >> least & 1)),
+        } if p[0] < p[1])
+        for v, u in starts:
+            members = covered = 0
+            for w, _, covered in _closure_stages(masks, v, u):
+                members |= 1 << w
+            if members != span:
+                raise InternalInconsistencyError(
+                    f"closure grown from ({v}, {u}) differs from the span of its "
+                    "pair-graph component"
+                )
         if covered == everyone:
             continue
+        v, u = starts[0]
         members = frozenset(bit_indices(span))
         check = is_buried(g, members)
         if not check.buried:
@@ -379,7 +426,8 @@ def find_buried(g: Graph) -> BuriedCertificate | None:
     """Certificate for the lexicographically first buried candidate, or None.
 
     The contract requires a connected interval graph; both are validated.
-    It is read off the spans of the graph's pair graph (`_buried_from_spans`).
+    It is read off the classes the verified interval order orients upward
+    (`_upward_classes`, `_buried_from_spans`); the pair graph is not built.
     """
     if len(component_masks(g.masks, (1 << g.n) - 1)) != 1:
         raise InputError("find_buried requires a connected graph")
@@ -388,7 +436,7 @@ def find_buried(g: Graph) -> BuriedCertificate | None:
         raise NotIntervalGraphError(
             "find_buried requires an interval graph", obstruction=result
         )
-    return _buried_from_spans(g, pair_graph(g))
+    return _buried_from_spans(g, _upward_classes(g, representation_to_order(result)))
 
 
 # ---------------------------------------------------------------------------
@@ -507,33 +555,36 @@ class UniquenessVerdict(Record):
 def decide_unique(g: Graph) -> UniquenessVerdict:
     """Decide unique orderability of an interval graph, with certificates.
 
-    The buried-subgraph search and the pair graph's component count must
-    agree, or an internal error is raised: no buried subgraph means exactly
-    two components, or none on a complete graph; on a disconnected graph
-    both say "unique" exactly when it is two complete blocks. Every order
-    is read off the interval order `base` of the representation (see the
-    module docstring); a witness reverses it inside the buried set on a
-    connected graph, else inside the first non-complete component, or else
-    the first two components (`base` stacks complete components by least
-    vertex).
+    The pair graph is not built: its components are the implication
+    classes that the interval order `base` of the representation orients
+    upward, read by `_upward_classes`, and their reversals, so their count
+    is twice the number of classes. The buried-subgraph search over those
+    classes and that count must agree, or an internal error is raised: no
+    buried subgraph means exactly two components, or none on a complete
+    graph; on a disconnected graph both say "unique" exactly when it is two
+    complete blocks. Every order is read off `base`, checked once to be
+    associated before the classes are read (see the module docstring): the
+    unique order is `base` or its dual, and a witness reverses it inside the
+    buried set on a connected graph, else inside the first non-complete
+    component, or else the first two components (`base` stacks complete
+    components by least vertex).
     """
     result = recognize(g)
     if isinstance(result, Obstruction):
         raise NotIntervalGraphError("not an interval graph", obstruction=result)
-    pg = pair_graph(g)
     base = representation_to_order(result)
+    classes = _upward_classes(g, base)
+    count = 2 * len(classes)
     nonedge = _least_nonedge(g.masks, (1 << g.n) - 1)
-    cert = _buried_from_spans(g, pg)
-    if (cert is None) != (pg.component_count == (0 if nonedge is None else 2)):
+    cert = _buried_from_spans(g, classes)
+    if (cert is None) != (count == (0 if nonedge is None else 2)):
         raise InternalInconsistencyError(
             f"buried-subgraph search ({'none' if cert is None else 'found'}) disagrees "
-            f"with pair-graph component count {pg.component_count}"
+            f"with pair-graph component count {count}"
         )
     if cert is None:
         order = base if nonedge is None or base.less(*nonedge) else base.dual()
-        if not is_associated(g, order):
-            raise InternalInconsistencyError("interval order is not associated to the graph")
-        return UniquenessVerdict(unique=True, wq_components=pg.component_count, order=order)
+        return UniquenessVerdict(unique=True, wq_components=count, order=order)
     comps = component_masks(g.masks, (1 << g.n) - 1)
     inside = sum(1 << v for v in cert.members) if len(comps) == 1 else next(
         (c for c in comps if any(g.masks[v] | 1 << v != c for v in bit_indices(c))),
@@ -542,7 +593,7 @@ def decide_unique(g: Graph) -> UniquenessVerdict:
     order1, order2, triple = _reversal_witness(g, base, inside)
     return UniquenessVerdict(
         unique=False,
-        wq_components=pg.component_count,
+        wq_components=count,
         witness=(order1, order2),
         triple=triple,
         buried=cert if len(comps) == 1 else None,

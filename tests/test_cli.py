@@ -192,6 +192,20 @@ class TestInputHandling:
         code, out, err = run(["decide", "--json"], text)
         assert (code, out, err) == (2, "", "input error: vertex count must be nonnegative\n")
 
+    @pytest.mark.parametrize("fmt,text", [
+        ("json", '{"n": 9223372036854775808, "edges": []}'),
+        ("json", '{"n": 9223372036854775808, "edges": [[0, 1]], "labels": {"0": "a"}}'),
+        ("json", '{"n": %d, "edges": []}' % 10**30),
+        ("edgelist", "9223372036854775808\n"),
+        ("edgelist", "9223372036854775808\n0 1\n"),
+        ("edgelist", "%d\n" % 2**64),
+    ])
+    def test_vertex_count_past_the_index_bound_is_an_input_error(self, fmt, text):
+        # a count of 2**63 or more cannot size a list of rows
+        for command in ("recognize", "decide", "buried", "wq"):
+            code, out, err = run([command, "--format", fmt], text)
+            assert (code, out, err) == (2, "", "input error: vertex count must be at most 9223372036854775807\n"), command
+
     def test_undecodable_file_is_an_input_error(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_bytes(b"\xff\xfe3\n0 1\n")

@@ -330,6 +330,33 @@ class TestGraphConstruction:
             with pytest.raises(InputError, match=f"^{message}$"):
                 build()
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: Graph(3, 5), "edges must be iterable, got 5"),
+        (lambda: Graph(3, None), "edges must be iterable, got None"),
+        (lambda: graph_from_edges(3, 5), "edges must be iterable, got 5"),
+        (lambda: StrictPartialOrder(3, 5), "successor rows must be iterable, got 5"),
+        (lambda: graph_from_edges(3, [], labels=5), "labels must be iterable, got 5"),
+        (lambda: Graph(3, frozenset(), 5), "labels must be iterable, got 5"),
+        (lambda: Graph(3, [[0, 1]]), "unhashable edge entry: [0, 1]"),
+        (lambda: Graph(3, [(1, 2), bytearray(b"\x00\x01")]), "unhashable edge entry: bytearray(b'\\x00\\x01')"),
+        (lambda: Graph(2**63, []), f"vertex count must be at most {2**63 - 1}"),
+        (lambda: graph_from_edges(2**64, []), f"vertex count must be at most {2**63 - 1}"),
+        (lambda: StrictPartialOrder(2**63, ()), f"vertex count must be at most {2**63 - 1}"),
+        (lambda: graph_from_jsonable({"n": 2**63, "edges": []}), f"vertex count must be at most {2**63 - 1}"),
+    ])
+    def test_constructor_arguments_of_the_wrong_kind_are_input_errors(self, build, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_labels_are_stored_as_a_tuple(self):
+        for labels in (["a", "b", "c"], ("a", "b", "c"), iter("abc"), "abc"):
+            g = Graph(3, frozenset(), labels)
+            assert g.labels == ("a", "b", "c")
+            assert g == graph_from_edges(3, [], labels=labels if isinstance(labels, (list, str)) else "abc")
+            assert hash(g) == hash(Graph(3, frozenset(), ("a", "b", "c")))
+        # a list entry names an edge to `graph_from_edges`, which keeps only its rows
+        assert graph_from_edges(3, [[0, 1]]) == Graph(3, [(0, 1)])
+
     def test_edges_are_stored_as_a_frozenset(self):
         for edges in ([(0, 1), (1, 2)], {(1, 2), (0, 1)}, ((0, 1), (1, 2), (0, 1)), iter([(1, 2), (0, 1)])):
             g = Graph(3, edges)

@@ -38,7 +38,7 @@ from intorder import representation as representation_module
 from intorder.gadgets import all_graphs, build_gadget, GadgetSpec, random_interval_graph
 from intorder.graphs import bit_indices
 from intorder.oracle import oracle_unique
-from intorder.orderability import _buried_from_spans
+from intorder.orderability import _buried_from_spans, _upward_classes
 from intorder.recognition import Obstruction, recognize
 
 
@@ -95,7 +95,7 @@ def pair_graph_from_ids(g, component_of):
 def starts_and_spans(pg):
     """Each component's least pair and the bitset of the vertices its pairs
     use, read off `pg.rows`. Each component's first row must be its least
-    first vertex's, as `_buried_from_spans` reads the least pair off it."""
+    first vertex's: the flood starts there."""
     out = []
     for found in pg.rows:
         a = min(found)
@@ -115,6 +115,61 @@ def starts_and_spans_from_ids(component_of):
         starts.setdefault(i, (a, b))
         spans[i] = spans.get(i, 0) | 1 << a | 1 << b
     return [(starts[i], spans[i]) for i in sorted(starts)]
+
+
+def upward_classes(g):
+    """The classes `decide_unique` and `find_buried` read: those that the
+    verified interval order orients upward."""
+    return _upward_classes(g, representation_to_order(recognize(g)))
+
+
+def fill_scan(pg):
+    """The components of the full fill that a scan by least pair visits:
+    those whose least pair ascends, in order, dropping one whose reversal
+    (the component holding its least pair reversed) was already visited."""
+    kept, visited = set(), []
+    for i, found in enumerate(pg.rows):
+        a = next(iter(found))
+        b = (found[a] & -found[a]).bit_length() - 1
+        if a < b and pg.component_of[(b, a)] not in kept:
+            kept.add(i)
+            visited.append(found)
+    return visited
+
+
+def visits(classes):
+    """Each class's least unordered pair {x < y} and span, read off its rows
+    whatever their orientation: x is the span's least vertex, and y the
+    least vertex paired with x either way."""
+    out = []
+    for found in classes:
+        span = 0
+        for c, ds in found.items():
+            span |= 1 << c | ds
+        x = (span & -span).bit_length() - 1
+        paired = found.get(x, 0) | sum(1 << c for c, ds in found.items() if ds >> x & 1)
+        out.append(((x, (paired & -paired).bit_length() - 1), span))
+    return out
+
+
+def assert_classes_match_fill(g):
+    """The classes read over the interval order against the full fill: half
+    as many, the order's pairs each in one class, and the same visits as
+    the scan of the fill, each at the component's own least pair."""
+    classes, pg = upward_classes(g), pair_graph(g)
+    assert 2 * len(classes) == pg.component_count, sorted(g.edges)
+    succ = [0] * g.n
+    for found in classes:
+        for c, ds in found.items():
+            assert not succ[c] & ds, sorted(g.edges)
+            succ[c] |= ds
+    assert tuple(succ) == representation_to_order(recognize(g)).succ, sorted(g.edges)
+    scan = fill_scan(pg)
+    assert visits(classes) == visits(scan), sorted(g.edges)
+    assert [start for start, _ in visits(scan)] == [
+        (a, (found[a] & -found[a]).bit_length() - 1) for found in scan for a in [next(iter(found))]
+    ], sorted(g.edges)
+    return len(classes)
 
 
 def visit_closure_pair_graph(g):
@@ -654,8 +709,9 @@ class TestAgainstReferences:
             for g in all_graphs(n):
                 if isinstance(recognize(g), Obstruction):
                     continue
-                cert = _buried_from_spans(g, pair_graph(g))
+                cert = _buried_from_spans(g, upward_classes(g))
                 assert cert == per_pair_scan_buried(g), sorted(g.edges)
+                assert _buried_from_spans(g, fill_scan(pair_graph(g))) == cert, sorted(g.edges)
                 found += cert is not None
         assert found == 9907
 
@@ -670,8 +726,9 @@ class TestAgainstReferences:
         assert [len(f) for f in families] == [120, 200, 20]
         found = 0
         for g in (g for family in families for g in family):
-            cert = _buried_from_spans(g, pair_graph(g))
+            cert = _buried_from_spans(g, upward_classes(g))
             assert cert == per_pair_scan_buried(g), sorted(g.edges)
+            assert _buried_from_spans(g, fill_scan(pair_graph(g))) == cert, sorted(g.edges)
             found += cert is not None
         assert found == 191
 
@@ -681,7 +738,7 @@ class TestAgainstReferences:
         g = c4()
         assert pair_graph(g).component_count == 1
         with pytest.raises(InternalInconsistencyError, match=r"\(0, 2\)"):
-            _buried_from_spans(g, pair_graph(g))
+            _buried_from_spans(g, fill_scan(pair_graph(g)))
 
     def test_cross_check_rejects_merged_components_on_star3(self):
         g = star3()
@@ -690,7 +747,14 @@ class TestAgainstReferences:
         merged = pair_graph_from_ids(g, {p: sorted(set(ids.values())).index(i)
                                          for p, i in ids.items()})
         with pytest.raises(InternalInconsistencyError, match=r"\(1, 2\)"):
-            _buried_from_spans(g, merged)
+            _buried_from_spans(g, fill_scan(merged))
+        # the same forgery on the classes the decision reads
+        first, second = upward_classes(g)[:2]
+        joined = dict(first)
+        for a, bs in second.items():
+            joined[a] = joined.get(a, 0) | bs
+        with pytest.raises(InternalInconsistencyError, match=r"\(1, 2\)"):
+            _buried_from_spans(g, [joined])
 
     def test_cross_check_rejects_split_components_on_p4(self):
         g = p4()
@@ -699,8 +763,36 @@ class TestAgainstReferences:
         ids = {p: i + 1 for p, i in pg.component_of.items()}
         ids[(0, 2)] = 0  # the span of (0, 2) shrinks to {0, 2}
         with pytest.raises(InternalInconsistencyError, match=r"\(0, 2\)"):
-            _buried_from_spans(g, pair_graph_from_ids(g, ids))
-        assert _buried_from_spans(g, pg) is None
+            _buried_from_spans(g, fill_scan(pair_graph_from_ids(g, ids)))
+        assert _buried_from_spans(g, fill_scan(pg)) is None
+        # the same forgery on the classes the decision reads: one class, split
+        (found,) = upward_classes(g)
+        assert _buried_from_spans(g, [found]) is None
+        a, b = (0, 2) if found.get(0, 0) >> 2 & 1 else (2, 0)
+        rest = {c: ds & ~(1 << b) if c == a else ds for c, ds in found.items()}
+        with pytest.raises(InternalInconsistencyError, match=r"\(0, 2\)"):
+            _buried_from_spans(g, [{a: 1 << b}, rest])
+
+    def test_upward_classes_match_the_fill_exhaustive_n6(self):
+        classes = graphs = 0
+        for n in range(7):
+            for g in all_graphs(n):
+                if not isinstance(recognize(g), Obstruction):
+                    classes += assert_classes_match_fill(g)
+                    graphs += 1
+        assert (graphs, classes) == (18809, 34338)
+
+    def test_upward_classes_match_the_fill_on_seeded_families(self, n1000_rows):
+        rng = random.Random(5281)
+        for _ in range(150):
+            g = random_interval_graph(rng.randint(2, 40), rng.randrange(10**9))[0]
+            assert_classes_match_fill(g)
+            assert_classes_match_fill(relabeled(g, rng))
+        for g in relabeled_disjoint_unions(300, 29):
+            assert_classes_match_fill(g)
+        for stages in range(6, 26):
+            assert_classes_match_fill(build_gadget(GadgetSpec(tuple(range(stages, 0, -1)), stages)).graph)
+        assert assert_classes_match_fill(Graph._from_rows(n1000_rows)) == 1
 
     def test_pair_graph_on_relabeled_n250_within_budget(self):
         rng = random.Random(250)
@@ -894,9 +986,9 @@ class TestDecideUnique:
         start = time.process_time()
         verdict = decide_unique(g)
         elapsed = time.process_time() - start
-        # about 0.65 s of process time on a 2-core host, 1.1 s with a visit
-        # call per pair-graph step; growing a closure from every
-        # non-adjacent pair took about 8 s
+        # about 0.16 s of process time on a 2-core host, 0.25 s with the full
+        # pair graph, 1.1 s with a visit call per pair-graph step; growing a
+        # closure from every non-adjacent pair took about 8 s
         assert elapsed < 4, elapsed
         assert verdict.unique and verdict.wq_components == 2
 
@@ -1005,17 +1097,19 @@ class TestUniqueOrderFromTheRepresentation:
         for g in (single_nonedge4(), p4(), two_k2(), k3(), random_interval_graph(40, 3)[0]):
             assert decide_unique(g).unique
 
+    # the count is twice the number of classes, so a forgery that once left
+    # one component now leaves one class too many, or one on a complete graph
     @pytest.mark.parametrize("make,forge", [
-        (single_nonedge4, lambda rows: ()),  # no components on a non-complete graph
-        (single_nonedge4, lambda rows: rows[:1]),
-        (p4, lambda rows: ()),
-        (star3, lambda rows: rows[:2]),  # a buried subgraph with two components
-        (k3, lambda rows: ({0: 0b10},)),  # a component on a complete graph
+        (single_nonedge4, lambda classes: []),  # no components on a non-complete graph
+        (single_nonedge4, lambda classes: classes * 2),
+        (p4, lambda classes: []),
+        (star3, lambda classes: classes[:1]),  # a buried subgraph with two components
+        (k3, lambda classes: [{0: 0b10}]),  # a class on a complete graph
     ], ids=["none", "one", "none-p4", "buried-two", "complete-one"])
     def test_forged_component_count_is_refused(self, make, forge, monkeypatch):
         g = make()
-        forged = PairGraph(g, forge(pair_graph(g).rows))
-        monkeypatch.setattr(orderability_module, "pair_graph", lambda graph: forged)
+        forged = forge(upward_classes(g))
+        monkeypatch.setattr(orderability_module, "_upward_classes", lambda graph, base: forged)
         with pytest.raises(InternalInconsistencyError, match="disagrees with pair-graph component count"):
             decide_unique(g)
 
@@ -1168,9 +1262,9 @@ class TestSingleAdjacencyForm:
         '{"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}',  # a hole
     ], ids=["unique", "buried", "disconnected", "complete", "hole"])
     def test_decision_on_parsed_input_derives_no_pair_lists(self, text, monkeypatch):
-        # parsed graphs are their rows, the pair graph its component rows and
-        # every order its successor rows: no decision route lists edges or
-        # pairs, and emitting the verdict reads the rows too
+        # parsed graphs are their rows, the classes their rows and every order
+        # its successor rows: no decision route lists edges or pairs, or builds
+        # the pair graph, and emitting the verdict reads the rows too
         built = []
         original = orderability_module.pair_graph
         monkeypatch.setattr(orderability_module, "pair_graph",
@@ -1186,9 +1280,10 @@ class TestSingleAdjacencyForm:
             orders = [verdict.order] if verdict.unique else list(verdict.witness)
             for order in orders:
                 assert "rel" not in vars(order)
+            if len(components(g)) == 1:
+                find_buried(g)
         assert "edges" not in vars(g)
-        for pg in built:
-            assert not {"pairs", "component_of"} & set(vars(pg))
+        assert not built, "a decision route built the pair graph"
 
     def test_graph_has_no_second_adjacency_form(self):
         assert not hasattr(star3(), "adj")
