@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import InputError, InternalInconsistencyError
 from .graphs import Graph, Record, graph_from_edges, graph_to_jsonable
@@ -52,6 +52,18 @@ def suffix_minima(values: Sequence[int], stage: int) -> frozenset[int]:
     )
 
 
+def _stage_minima(values: Sequence[int], stages: int) -> Iterator[frozenset[int]]:
+    """`suffix_minima(values, t + 1)` for each stage t < stages in turn, off
+    a monotone stack: each stage pops the indices whose value exceeds its
+    own, then pushes itself."""
+    stack: list[int] = []
+    for t in range(stages):
+        while stack and values[stack[-1]] > values[t]:
+            stack.pop()
+        stack.append(t)
+        yield frozenset(stack)
+
+
 class GadgetSpec(Record):
     """An injective prefix and how many x/y stages to realize."""
 
@@ -84,21 +96,6 @@ def build_gadget(spec: GadgetSpec) -> GadgetOutput:
     for i in range(s):
         labels.extend([f"x{i}", f"y{i}"])
 
-    edges: set[tuple[int, int]] = {(A, K), (B, K), (K, R)}
-    for t in range(s):
-        xt, yt = x_vertex(t), y_vertex(t)
-        edges.update({(A, xt), (xt, B), (B, yt), (xt, K), (yt, K)})
-        for i in range(t):
-            edges.add((x_vertex(i), xt))
-            edges.add((y_vertex(i), yt))
-        for i in range(t + 1):
-            edges.add((xt, y_vertex(i)))
-        alive = suffix_minima(spec.f, t + 1)
-        for i in range(t + 1):
-            if i in alive:
-                edges.add(tuple(sorted((yt, x_vertex(i)))))
-    graph = graph_from_edges(n, sorted(edges), labels=labels)
-
     # endpoints: r=[0,2], k=[1,7], a=[3,4], b=[5,6]; each stage shares a's
     # left and b's right, then bisects for the two free endpoints
     left: list[Fraction] = [Fraction(0)] * n
@@ -107,12 +104,14 @@ def build_gadget(spec: GadgetSpec) -> GadgetOutput:
     left[K], right[K] = Fraction(1), Fraction(7)
     left[A], right[A] = Fraction(3), Fraction(4)
     left[B], right[B] = Fraction(5), Fraction(6)
-    for t in range(s):
+    edges: set[tuple[int, int]] = {(A, K), (B, K), (K, R)}
+    for t, alive in enumerate(_stage_minima(spec.f, s)):
         xt, yt = x_vertex(t), y_vertex(t)
-        alive = suffix_minima(spec.f, t + 1)
-        lo = left[B]
-        hi = right[B]
+        edges.update({(A, xt), (xt, B), (B, yt), (xt, K), (yt, K), (xt, yt)})
+        edges.update((x_vertex(i), yt) for i in alive)
+        lo, hi = left[B], right[B]
         for i in range(t):
+            edges.update({(x_vertex(i), xt), (y_vertex(i), yt), (xt, y_vertex(i))})
             lo = max(lo, left[y_vertex(i)])
             if i in alive:
                 hi = min(hi, right[x_vertex(i)])
@@ -126,6 +125,7 @@ def build_gadget(spec: GadgetSpec) -> GadgetOutput:
         left[yt] = (lo + right[xt]) / 2
         left[xt] = left[A]
         right[yt] = right[B]
+    graph = graph_from_edges(n, edges, labels=labels)
     representation = ClosedRepresentation(n, tuple(left), tuple(right))
 
     alive_final = suffix_minima(spec.f, s)
@@ -160,9 +160,12 @@ def all_graphs(n: int):
     """Every graph on n labeled vertices, in edge-mask order."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for mask in range(1 << len(pairs)):
-        yield Graph(
-            n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-        )
+        rows = [0] * n
+        for i, (u, v) in enumerate(pairs):
+            if mask >> i & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        yield Graph._from_rows(rows)
 
 
 def random_interval_graph(n: int, seed: int) -> tuple[Graph, ClosedRepresentation]:

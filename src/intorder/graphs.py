@@ -5,17 +5,15 @@ vertices only, but adjacency is interpreted reflexively: ``adjacent(v, v)``
 is always true and explicit self-loops are rejected on input. Labels are
 cosmetic (they survive into certificates) and never affect any algorithm.
 
-A graph is its neighbourhood bitsets: `Graph.masks`, one int per vertex,
-is the only adjacency form, and `adjacent`, components and path checks
-all read it. The parsers fill those rows in their one validation loop, and
-they and `induced_graph`, which meets rows first, hand them to
-`Graph._from_rows`. The edge set of such a graph is derived on first
-read, which only output, equality and hashing do. An order is likewise
-its successor bitsets, the fields of `StrictPartialOrder` with `n`, and
-its pair set `rel` is derived on first read. Validation accepts an
-interval order, as every order of an interval graph is, by its nested
-up-sets in one step per vertex, and walks every pair only of other
-relations.
+A graph is its neighbourhood bitsets, as an order is its successor
+bitsets: `Graph(n, masks)` and `StrictPartialOrder(n, succ)` each check
+their rows, every algorithm reads them, and the edge set `edges` and the
+pair set `rel` are derived on first read. Both input formats fill a
+graph's rows in one validation loop, `graph_from_jsonable`'s, and hand
+them, as `graph_from_edges` and `induced_graph` do, to the unchecked
+`Graph._from_rows`. Validation accepts an interval order, as every order
+of an interval graph is, by its nested up-sets in one step per vertex,
+and walks every pair only of other relations.
 
 Paths are plain sequences of vertices in which consecutive vertices are
 distinct and adjacent; a single vertex is a valid path of length zero.
@@ -87,32 +85,39 @@ class Record:
 class Graph(Record):
     """Undirected graph on vertices 0..n-1, reflexive by convention.
 
-    `masks` holds the neighbour sets as int bitsets, self excluded: bit w
-    of `masks[v]` is set iff w is in N(v); read vertices back with
-    `bit_indices`. `Graph(n, edges, labels)` fills them in the loop that
-    validates the edges. `Graph._from_rows` is given `masks` instead, and
-    derives `edges` on first read, which only output, equality and hashing
-    do.
+    A graph is its rows: `masks` holds the neighbour sets as int bitsets,
+    self excluded, so bit w of `masks[v]` is set iff w is in N(v); read
+    vertices back with `bit_indices`. `Graph(n, masks, labels)` checks the
+    rows, as `StrictPartialOrder(n, succ)` checks an order's. The parsers
+    and `graph_from_edges` check each edge as they fill their rows, and
+    they and `induced_graph`, whose rows are symmetric by construction,
+    hand them to the unchecked `Graph._from_rows`. The edge set `edges`
+    is derived on first read.
     """
 
     n: int
-    edges: frozenset[VertexPair]
+    masks: tuple[int, ...]
     labels: tuple[str | None, ...] | None = None
 
     def __post_init__(self):
-        edges = self.edges
-        if not isinstance(edges, (set, frozenset)):  # read any other iterable once
-            edges = _tupled(edges, "edges")
-        vars(self)["masks"] = tuple(_edge_rows(self.n, edges, canonical=True))
-        try:
-            vars(self)["edges"] = frozenset(edges)
-        except TypeError:  # every entry is a checked pair: find the list or the like
-            for pair in edges:
-                try:
-                    hash(pair)
-                except TypeError:
-                    raise InputError(f"unhashable edge entry: {pair!r}") from None
-            raise
+        n = _vertex_count(self.n)
+        rows = vars(self)["masks"] = _tupled(self.masks, "rows")
+        if len(rows) != n:
+            raise InputError(f"a graph on {n} vertices takes {n} rows, got {len(rows)}")
+        for v, row in enumerate(rows):  # before any bit is read: a negative row has endless bits
+            if not _is_index(row):
+                raise InputError(f"row {row!r} of vertex {v} is not an integer")
+            if not 0 <= row < 1 << n:
+                raise InputError(f"row {row} of vertex {v} is out of range for n={n}")
+        # the rows of the edges above the diagonal are symmetric and free of self-loops
+        want = _edge_rows(n, _upper_pairs(rows))
+        if list(rows) != want:
+            v = next(v for v in range(n) if rows[v] != want[v])
+            if rows[v] >> v & 1:
+                _check_endpoints(n, v, v)  # raises the self-loop error the edge formats give
+            w = next(bit_indices(rows[v] ^ want[v]))  # below v: row v's upper bits are kept
+            a, b = (w, v) if rows[v] >> w & 1 else (v, w)
+            raise InputError(f"rows must be symmetric: {a} is in row {b} but {b} is not in row {a}")
         self._check_labels()
 
     @classmethod
@@ -136,13 +141,10 @@ class Graph(Record):
                 if label is not None and owner.setdefault(label, v) != v:
                     raise InputError(f"label {label!r} names both vertex {owner[label]} and vertex {v}")
 
-    def __getattr__(self, name: str):
-        # only reached when `edges` is missing, on a graph built from rows
-        if name != "edges":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        edges = frozenset(_upper_pairs(self.masks))
-        vars(self)["edges"] = edges
-        return edges
+    @cached_property
+    def edges(self) -> frozenset[VertexPair]:
+        """The edges (u, v), u < v, read off `masks`."""
+        return frozenset(_upper_pairs(self.masks))
 
     @cached_property
     def chordal_cliques(self) -> tuple[int, ...] | None:
@@ -170,10 +172,6 @@ class Graph(Record):
             v = self._vertex(v)  # raises unless an int subclass in range
         label = None if self.labels is None else self.labels[v]
         return v if label is None else label
-
-    def same_edges(self, other: "Graph") -> bool:
-        """Equality of vertex count and edge set, ignoring labels."""
-        return self.n == other.n and self.masks == other.masks
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -277,17 +275,14 @@ def graph_from_edges(
     return Graph._from_rows(_edge_rows(n, edge_list), labels)
 
 
-def _edge_rows(n: int, edge_list: Iterable[Sequence[int]], canonical: bool = False) -> list[int]:
-    """The rows of n vertices holding the given edges, each entry checked;
-    with `canonical`, every edge (u, v) must have u < v."""
+def _edge_rows(n: int, edge_list: Iterable[Sequence[int]]) -> list[int]:
+    """The rows of n vertices holding the given edges, each entry checked."""
     rows = [0] * _vertex_count(n)
     for pair in _tupled(edge_list, "edges"):
         try:
             u, v = pair
         except (TypeError, ValueError):
             raise InputError(f"malformed edge entry: {pair!r}") from None
-        if canonical and _is_index(u) and _is_index(v) and not 0 <= u < v < n:
-            raise InputError(f"edge ({u}, {v}) is not canonical or out of range for n={n}")
         _check_endpoints(n, u, v)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
@@ -565,7 +560,7 @@ def parse_edgelist(text: str) -> Graph:
     separate tokens: any other whitespace is refused.
     """
     n: int | None = None
-    edges: list[VertexPair] = []
+    edges: list[list[int]] = []
     for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         line = raw.split("#", 1)[0].strip(" \t")
         if not line:
@@ -582,7 +577,7 @@ def parse_edgelist(text: str) -> Graph:
         else:
             if len(values) != 2:
                 raise InputError(f"line {lineno}: expected 'u v', got {line!r}")
-            edges.append((values[0], values[1]))
+            edges.append(values)
     if n is None:
         raise InputError("empty edge-list input")
-    return graph_from_edges(n, edges)
+    return graph_from_jsonable({"n": n, "edges": edges})  # the JSON format's loop and messages

@@ -14,7 +14,7 @@ connected or not:
   different associated orders;
 * a brute-force enumeration oracle lives separately in `oracle`.
 
-The first two run on the neighbourhood bitsets `Graph.masks` caches. One
+The first two run on the neighbourhood bitsets, the rows `Graph.masks`. One
 flood fill, `_flood`, finds a component: by one-coordinate steps
 (Golumbic's implication classes of the complement) plus a diagonal step
 across each induced four-cycle, over unvisited pairs kept as one bitset

@@ -47,6 +47,23 @@ class TestDecide:
         assert out == ""
         assert "chordless_cycle" in err
 
+    @pytest.mark.parametrize("command", ["decide", "buried"])
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("text,obstruction", [
+        (NET_JSON, {"kind": "asteroidal_triple", "triple": ["x", "y", "z"],
+                    "witness_paths": [["x", "a", "b", "y"], ["x", "a", "c", "z"], ["y", "b", "c", "z"]]}),
+        (json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]], "labels": {"0": "a", "2": "c"}}),
+         {"kind": "chordless_cycle", "cycle": ["a", 1, "c", 3]}),
+        (C4_JSON, {"kind": "chordless_cycle", "cycle": [0, 1, 2, 3]}),
+    ])
+    def test_stderr_obstruction_names_vertices_as_recognize_does(self, command, as_json, text, obstruction):
+        code, out, err = run([command] + ["--json"] * as_json, text)
+        message = "not an interval graph" if command == "decide" else "find_buried requires an interval graph"
+        assert (code, out) == (2, "")
+        assert err == f"input error: {message} {json.dumps(obstruction)}\n"
+        _, recognized, _ = run(["recognize", "--json"], text)
+        assert json.loads(recognized) == obstruction
+
     def test_text_output(self):
         code, out, _ = run(["decide"], SINGLE_NONEDGE_JSON)
         assert code == 0

@@ -40,10 +40,10 @@ ORDERS_MAX_N = "7"
 GOLDEN = {
     'recognize': 'c9e40a07dca68ab7778ed3cc22ae8d32ef3d81238d1b475b738b8b31f24b33c5',
     'recognize --json': 'ec8355fa54c0c61caf056c794633a1c8fd86c22be18fdb977f836d7d6a604358',
-    'decide': '1aee7363d294c6e6df78169309d860d36fa08f08e1806aac42c770e48c64cd5f',
-    'decide --json': '0a752c5af0049346548577eff1b0b9fd2ac2adb10e3f48b6f16acf9542837df7',
-    'buried': '212cd5ac3b373de2caec47ffd5620fcd81254da56d78b333db44fadcf18e4fb8',
-    'buried --json': '6f55c8c5ff61d39f3a24597db693cf3f819a53affad60ace7d686cd94cdfce9b',
+    'decide': '602258fbb634b98361e5cc2d0edcbb4b3f15db2f0a37db1174ad7dc1eb6db434',
+    'decide --json': '72461394e8010195072ce1bb3efcbc6b18a26ee18f128c463fc2c2c156e58885',
+    'buried': '56d2dd24f557c7a04034debee9f1aaf8482810999bf8a0daa8d2908648a68225',
+    'buried --json': '8bd39e46327f96bc73842590357a02cc6c33173116c9a584946777300b553602',
     'wq': '790240b3e6a9cafd7b691f1b28bec78a6908a45dff713a383b52a80831baf720',
     'wq --json': '1e71c10dbdf0940eaa5c9ad3dd7576ac1214c5b9172875bd7d0e3a45dfca30ab',
     'orders': '5980fc3562f967414cab05f548ab0a1bfc7e0ebd182ad10f4df014cc94a5d334',

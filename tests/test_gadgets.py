@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -17,7 +18,7 @@ from intorder import (
     suffix_minima,
     verify_representation,
 )
-from intorder.gadgets import all_graphs, x_vertex, y_vertex
+from intorder.gadgets import _stage_minima, all_graphs, x_vertex, y_vertex
 
 
 class TestSuffixMinima:
@@ -39,6 +40,15 @@ class TestSuffixMinima:
         assert suffix_minima([3, 1], 0) == frozenset()
         with pytest.raises(InputError):
             suffix_minima([3, 1], 3)
+
+    def test_the_builder_s_monotone_stack_matches_on_every_prefix(self):
+        rng = random.Random(30)
+        for size in [0, 1, 2, 3, 5, 8, 13, 40] * 5:
+            values = list(range(size))
+            rng.shuffle(values)
+            assert list(_stage_minima(values, size)) == [suffix_minima(values, t + 1) for t in range(size)], values
+        for values in (list(range(30)), list(range(30, 0, -1))):
+            assert list(_stage_minima(values, 30)) == [suffix_minima(values, t + 1) for t in range(30)]
 
 
 class TestGadgetSpec:

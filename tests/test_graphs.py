@@ -1,9 +1,9 @@
+import json
 import random
 import re
 import time
 from collections import deque
-from collections.abc import Hashable
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given
@@ -41,6 +41,7 @@ from intorder import (
     graph_to_jsonable,
     is_associated,
     parse_edgelist,
+    parse_graph_json,
 )
 from intorder.gadgets import all_graphs, random_interval_graph
 from intorder.graphs import _nested_pred, bit_indices, validate_path
@@ -311,9 +312,8 @@ class TestGraphConstruction:
         # the message `graph_from_jsonable` gives for a malformed entry
         with pytest.raises(InputError, match=f"^malformed edge entry: {re.escape(repr(entry))}$"):
             graph_from_edges(3, [(0, 1), entry])
-        if isinstance(entry, Hashable):  # an edge set holds only hashable entries
-            with pytest.raises(InputError, match=f"^malformed edge entry: {re.escape(repr(entry))}$"):
-                Graph(3, frozenset({(0, 1), entry}))
+        with pytest.raises(InputError, match=f"^malformed edge entry: {re.escape(repr(entry))}$"):
+            graph_from_jsonable({"n": 3, "edges": [[0, 1], entry]})
 
     @pytest.mark.parametrize("n,message", [
         (2.5, "vertex count must be an integer"),
@@ -325,20 +325,18 @@ class TestGraphConstruction:
         (-1, "vertex count must be nonnegative"),
     ])
     def test_vertex_count_is_a_nonnegative_integer(self, n, message):
-        for build in (lambda: Graph(n, frozenset()), lambda: graph_from_edges(n, []),
+        for build in (lambda: Graph(n, ()), lambda: graph_from_edges(n, []),
                       lambda: StrictPartialOrder(n, ())):
             with pytest.raises(InputError, match=f"^{message}$"):
                 build()
 
     @pytest.mark.parametrize("build,message", [
-        (lambda: Graph(3, 5), "edges must be iterable, got 5"),
-        (lambda: Graph(3, None), "edges must be iterable, got None"),
+        (lambda: Graph(3, 5), "rows must be iterable, got 5"),
+        (lambda: Graph(3, None), "rows must be iterable, got None"),
         (lambda: graph_from_edges(3, 5), "edges must be iterable, got 5"),
         (lambda: StrictPartialOrder(3, 5), "successor rows must be iterable, got 5"),
         (lambda: graph_from_edges(3, [], labels=5), "labels must be iterable, got 5"),
-        (lambda: Graph(3, frozenset(), 5), "labels must be iterable, got 5"),
-        (lambda: Graph(3, [[0, 1]]), "unhashable edge entry: [0, 1]"),
-        (lambda: Graph(3, [(1, 2), bytearray(b"\x00\x01")]), "unhashable edge entry: bytearray(b'\\x00\\x01')"),
+        (lambda: Graph(3, (0, 0, 0), 5), "labels must be iterable, got 5"),
         (lambda: Graph(2**63, []), f"vertex count must be at most {2**63 - 1}"),
         (lambda: graph_from_edges(2**64, []), f"vertex count must be at most {2**63 - 1}"),
         (lambda: StrictPartialOrder(2**63, ()), f"vertex count must be at most {2**63 - 1}"),
@@ -350,19 +348,67 @@ class TestGraphConstruction:
 
     def test_labels_are_stored_as_a_tuple(self):
         for labels in (["a", "b", "c"], ("a", "b", "c"), iter("abc"), "abc"):
-            g = Graph(3, frozenset(), labels)
+            g = Graph(3, (0, 0, 0), labels)
             assert g.labels == ("a", "b", "c")
             assert g == graph_from_edges(3, [], labels=labels if isinstance(labels, (list, str)) else "abc")
-            assert hash(g) == hash(Graph(3, frozenset(), ("a", "b", "c")))
+            assert hash(g) == hash(Graph(3, (0, 0, 0), ("a", "b", "c")))
         # a list entry names an edge to `graph_from_edges`, which keeps only its rows
-        assert graph_from_edges(3, [[0, 1]]) == Graph(3, [(0, 1)])
+        assert graph_from_edges(3, [[0, 1]]) == Graph(3, [0b010, 0b001, 0])
 
-    def test_edges_are_stored_as_a_frozenset(self):
-        for edges in ([(0, 1), (1, 2)], {(1, 2), (0, 1)}, ((0, 1), (1, 2), (0, 1)), iter([(1, 2), (0, 1)])):
-            g = Graph(3, edges)
-            assert type(g.edges) is frozenset and g.masks == (0b010, 0b101, 0b010)
-            p3 = graph_from_edges(3, [(0, 1), (1, 2)])
-            assert g == p3 and hash(g) == hash(p3)
+    def test_rows_are_the_fields(self):
+        p3 = graph_from_edges(3, [(0, 1), (1, 2)])
+        for rows in ([0b010, 0b101, 0b010], (0b010, 0b101, 0b010), iter([0b010, 0b101, 0b010])):
+            g = Graph(3, rows)
+            assert g._fields == ("n", "masks", "labels") and "__getattr__" not in vars(Graph)
+            assert g.masks == (0b010, 0b101, 0b010) and type(g.masks) is tuple
+            assert repr(g) == "Graph(n=3, masks=(2, 5, 2), labels=None)"
+            assert g == p3 and hash(g) == hash(p3) and g != (3, g.masks, None)
+            assert "edges" not in vars(g)  # derived on first read only
+            assert g.edges == frozenset({(0, 1), (1, 2)}) and vars(g)["edges"] is g.edges
+
+    @pytest.mark.parametrize("n,masks,message", [
+        (3, 5, "rows must be iterable, got 5"),
+        (3, None, "rows must be iterable, got None"),
+        (3, (0, 0), "a graph on 3 vertices takes 3 rows, got 2"),
+        (0, (0,), "a graph on 0 vertices takes 0 rows, got 1"),
+        (3, (0, True, 0), "row True of vertex 1 is not an integer"),
+        (3, (0, 0, False), "row False of vertex 2 is not an integer"),
+        (3, (0, 2.0, 0), "row 2.0 of vertex 1 is not an integer"),
+        (3, ("2", 0, 0), "row '2' of vertex 0 is not an integer"),
+        (3, (0, None, 0), "row None of vertex 1 is not an integer"),
+        (3, (0, 0, -1), "row -1 of vertex 2 is out of range for n=3"),
+        (3, (8, 0, 0), "row 8 of vertex 0 is out of range for n=3"),
+        (1, (1 << 40,), f"row {1 << 40} of vertex 0 is out of range for n=1"),
+        # every row is range-checked before a bit of any is read
+        (3, (0b010, 0b001, -1), "row -1 of vertex 2 is out of range for n=3"),
+        (3, (-1, "2", 0), "row -1 of vertex 0 is out of range for n=3"),
+        (3, (0b001, 0, 0), "explicit self-loop (0, 0) rejected; adjacency is reflexive implicitly"),
+        (3, (0b010, 0b011, 0), "explicit self-loop (1, 1) rejected; adjacency is reflexive implicitly"),
+        (3, (0b010, 0, 0), "rows must be symmetric: 1 is in row 0 but 0 is not in row 1"),
+        (3, (0, 0b001, 0), "rows must be symmetric: 0 is in row 1 but 1 is not in row 0"),
+        (3, (0b100, 0b100, 0b001), "rows must be symmetric: 2 is in row 1 but 1 is not in row 2"),
+    ])
+    def test_rows_must_be_n_symmetric_bitsets_without_self_loops(self, n, masks, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            Graph(n, masks)
+
+    def test_the_constructor_accepts_exactly_the_graphs_n3(self):
+        for n in range(4):
+            for rows in product(range(-2, (1 << n) + 2), repeat=n):
+                valid = all(0 <= r < 1 << n and not r >> v & 1 for v, r in enumerate(rows)) and all(
+                    rows[u] >> v & 1 == rows[v] >> u & 1 for u in range(n) for v in range(n))
+                try:
+                    g = Graph(n, rows)
+                except InputError:
+                    assert not valid, rows
+                else:
+                    assert valid and g == graph_from_edges(n, g.edges), rows
+
+    def test_int_subclass_rows_are_rows(self):
+        class Row(int):
+            pass
+
+        assert Graph(3, [Row(0b010), Row(0b101), Row(0b010)]) == graph_from_edges(3, [(0, 1), (1, 2)])
 
     def test_reflexive_adjacency(self):
         g = graph_from_edges(3, [])
@@ -440,21 +486,40 @@ def rows_of(n, edges):
 
 
 class TestRowsAndEdges:
-    """A graph built from rows is the graph `Graph(n, edges, labels)` builds."""
+    """Every way to build a graph gives the graph `Graph(n, masks, labels)` checks."""
 
     @staticmethod
-    def assert_same_graph(from_rows, from_edges):
-        assert from_rows.masks == from_edges.masks
-        assert "edges" not in vars(from_rows)  # derived on first read only
-        assert from_rows.edges == from_edges.edges
-        assert from_rows == from_edges and from_edges == from_rows
-        assert hash(from_rows) == hash(from_edges)
-        assert repr(from_rows) == repr(from_edges)
+    def assert_same_graph(built, want):
+        assert built.masks == want.masks
+        assert "edges" not in vars(built)  # derived on first read only
+        assert built.edges == want.edges
+        assert built == want and want == built
+        assert hash(built) == hash(want)
+        assert repr(built) == repr(want)
+
+    def assert_every_build_agrees(self, n, edges, labels, rng):
+        """`_from_rows`, `graph_from_edges` and both parsers, with each edge
+        written either way round, against the checked constructor."""
+        want = Graph(n, rows_of(n, edges), labels)
+        written = [[v, u] if rng.random() < 0.5 else [u, v] for u, v in edges]
+        obj = {"n": n, "edges": written}
+        if labels is not None:
+            obj["labels"] = {str(v): x for v, x in enumerate(labels) if x is not None}
+        self.assert_same_graph(Graph._from_rows(rows_of(n, edges), labels), want)
+        self.assert_same_graph(graph_from_edges(n, written, labels), want)
+        self.assert_same_graph(graph_from_jsonable(obj), want)
+        self.assert_same_graph(parse_graph_json(json.dumps(obj)), want)
+        text = f"{n}\n" + "".join(f"{u} {v}\n" for u, v in written)
+        self.assert_same_graph(parse_edgelist(text), Graph(n, rows_of(n, edges)))  # it has no labels
 
     def test_every_graph_n6(self):
+        rng = random.Random(6)
         for n in range(7):
-            for g in all_graphs(n):
-                self.assert_same_graph(Graph._from_rows(rows_of(n, g.edges)), g)
+            pairs = list(combinations(range(n), 2))
+            for mask, g in enumerate(all_graphs(n)):  # in edge-mask order
+                edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+                self.assert_same_graph(g, Graph(n, rows_of(n, edges)))
+                self.assert_every_build_agrees(n, edges, None, rng)
 
     def test_seeded_labelled_graphs(self):
         rng = random.Random(12)
@@ -464,15 +529,28 @@ class TestRowsAndEdges:
                 tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 2 * n))
             }) if n >= 2 else []
             labels = tuple(f"v{v}" if rng.random() < 0.7 else None for v in range(n))
-            want = Graph(n, frozenset(edges), labels)
-            obj = {
-                "n": n,
-                "edges": [[v, u] if rng.random() < 0.5 else [u, v] for u, v in edges],
-                "labels": {str(v): x for v, x in enumerate(labels) if x is not None},
-            }
-            self.assert_same_graph(graph_from_jsonable(obj), want)
-            self.assert_same_graph(graph_from_edges(n, edges, labels), want)
-            self.assert_same_graph(Graph._from_rows(rows_of(n, edges), labels), want)
+            self.assert_every_build_agrees(n, edges, labels, rng)
+
+    @pytest.mark.parametrize("n,edges,message", [
+        (3, [[0, 1], [1, 2]], None),
+        (3, [[1, 1]], "explicit self-loop (1, 1) rejected; adjacency is reflexive implicitly"),
+        (3, [[0, 3]], "edge endpoint out of range for n=3: (0, 3)"),
+        (3, [[0, 1], [-1, 2], [2, 2], [0, 5]], "edge endpoint out of range for n=3: (-1, 2)"),
+        (3, [[0, 1], [2, 2], [-1, 2]], "explicit self-loop (2, 2) rejected; adjacency is reflexive implicitly"),
+        (-1, [], "vertex count must be nonnegative"),
+        (-2, [[0, 1], [5, 5]], "vertex count must be nonnegative"),
+        (2**63, [], f"vertex count must be at most {2**63 - 1}"),
+        (2**63, [[0, 1], [-1, 0]], f"vertex count must be at most {2**63 - 1}"),
+    ])
+    def test_edge_list_and_json_give_the_same_graph_or_message(self, n, edges, message):
+        outcomes = []
+        for parse, text in ((parse_edgelist, f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)),
+                            (parse_graph_json, json.dumps({"n": n, "edges": edges}))):
+            try:
+                outcomes.append(parse(text))
+            except InputError as exc:
+                outcomes.append(str(exc))
+        assert outcomes == [message or graph_from_edges(n, edges)] * 2
 
     def test_fields_still_tell_graphs_apart(self):
         g = graph_from_edges(3, [(0, 1)], ("a", "b", "c"))
@@ -486,7 +564,7 @@ class TestRowsAndEdges:
         for build in (
             lambda: graph_from_edges(3, [(0, bad)]),
             lambda: graph_from_edges(3, [(bad, 2)]),
-            lambda: Graph(3, frozenset({(0, bad)})),
+            lambda: Graph(3, (0, 0, bad)),
             lambda: order_from_pairs(3, [(bad, 2)]),
         ):
             with pytest.raises(InputError, match="integer"):
@@ -495,7 +573,6 @@ class TestRowsAndEdges:
     def test_out_of_range_messages_unchanged(self):
         table = [
             (lambda: graph_from_edges(3, [(0, 3)]), "edge endpoint out of range for n=3: (0, 3)"),
-            (lambda: Graph(3, frozenset({(2, 1)})), "edge (2, 1) is not canonical or out of range for n=3"),
             (lambda: order_from_pairs(3, [(3, 0)]), "pair (3, 0) out of range for n=3"),
         ]
         for build, message in table:
@@ -1107,9 +1184,9 @@ class TestSubgraphsAndSerialization:
         assert parse_outcome(graph_from_jsonable, obj) == message
         assert parse_outcome(three_pass_graph_from_jsonable, obj) == message
         with pytest.raises(InputError, match="names both vertex 1 and vertex 3"):
-            Graph(4, frozenset(), ("x", "y", None, "y"))
+            Graph(4, (0,) * 4, ("x", "y", None, "y"))
         # any number of vertices may be unnamed
-        assert Graph(4, frozenset(), ("x", None, "y", None)).labels == ("x", None, "y", None)
+        assert Graph(4, (0,) * 4, ("x", None, "y", None)).labels == ("x", None, "y", None)
 
     def test_valid_graphs_parse_as_before(self):
         rng = random.Random(8)

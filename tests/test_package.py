@@ -12,6 +12,7 @@ import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -108,6 +109,16 @@ def test_module_entry_point_imports_only_what_the_command_runs(command):
     after_site = names[names.index("site") + 1:] if "site" in names else names
     assert {"intorder.cli", "intorder.graphs", "intorder.orderability"} <= set(after_site)
     assert not NEVER_IMPORTED & set(after_site)
+
+
+def test_the_console_script_target_imports_and_is_callable():
+    # no tomllib before Python 3.11, so the one line is read with a pattern
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", text, re.M | re.S).group(1)
+    target = re.search(r'^intorder\s*=\s*"([\w.]+):(\w+)"\s*$', scripts, re.M)
+    assert target is not None, scripts
+    assert target.groups() == ("intorder.cli", "main")
+    assert callable(getattr(importlib.import_module(target.group(1)), target.group(2)))
 
 
 def annotated(module):

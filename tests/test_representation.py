@@ -24,9 +24,9 @@ from conftest import (
 )
 from intorder import (
     ClosedRepresentation,
-    Graph,
     InputError,
     find_two_plus_two,
+    graph_from_edges,
     induced_graph,
     normalize_distinguishing,
     order_to_representation,
@@ -110,9 +110,9 @@ def pairwise_induced_graph(r):
     """Reference for `induced_graph`: every pair of intervals tested with
     `ClosedRepresentation.intersects` on the Fractions themselves. The
     library reads the pairs off one sorted sweep over integer endpoints."""
-    return Graph(r.n, frozenset(
+    return graph_from_edges(r.n, [
         (u, v) for u in range(r.n) for v in range(u + 1, r.n) if intersects(r, u, v)
-    ))
+    ])
 
 
 def fraction_normalize_distinguishing(r):
@@ -243,7 +243,7 @@ class TestVerify:
             g = pairwise_induced_graph(rep)
             assert verify_representation(g, rep)
             u, v = sorted(rng.sample(range(n), 2))
-            assert not verify_representation(Graph(n, g.edges ^ {(u, v)}), rep)
+            assert not verify_representation(graph_from_edges(n, g.edges ^ {(u, v)}), rep)
 
     def test_matches_pairwise_check_with_touching_point_and_perturbed_intervals(self):
         rng = random.Random(20261018)
@@ -274,7 +274,7 @@ class TestVerify:
             rejected += not expected
             if n > 1:
                 u, w = sorted(rng.sample(range(n), 2))
-                toggled = Graph(n, g.edges ^ {(u, w)})
+                toggled = graph_from_edges(n, g.edges ^ {(u, w)})
                 assert not verify_representation(toggled, rep)
                 assert not pairwise_verify_representation(toggled, rep)
         assert rejected > 50
@@ -557,5 +557,5 @@ class TestIntAndFractionEndpoints:
             mixed = ClosedRepresentation(rep.n, rep.left, tuple(x + Fraction(1, 2) for x in rep.right))
             assert verify_representation(g, mixed), sorted(g.edges)
             if g.n > 1:
-                edited = Graph(g.n, g.edges ^ {(0, 1)})
+                edited = graph_from_edges(g.n, g.edges ^ {(0, 1)})
                 assert not verify_representation(edited, mixed), sorted(g.edges)
