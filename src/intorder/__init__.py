@@ -10,13 +10,13 @@ from importlib import import_module
 
 _EXPORTS = {
     "errors": "InputError InternalInconsistencyError NotIntervalGraphError",
-    "gadgets": "GadgetOutput GadgetSpec all_graphs build_gadget random_interval_graph suffix_minima",
+    "gadgets": "GadgetOutput GadgetSpec all_graphs build_gadget random_interval_graph",
     "graphs": "Graph StrictPartialOrder components graph_from_edges graph_from_jsonable graph_to_jsonable "
               "is_associated parse_edgelist parse_graph_json validate_path",
     "oracle": "OrientationSet enumerate_associated_orders oracle_unique",
     "orderability": "BuriedCertificate BuriedCheck LeveledSet PairGraph UniquenessVerdict "
                     "buried_candidate decide_unique find_buried is_buried order_from_pair_graph "
-                    "pair_graph pair_path two_orders_from_buried verdict_to_jsonable",
+                    "pair_graph two_orders_from_buried verdict_to_jsonable",
     "recognition": "Obstruction check_triangulated find_asteroidal_triple maximal_cliques recognize "
                    "validate_obstruction",
     "representation": "ClosedRepresentation find_two_plus_two induced_graph normalize_distinguishing "

@@ -3,8 +3,9 @@
 Exit codes: 0 positive verdict (interval graph, uniquely orderable, or
 certificate found, as requested), 1 negative verdict with certificate,
 2 input error, 3 internal inconsistency or any other unexpected error
-(always a bug). Output is JSON with --json, otherwise human-readable text
-derived from the same data.
+(always a bug), 141 (128 + SIGPIPE, as a shell reports it) when the reader
+closes stdout early. Output is JSON with --json, otherwise human-readable
+text derived from the same data.
 Output is byte-identical across runs for identical inputs and seeds, except
 for the per-check `seconds` that `selftest --json` reports. The `gadget`,
 `orders` and `selftest` commands import `gadgets` and `oracle` when they
@@ -17,6 +18,7 @@ import argparse
 import functools
 import io
 import json
+import os
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -509,10 +511,19 @@ def _run_streams(argv, stdin_text: str | None) -> int:
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:  # a reader that stops early is not a bug; `main` handles it
+        raise
     except Exception as exc:  # a crash must not read as a negative verdict
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
 
 
 def main() -> None:
-    sys.exit(_run_streams(sys.argv[1:], None))
+    try:
+        code = _run_streams(sys.argv[1:], None)
+        sys.stdout.flush()  # a closed pipe shows here when the output fit the buffer
+    except BrokenPipeError:
+        # the interpreter's final flush would fail again: it writes to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE
+    sys.exit(code)

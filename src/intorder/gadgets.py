@@ -40,22 +40,10 @@ def y_vertex(i: int) -> int:
     return 5 + 2 * i
 
 
-def suffix_minima(values: Sequence[int], stage: int) -> frozenset[int]:
-    """Indices i < stage whose value is below every later value before stage."""
-    vals = list(values)
-    if len(set(vals)) != len(vals):
-        raise InputError("values must be pairwise distinct")
-    if not (0 <= stage <= len(vals)):
-        raise InputError(f"stage {stage} out of range for {len(vals)} values")
-    return frozenset(
-        i for i in range(stage) if all(vals[k] > vals[i] for k in range(i + 1, stage))
-    )
-
-
 def _stage_minima(values: Sequence[int], stages: int) -> Iterator[frozenset[int]]:
-    """`suffix_minima(values, t + 1)` for each stage t < stages in turn, off
-    a monotone stack: each stage pops the indices whose value exceeds its
-    own, then pushes itself."""
+    """For each stage t < stages, the suffix minima of values[:t + 1] (each i
+    <= t below every later value up to t), off a monotone stack: each stage
+    pops the indices whose value exceeds its own, then pushes itself."""
     stack: list[int] = []
     for t in range(stages):
         while stack and values[stack[-1]] > values[t]:
@@ -90,6 +78,9 @@ class GadgetOutput(Record):
 
 
 def build_gadget(spec: GadgetSpec) -> GadgetOutput:
+    """The gadget of `spec` and its predicted partition. With M the suffix
+    minima of the first `stages` values (none without stages), K is k and
+    each x_i, i in M; R is r; B is a, b, each y_i and each x_i, i not in M."""
     s = spec.stages
     n = 4 + 2 * s
     labels = ["a", "b", "k", "r"]
@@ -105,6 +96,7 @@ def build_gadget(spec: GadgetSpec) -> GadgetOutput:
     left[A], right[A] = Fraction(3), Fraction(4)
     left[B], right[B] = Fraction(5), Fraction(6)
     edges: set[tuple[int, int]] = {(A, K), (B, K), (K, R)}
+    alive: frozenset[int] = frozenset()  # after the loop: the last stage's minima
     for t, alive in enumerate(_stage_minima(spec.f, s)):
         xt, yt = x_vertex(t), y_vertex(t)
         edges.update({(A, xt), (xt, B), (B, yt), (xt, K), (yt, K), (xt, yt)})
@@ -128,13 +120,12 @@ def build_gadget(spec: GadgetSpec) -> GadgetOutput:
     graph = graph_from_edges(n, edges, labels=labels)
     representation = ClosedRepresentation(n, tuple(left), tuple(right))
 
-    alive_final = suffix_minima(spec.f, s)
     predicted_members = frozenset(
         {A, B}
         | {y_vertex(i) for i in range(s)}
-        | {x_vertex(i) for i in range(s) if i not in alive_final}
+        | {x_vertex(i) for i in range(s) if i not in alive}
     )
-    predicted_separators = frozenset({K} | {x_vertex(i) for i in alive_final})
+    predicted_separators = frozenset({K} | {x_vertex(i) for i in alive})
     predicted_outside = frozenset({R})
     return GadgetOutput(
         graph=graph,

@@ -109,15 +109,20 @@ class Graph(Record):
                 raise InputError(f"row {row!r} of vertex {v} is not an integer")
             if not 0 <= row < 1 << n:
                 raise InputError(f"row {row} of vertex {v} is out of range for n={n}")
-        # the rows of the edges above the diagonal are symmetric and free of self-loops
-        want = _edge_rows(n, _upper_pairs(rows))
-        if list(rows) != want:
-            v = next(v for v in range(n) if rows[v] != want[v])
-            if rows[v] >> v & 1:
-                _check_endpoints(n, v, v)  # raises the self-loop error the edge formats give
-            w = next(bit_indices(rows[v] ^ want[v]))  # below v: row v's upper bits are kept
-            a, b = (w, v) if rows[v] >> w & 1 else (v, w)
-            raise InputError(f"rows must be symmetric: {a} is in row {b} but {b} is not in row {a}")
+        # symmetric rows without self-loops: each is its upper bits and, below them, its column's
+        below = [0] * n  # below[v]: the u < v with v in row u, the transposed upper bits
+        for u, row in enumerate(rows):
+            bit = 1 << u
+            for v in bit_indices(row >> u + 1 << u + 1):
+                below[v] |= bit
+        for v, row in enumerate(rows):
+            want = row >> v + 1 << v + 1 | below[v]
+            if row != want:
+                if row >> v & 1:
+                    _check_endpoints(n, v, v)  # raises the self-loop error the edge formats give
+                w = next(bit_indices(row ^ want))  # below v: row v's upper bits are kept
+                a, b = (w, v) if row >> w & 1 else (v, w)
+                raise InputError(f"rows must be symmetric: {a} is in row {b} but {b} is not in row {a}")
         self._check_labels()
 
     @classmethod
@@ -272,11 +277,6 @@ def graph_from_edges(
 
     Self-loops are rejected: reflexivity is implicit and never stored.
     """
-    return Graph._from_rows(_edge_rows(n, edge_list), labels)
-
-
-def _edge_rows(n: int, edge_list: Iterable[Sequence[int]]) -> list[int]:
-    """The rows of n vertices holding the given edges, each entry checked."""
     rows = [0] * _vertex_count(n)
     for pair in _tupled(edge_list, "edges"):
         try:
@@ -286,7 +286,7 @@ def _edge_rows(n: int, edge_list: Iterable[Sequence[int]]) -> list[int]:
         _check_endpoints(n, u, v)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return rows
+    return Graph._from_rows(rows, labels)
 
 
 def _vertex_count(n) -> int:

@@ -68,9 +68,9 @@ def enumerate_associated_orders(g: Graph, max_n: int = DEFAULT_MAX_N) -> Orienta
     return OrientationSet(orders=tuple(orders), dual_classes=len({min(o.succ, o.pred) for o in orders}))
 
 
-def oracle_unique(g: Graph, max_n: int = DEFAULT_MAX_N) -> bool:
+def oracle_unique(g: Graph) -> bool:
     """True iff the associated orders form a single duality class."""
-    enumeration = enumerate_associated_orders(g, max_n=max_n)
+    enumeration = enumerate_associated_orders(g)
     if not enumeration.orders:
         raise InternalInconsistencyError(
             "no associated order exists; impossible for an interval graph"

@@ -21,7 +21,7 @@ across each induced four-cycle, over unvisited pairs kept as one bitset
 per row and one per column, recording the component as its rows (one
 bitset of second vertices per first vertex). `pair_graph`, the full fill,
 floods from every non-adjacent pair, on any graph; it serves `wq`,
-`pair_path`, selftest and the tests. The decision fills half of it. On an
+selftest and the tests. The decision fills half of it. On an
 interval graph the components are the implication classes of the
 complement, each inside any transitive orientation of the complement or
 inside its reverse (Golumbic 1980, ch. 5), and the verified interval order
@@ -57,8 +57,6 @@ from .graphs import (
     Graph,
     Record,
     StrictPartialOrder,
-    _is_index,
-    _neighbours_of,
     bit_indices,
     component_masks,
     is_associated,
@@ -209,44 +207,6 @@ def _upward_classes(g: Graph, base: StrictPartialOrder) -> list[dict[int, int]]:
             classes.append(_flood(masks, row, col, x, y, False) if row[x] & low
                            else _flood(masks, row, col, y, x, False))
     return classes
-
-
-def pair_path(
-    pg: PairGraph, ab: VertexPair, cd: VertexPair
-) -> list[VertexPair] | None:
-    """Lexicographically least shortest linkage path, or None when the two
-    pairs lie in different components. Like every path certificate, it is
-    read off BFS layers grown back from cd, each a dict of rows as in `rows`:
-    a row {c: D} links to the non-adjacent pairs in N[c] x N[D]. The walk
-    from (a, b) takes the least c in N[a] whose next row meets N[b], then
-    that row's least d in N[b]."""
-    closed = [m | 1 << v for v, m in enumerate(pg.base.masks)]
-    for p in (ab, cd):
-        if not (isinstance(p, tuple) and len(p) == 2 and all(_is_index(v) for v in p)
-                and 0 <= min(p) and max(p) < len(closed) and not closed[p[0]] >> p[1] & 1):
-            raise InputError(f"pair {p} is not a non-adjacent ordered pair of the graph")
-    a, b = ab
-    layers = [{cd[0]: 1 << cd[1]}]
-    blocked = closed[:]  # the d of each (c, d) that is adjacent or already reached
-    blocked[cd[0]] |= 1 << cd[1]
-    while not layers[-1].get(a, 0) >> b & 1:
-        reach: dict[int, int] = {}
-        for c, ds in layers[-1].items():
-            near = _neighbours_of(closed, ds)
-            for c2 in bit_indices(closed[c]):
-                reach[c2] = reach.get(c2, 0) | near
-        layers.append({c: fresh for c, ds in reach.items() if (fresh := ds & ~blocked[c])})
-        if not layers[-1]:
-            return None
-        for c, ds in layers[-1].items():
-            blocked[c] |= ds
-    path = [ab]
-    for layer in reversed(layers[:-1]):
-        a, b = path[-1]
-        c = next(c for c in bit_indices(closed[a]) if layer.get(c, 0) & closed[b])
-        ds = layer[c] & closed[b]
-        path.append((c, (ds & -ds).bit_length() - 1))
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -619,8 +579,7 @@ def _order_pairs_jsonable(order: StrictPartialOrder, name) -> list:
     return out
 
 
-def buried_to_jsonable(cert: BuriedCertificate, label=None) -> dict:
-    name = label if label is not None else (lambda v: v)
+def buried_to_jsonable(cert: BuriedCertificate, name) -> dict:
     return {
         "B": [name(v) for v in sorted(cert.members)],
         "K": [name(v) for v in sorted(cert.separators)],
@@ -628,8 +587,7 @@ def buried_to_jsonable(cert: BuriedCertificate, label=None) -> dict:
     }
 
 
-def verdict_to_jsonable(verdict: UniquenessVerdict, label=None) -> dict:
-    name = label if label is not None else (lambda v: v)
+def verdict_to_jsonable(verdict: UniquenessVerdict, name) -> dict:
     out: dict = {"unique": verdict.unique}
     if verdict.order is not None:
         out["order"] = _order_pairs_jsonable(verdict.order, name)
@@ -640,6 +598,6 @@ def verdict_to_jsonable(verdict: UniquenessVerdict, label=None) -> dict:
             "triple": [name(v) for v in verdict.triple],
         }
     if verdict.buried is not None:
-        out["buried"] = buried_to_jsonable(verdict.buried, label)
+        out["buried"] = buried_to_jsonable(verdict.buried, name)
     out["wq_components"] = verdict.wq_components
     return out

@@ -351,8 +351,7 @@ def validate_obstruction(g: Graph, obs: Obstruction) -> bool:
     return False
 
 
-def obstruction_to_jsonable(obs: Obstruction, label=None) -> dict:
-    name = label if label is not None else (lambda v: v)
+def obstruction_to_jsonable(obs: Obstruction, name) -> dict:
     if obs.kind == CHORDLESS_CYCLE:
         return {"kind": obs.kind, "cycle": [name(v) for v in obs.cycle]}
     return {

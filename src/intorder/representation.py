@@ -107,11 +107,11 @@ def _meeting_masks(r: ClosedRepresentation) -> list[int]:
     return [row & ~gone for row, gone in zip(*r._sweep)]
 
 
-def induced_graph(r: ClosedRepresentation, labels=None) -> Graph:
+def induced_graph(r: ClosedRepresentation) -> Graph:
     """Graph whose distinct vertices are adjacent iff their intervals meet:
     the rows of `_meeting_masks`, each without its own vertex."""
     rows = [row ^ 1 << u for u, row in enumerate(_meeting_masks(r))]
-    return Graph._from_rows(rows, tuple(labels) if labels is not None else None)
+    return Graph._from_rows(rows)
 
 
 def verify_representation(g: Graph, r: ClosedRepresentation) -> bool:

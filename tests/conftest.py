@@ -1,15 +1,17 @@
 """Shared graph constructors, the graph, order and representation helpers
-that only tests use, and hypothesis strategies."""
+that only tests use, the oracles `pair_path` and `suffix_minima` that the
+library's faster paths are compared against, and hypothesis strategies."""
 
 from __future__ import annotations
 
 import random
+from typing import Sequence
 
 from hypothesis import strategies as st
 
-from intorder import (Graph, InputError, StrictPartialOrder, find_two_plus_two, graph_from_edges,
-                      representation_from_intervals, validate_path)
-from intorder.graphs import _is_index, bit_indices
+from intorder import (Graph, InputError, PairGraph, StrictPartialOrder, find_two_plus_two,
+                      graph_from_edges, representation_from_intervals, validate_path)
+from intorder.graphs import VertexPair, _is_index, _neighbours_of, bit_indices
 
 
 def complete_graph(n: int) -> Graph:
@@ -145,6 +147,56 @@ def representation_from_jsonable(obj):
 def linked(pg, ab, cd) -> bool:
     """Pairs are linked when first meets first and second meets second."""
     return pg.base.adjacent(ab[0], cd[0]) and pg.base.adjacent(ab[1], cd[1])
+
+
+def pair_path(
+    pg: PairGraph, ab: VertexPair, cd: VertexPair
+) -> list[VertexPair] | None:
+    """Lexicographically least shortest linkage path, or None when the two
+    pairs lie in different components. Like every path certificate, it is
+    read off BFS layers grown back from cd, each a dict of rows as in `rows`:
+    a row {c: D} links to the non-adjacent pairs in N[c] x N[D]. The walk
+    from (a, b) takes the least c in N[a] whose next row meets N[b], then
+    that row's least d in N[b]."""
+    closed = [m | 1 << v for v, m in enumerate(pg.base.masks)]
+    for p in (ab, cd):
+        if not (isinstance(p, tuple) and len(p) == 2 and all(_is_index(v) for v in p)
+                and 0 <= min(p) and max(p) < len(closed) and not closed[p[0]] >> p[1] & 1):
+            raise InputError(f"pair {p} is not a non-adjacent ordered pair of the graph")
+    a, b = ab
+    layers = [{cd[0]: 1 << cd[1]}]
+    blocked = closed[:]  # the d of each (c, d) that is adjacent or already reached
+    blocked[cd[0]] |= 1 << cd[1]
+    while not layers[-1].get(a, 0) >> b & 1:
+        reach: dict[int, int] = {}
+        for c, ds in layers[-1].items():
+            near = _neighbours_of(closed, ds)
+            for c2 in bit_indices(closed[c]):
+                reach[c2] = reach.get(c2, 0) | near
+        layers.append({c: fresh for c, ds in reach.items() if (fresh := ds & ~blocked[c])})
+        if not layers[-1]:
+            return None
+        for c, ds in layers[-1].items():
+            blocked[c] |= ds
+    path = [ab]
+    for layer in reversed(layers[:-1]):
+        a, b = path[-1]
+        c = next(c for c in bit_indices(closed[a]) if layer.get(c, 0) & closed[b])
+        ds = layer[c] & closed[b]
+        path.append((c, (ds & -ds).bit_length() - 1))
+    return path
+
+
+def suffix_minima(values: Sequence[int], stage: int) -> frozenset[int]:
+    """Indices i < stage whose value is below every later value before stage."""
+    vals = list(values)
+    if len(set(vals)) != len(vals):
+        raise InputError("values must be pairwise distinct")
+    if not (0 <= stage <= len(vals)):
+        raise InputError(f"stage {stage} out of range for {len(vals)} values")
+    return frozenset(
+        i for i in range(stage) if all(vals[k] > vals[i] for k in range(i + 1, stage))
+    )
 
 
 def single_nonedge4() -> Graph:

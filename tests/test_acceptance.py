@@ -28,6 +28,7 @@ from conftest import (
     neighbors,
     net_graph,
     order_from_pairs,
+    pair_path,
     random_graph,
     random_walk,
     refine_to_minimal,
@@ -52,7 +53,6 @@ from intorder import (
     is_buried,
     order_to_representation,
     pair_graph,
-    pair_path,
     random_interval_graph,
     recognize,
     representation_from_intervals,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,6 +251,17 @@ class TestExitCodes:
         code, out, err = run(["recognize", "--json"], C4_JSON)
         assert code == 3 and out == ""
         assert err == "internal error: RuntimeError('boom')\n"
+
+    def test_a_reader_that_closes_stdout_early_gets_141_and_no_message(self):
+        # about 1 MB of JSON, far more than a pipe holds, so the write meets the closed end
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        argv = [sys.executable, "-m", "intorder", "gadget", "--f", ",".join(map(str, range(200))), "--json"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.read(10) == b'{"graph": '
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert (code, err) == (141, b"")
 
     def test_parser_is_built_once(self, monkeypatch):
         run(["recognize", "--json"], C4_JSON)

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import is_distinguishing, neighbors
+from conftest import is_distinguishing, neighbors, suffix_minima
 from intorder import (
     ClosedRepresentation,
     GadgetSpec,
@@ -15,10 +15,9 @@ from intorder import (
     is_buried,
     random_interval_graph,
     recognize,
-    suffix_minima,
     verify_representation,
 )
-from intorder.gadgets import _stage_minima, all_graphs, x_vertex, y_vertex
+from intorder.gadgets import K, R, _stage_minima, all_graphs, x_vertex, y_vertex
 
 
 class TestSuffixMinima:
@@ -141,6 +140,20 @@ class TestGadget:
         assert out.graph.n == 4
         assert sorted(out.graph.edges) == [(0, 2), (1, 2), (2, 3)]
         assert not decide_unique(out.graph).unique
+
+    def test_predicted_partition_follows_the_suffix_minima_of_every_stage_count(self):
+        # the builder reads its final minima off its own stack: stages = 0 and
+        # stages < len(f) are where that read-off could part from the definition
+        rng = random.Random(31)
+        for size in range(13):
+            for _ in range(3):
+                f = tuple(rng.sample(range(3 * size + 1), size))
+                for stages in range(size + 1):
+                    out = build_gadget(GadgetSpec(f, stages))
+                    separators = {K} | {x_vertex(i) for i in suffix_minima(f, stages)}
+                    assert out.predicted_separators == separators, (f, stages)
+                    assert out.predicted_outside == {R}
+                    assert out.predicted_members == set(range(out.graph.n)) - separators - {R}
 
 
 class TestRandomIntervalGraph:

@@ -2,6 +2,7 @@ import json
 import random
 import re
 import time
+import tracemalloc
 from collections import deque
 from itertools import combinations, product
 
@@ -403,6 +404,20 @@ class TestGraphConstruction:
                     assert not valid, rows
                 else:
                     assert valid and g == graph_from_edges(n, g.edges), rows
+
+    def test_the_complete_graph_on_1000_vertices_is_checked_in_little_memory(self):
+        everyone = (1 << 1000) - 1
+        rows = [everyone ^ 1 << v for v in range(1000)]
+        tracemalloc.start()
+        try:
+            g = Graph(1000, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the symmetry check transposes the rows' upper bits into n ints; holding
+        # one tuple per edge instead peaked at about 45 MB
+        assert peak < 2 << 20, peak
+        assert g.masks == tuple(rows)
 
     def test_int_subclass_rows_are_rows(self):
         class Row(int):

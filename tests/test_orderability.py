@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from conftest import c4, complete_graph, empty3, linked, order_on, random_graph, single_nonedge4, k3, p4, star3, two_k2
+from conftest import (c4, complete_graph, empty3, linked, order_on, pair_path, random_graph, single_nonedge4, k3,
+                      p4, star3, two_k2)
 from intorder import (
     BuriedCertificate,
     BuriedCheck,
@@ -24,7 +25,6 @@ from intorder import (
     is_buried,
     order_from_pair_graph,
     pair_graph,
-    pair_path,
     parse_graph_json,
     representation_from_intervals,
     representation_to_order,
@@ -421,7 +421,7 @@ def reference_decide(g):
 def assert_same_verdict(g, got, want):
     for field in UniquenessVerdict._fields:
         assert getattr(got, field) == getattr(want, field), (field, sorted(g.edges))
-    assert verdict_to_jsonable(got) == verdict_to_jsonable(want)
+    assert verdict_to_jsonable(got, g.label_of) == verdict_to_jsonable(want, g.label_of)
 
 
 def relabeled_disjoint_unions(count, seed):
@@ -1193,7 +1193,8 @@ class TestVerdictJson:
         assert obj == {"unique": True, "order": [["a", "c"]], "wq_components": 2}
 
     def test_non_unique_verdict_shape(self):
-        obj = verdict_to_jsonable(decide_unique(star3()))
+        g = star3()
+        obj = verdict_to_jsonable(decide_unique(g), g.label_of)
         assert obj["unique"] is False
         assert obj["buried"] == {"B": [1, 2], "K": [0], "R": [3]}
         assert obj["wq_components"] == 6

@@ -329,10 +329,6 @@ class TestInducedGraph:
         for rep in reps:
             assert induced_graph(rep).edges == pairwise_induced_graph(rep).edges, rep
 
-    def test_labels_carried(self):
-        g = induced_graph(representation_from_intervals([(0, 1), (1, 2)]), ["a", "b"])
-        assert g.edges == {(0, 1)} and g.labels == ("a", "b")
-
     def test_n3000_path_within_budget(self):
         rep = representation_from_intervals([(2 * i, 2 * i + 3) for i in range(3000)])
         start = time.perf_counter()
