@@ -20,8 +20,7 @@ _EXPORTS = {
     "recognition": "Obstruction check_triangulated find_asteroidal_triple maximal_cliques recognize "
                    "validate_obstruction",
     "representation": "ClosedRepresentation find_two_plus_two induced_graph normalize_distinguishing "
-                      "order_to_representation representation_from_intervals representation_to_order "
-                      "verify_representation",
+                      "order_to_representation representation_to_order verify_representation",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

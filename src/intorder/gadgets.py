@@ -24,7 +24,6 @@ from .representation import (
     ClosedRepresentation,
     induced_graph,
     normalize_distinguishing,
-    representation_from_intervals,
     representation_to_jsonable,
 )
 
@@ -166,10 +165,6 @@ def random_interval_graph(n: int, seed: int) -> tuple[Graph, ClosedRepresentatio
         raise InputError("need at least one vertex")
     rng = random.Random(seed)
     grid = 2 * n
-    raw = []
-    for _ in range(n):
-        a = rng.randrange(grid)
-        b = rng.randrange(grid)
-        raw.append((min(a, b), max(a, b)))
-    rep = normalize_distinguishing(representation_from_intervals(raw))
+    ends = [sorted((rng.randrange(grid), rng.randrange(grid))) for _ in range(n)]
+    rep = normalize_distinguishing(ClosedRepresentation(n, *zip(*ends)))
     return induced_graph(rep), rep

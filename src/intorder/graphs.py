@@ -140,11 +140,20 @@ class Graph(Record):
             vars(self)["labels"] = _tupled(self.labels, "labels")
             if len(self.labels) != self.n:
                 raise InputError("labels must have one entry per vertex (None for unnamed)")
-            # a certificate names vertices by label, so a shared label makes it unreadable
+            # a certificate names vertices by label, or by index when unlabelled, so a
+            # label shared with another vertex or reading as another's index makes it unreadable
             owner: dict[str, int] = {}
             for v, label in enumerate(self.labels):
+                if label is not None and not isinstance(label, str):
+                    raise InputError(f"label {label!r} of vertex {v} is not a string")
                 if label is not None and owner.setdefault(label, v) != v:
                     raise InputError(f"label {label!r} names both vertex {owner[label]} and vertex {v}")
+            width = len(str(self.n))  # a longer decimal is no vertex, and int() may refuse it
+            for label, v in owner.items():
+                if label.isdecimal() and len(label) <= width:
+                    w = int(label)
+                    if w != v and w < self.n and str(w) == label and self.labels[w] is None:
+                        raise InputError(f"label {label!r} of vertex {v} reads as unlabelled vertex {w}")
 
     @cached_property
     def edges(self) -> frozenset[VertexPair]:

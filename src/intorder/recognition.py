@@ -29,7 +29,7 @@ raised rather than guessing.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from functools import reduce
+from functools import cmp_to_key, reduce
 from operator import or_
 
 from .errors import InputError, InternalInconsistencyError
@@ -67,18 +67,26 @@ class Obstruction(Record):
     witness_paths: tuple[tuple[int, ...], ...] | None = None
 
 
+def _least_difference_first(a: int, b: int) -> int:
+    """Negative when clique a holds the least vertex of a ^ b, positive when
+    b does: maximal cliques form an antichain, so this is the order of their
+    sorted vertex tuples."""
+    d = a ^ b
+    return bool(b & d & -d) - bool(a & d & -d)
+
+
 def _sorted_cliques(g: Graph) -> list[int]:
     """The chordal graph g's maximal clique bitsets in sorted-vertex-tuple
-    order: an antichain, so the least vertex in which two differ is below
-    both maxima, and their binary strings read from bit 0 sort descending."""
-    return sorted(g.chordal_cliques, key=lambda c: format(c, "b")[::-1], reverse=True)
+    order, compared by `_least_difference_first` with no per-clique key."""
+    return sorted(g.chordal_cliques, key=cmp_to_key(_least_difference_first))
 
 
 def maximal_cliques(g: Graph) -> list[frozenset[int]]:
     """The maximal cliques of a chordal graph, every interval graph among
     them, as frozensets in `_sorted_cliques` order: read off the cached
     maximum cardinality search `Graph.chordal_cliques`, sorted by their
-    sorted vertex tuples. A graph that is not chordal raises InputError."""
+    sorted vertex tuples, which for an antichain is the order of the least
+    vertex in which two differ. A graph that is not chordal raises InputError."""
     if g.chordal_cliques is None:
         raise InputError("maximal_cliques requires a chordal graph")
     return [frozenset(bit_indices(c)) for c in _sorted_cliques(g)]

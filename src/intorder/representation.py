@@ -1,75 +1,56 @@
 """Closed interval representations over exact rational endpoints.
 
-Every endpoint is an exact rational, an ``int`` (as `recognize` gives) or a
-``fractions.Fraction``, and the two compare, hash and print alike by value;
-there are no floating-point comparisons anywhere. Intersection is
-closed-interval intersection, so a shared single point counts. Point
-intervals (left == right) are accepted on input and split apart by
-``normalize_distinguishing``. The algorithms compare endpoints as ints,
-`_integer_endpoints`, and read the precedence order, every "which
-intervals meet" answer and the distinguishing ranks off one sort of all 2n
-endpoints, swept once by `_endpoint_sweep`.
+Every library route gives int endpoints (`recognize` its clique positions,
+`normalize_distinguishing` and `order_to_representation` their ranks); only
+the gadget's bisection, or a caller, gives ``fractions.Fraction`` ones, and
+the two compare, hash and print alike by value. There are no floating-point
+comparisons anywhere. Intersection is closed-interval intersection, so a
+shared single point counts. Point intervals (left == right) are accepted on
+input and split apart by ``normalize_distinguishing``. The algorithms compare
+endpoints as ints, `_integer_endpoints`, and read the precedence order,
+every "which intervals meet" answer and the distinguishing ranks off one
+sort of all 2n endpoints, swept once by `_endpoint_sweep`.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import numbers
 from functools import cached_property
-from typing import Sequence
 
 from .errors import InputError, InternalInconsistencyError
-from .graphs import Graph, Record, StrictPartialOrder, bit_indices
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, bool):
-        raise InputError(f"endpoint {value!r} is not an exact rational")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (tuple, list)) and len(value) == 2:
-        num, den = value
-        if isinstance(num, int) and isinstance(den, int) and not isinstance(num, bool) and not isinstance(den, bool):
-            if den == 0:
-                raise InputError("endpoint denominator must be nonzero")
-            return Fraction(num, den)
-    raise InputError(f"endpoint {value!r} is not an integer or [numerator, denominator] pair")
+from .graphs import Graph, Record, StrictPartialOrder, _tupled, _vertex_count, bit_indices
 
 
 class ClosedRepresentation(Record):
-    """Closed intervals [left(v), right(v)] for vertices 0..n-1."""
+    """Closed intervals [left(v), right(v)] for vertices 0..n-1. The one
+    constructor checks the count, stores both sides as tuples of one
+    endpoint per vertex, each an int (never a bool) or another exact
+    rational such as a ``Fraction``, and refuses an empty interval."""
 
     n: int
-    left: tuple[int | Fraction, ...]
-    right: tuple[int | Fraction, ...]
+    left: tuple[numbers.Rational, ...]
+    right: tuple[numbers.Rational, ...]
 
     def __post_init__(self):
-        if len(self.left) != self.n or len(self.right) != self.n:
+        n = _vertex_count(self.n)
+        left = vars(self)["left"] = _tupled(self.left, "left endpoints")
+        right = vars(self)["right"] = _tupled(self.right, "right endpoints")
+        if len(left) != n or len(right) != n:
             raise InputError("endpoint tuples must have one entry per vertex")
-        for v in range(self.n):
-            if self.left[v] > self.right[v]:
-                raise InputError(
-                    f"interval for vertex {v} is empty: left {self.left[v]} > right {self.right[v]}"
-                )
+        ends = left + right
+        if not set(map(type, ends)) <= {int}:
+            for x in ends:
+                if isinstance(x, bool) or not isinstance(x, numbers.Rational):
+                    raise InputError(f"endpoint {x!r} is not an exact rational")
+        for v in range(n):
+            if left[v] > right[v]:
+                raise InputError(f"interval for vertex {v} is empty: left {left[v]} > right {right[v]}")
 
     @cached_property
     def _sweep(self) -> tuple[list[int], list[int]]:
         """`_endpoint_sweep(self)`, kept (never mutated) so verification and the order share it."""
         return _endpoint_sweep(self)
-
-
-def representation_from_intervals(intervals: Sequence) -> ClosedRepresentation:
-    """Build a representation from (left, right) pairs of ints or rationals."""
-    lefts = []
-    rights = []
-    for pair in intervals:
-        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
-            raise InputError(f"interval entry {pair!r} must be a [left, right] pair")
-        lefts.append(_as_fraction(pair[0]))
-        rights.append(_as_fraction(pair[1]))
-    return ClosedRepresentation(len(lefts), tuple(lefts), tuple(rights))
 
 
 def _integer_endpoints(r: ClosedRepresentation) -> list[int]:
@@ -171,14 +152,9 @@ def order_to_representation(o: StrictPartialOrder) -> ClosedRepresentation:
         )
     chain = sorted(set(o.pred), key=int.bit_count)
     rank = {down: i for i, down in enumerate(chain)}
-    m = len(chain)
-    lefts = []
-    rights = []
-    for v in range(o.n):
-        lefts.append(Fraction(rank[o.pred[v]]))
-        containing = [i for i, down in enumerate(chain) if down >> v & 1]
-        rights.append(Fraction(containing[0] - 1 if containing else m))
-    return ClosedRepresentation(o.n, tuple(lefts), tuple(rights))
+    lefts = [rank[down] for down in o.pred]
+    rights = [next((i - 1 for i, down in enumerate(chain) if down >> v & 1), len(chain)) for v in range(o.n)]
+    return ClosedRepresentation(o.n, lefts, rights)
 
 
 def normalize_distinguishing(r: ClosedRepresentation) -> ClosedRepresentation:
@@ -189,17 +165,17 @@ def normalize_distinguishing(r: ClosedRepresentation) -> ClosedRepresentation:
     nondegenerate), then by vertex index. Strict endpoint comparisons are
     preserved, so the precedence order is preserved as well.
     """
-    ends: list = [None] * (2 * r.n)
+    ends = [0] * (2 * r.n)
     for position, i in enumerate(sorted(range(2 * r.n), key=_integer_endpoints(r).__getitem__)):
-        ends[i] = Fraction(position)
-    return ClosedRepresentation(r.n, tuple(ends[: r.n]), tuple(ends[r.n :]))
+        ends[i] = position
+    return ClosedRepresentation(r.n, ends[: r.n], ends[r.n :])
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _endpoint_to_jsonable(x: int | Fraction):
+def _endpoint_to_jsonable(x: numbers.Rational):
     return x.numerator if x.denominator == 1 else [x.numerator, x.denominator]
 
 

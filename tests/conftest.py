@@ -1,16 +1,18 @@
 """Shared graph constructors, the graph, order and representation helpers
-that only tests use, the oracles `pair_path` and `suffix_minima` that the
-library's faster paths are compared against, and hypothesis strategies."""
+that only tests use (`representation_from_intervals` among them, which
+gives Fraction endpoints), the oracles `pair_path` and `suffix_minima` that
+the library's faster paths are compared against, and hypothesis strategies."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import Sequence
 
 from hypothesis import strategies as st
 
-from intorder import (Graph, InputError, PairGraph, StrictPartialOrder, find_two_plus_two,
-                      graph_from_edges, representation_from_intervals, validate_path)
+from intorder import (ClosedRepresentation, Graph, InputError, PairGraph, StrictPartialOrder,
+                      find_two_plus_two, graph_from_edges, validate_path)
 from intorder.graphs import VertexPair, _is_index, _neighbours_of, bit_indices
 
 
@@ -129,6 +131,34 @@ def wholly_before(r, u: int, v: int) -> bool:
 def is_distinguishing(r) -> bool:
     """All 2n endpoints pairwise distinct and every interval nondegenerate."""
     return len(set(r.left + r.right)) == 2 * r.n
+
+
+def _as_fraction(value) -> Fraction:
+    if isinstance(value, bool):
+        raise InputError(f"endpoint {value!r} is not an exact rational")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (tuple, list)) and len(value) == 2:
+        num, den = value
+        if isinstance(num, int) and isinstance(den, int) and not isinstance(num, bool) and not isinstance(den, bool):
+            if den == 0:
+                raise InputError("endpoint denominator must be nonzero")
+            return Fraction(num, den)
+    raise InputError(f"endpoint {value!r} is not an integer or [numerator, denominator] pair")
+
+
+def representation_from_intervals(intervals: Sequence) -> ClosedRepresentation:
+    """Build a representation from (left, right) pairs of ints or rationals."""
+    lefts = []
+    rights = []
+    for pair in intervals:
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise InputError(f"interval entry {pair!r} must be a [left, right] pair")
+        lefts.append(_as_fraction(pair[0]))
+        rights.append(_as_fraction(pair[1]))
+    return ClosedRepresentation(len(lefts), tuple(lefts), tuple(rights))
 
 
 def representation_from_jsonable(obj):

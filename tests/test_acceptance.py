@@ -32,6 +32,7 @@ from conftest import (
     random_graph,
     random_walk,
     refine_to_minimal,
+    representation_from_intervals,
     single_nonedge4,
     star3,
     two_k2,
@@ -55,7 +56,6 @@ from intorder import (
     pair_graph,
     random_interval_graph,
     recognize,
-    representation_from_intervals,
     representation_to_order,
 )
 from intorder.gadgets import all_graphs

@@ -208,6 +208,14 @@ class TestInputHandling:
             assert (code, out) == (2, ""), command
             assert err == "input error: label 'a' names both vertex 0 and vertex 2\n"
 
+    def test_label_reading_as_another_vertex_is_an_input_error(self):
+        # vertex 0 named "1" beside unnamed vertex 1 printed the order as 1<1
+        text = json.dumps({"n": 2, "edges": [], "labels": {"0": "1"}})
+        for command in ("recognize", "decide", "buried", "wq"):
+            code, out, err = run([command], text)
+            assert (code, out) == (2, ""), command
+            assert err == "input error: label '1' of vertex 0 reads as unlabelled vertex 1\n"
+
     def test_negative_count_with_labels(self):
         text = json.dumps({"n": -1, "edges": [], "labels": {"0": "a"}})
         code, out, err = run(["decide", "--json"], text)

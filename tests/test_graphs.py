@@ -1203,6 +1203,30 @@ class TestSubgraphsAndSerialization:
         # any number of vertices may be unnamed
         assert Graph(4, (0,) * 4, ("x", None, "y", None)).labels == ("x", None, "y", None)
 
+    @pytest.mark.parametrize("labels,message", [
+        (("1", None), "label '1' of vertex 0 reads as unlabelled vertex 1"),
+        ((None, None, "0"), "label '0' of vertex 2 reads as unlabelled vertex 0"),
+        (("x", "2", None), "label '2' of vertex 1 reads as unlabelled vertex 2"),
+        (([1], "b"), "label [1] of vertex 0 is not a string"),
+        ((1, "b"), "label 1 of vertex 0 is not a string"),
+        (("a", b"b"), "label b'b' of vertex 1 is not a string"),
+        (("1", "1"), "label '1' names both vertex 0 and vertex 1"),
+        (("1", "b"), None),  # vertex 1 prints as "b"
+        ((None, "1"), None),  # vertex 1's own index
+        (("01", None), None),  # not how vertex 1 prints
+        (("5", None), None),  # no vertex 5
+        (("9" * 5000, None), None),  # longer than any index
+        (("\N{DIGIT ONE}\N{COMBINING LOW LINE}", None), None),
+        (("\N{SUPERSCRIPT ONE}", None), None),
+    ])
+    def test_labels_that_would_misname_a_vertex(self, labels, message):
+        n = len(labels)
+        if message is None:
+            assert Graph(n, (0,) * n, labels).labels == labels
+        else:
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                Graph(n, (0,) * n, labels)
+
     def test_valid_graphs_parse_as_before(self):
         rng = random.Random(8)
         for _ in range(200):

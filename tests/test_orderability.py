@@ -4,8 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from conftest import (c4, complete_graph, empty3, linked, order_on, pair_path, random_graph, single_nonedge4, k3,
-                      p4, star3, two_k2)
+from conftest import (c4, complete_graph, empty3, linked, order_on, pair_path, random_graph,
+                      representation_from_intervals, single_nonedge4, k3, p4, star3, two_k2)
 from intorder import (
     BuriedCertificate,
     BuriedCheck,
@@ -26,7 +26,6 @@ from intorder import (
     order_from_pair_graph,
     pair_graph,
     parse_graph_json,
-    representation_from_intervals,
     representation_to_order,
     two_orders_from_buried,
     verdict_to_jsonable,

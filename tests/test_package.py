@@ -1,8 +1,9 @@
 """The package surface, and what a command line process imports.
 
 `import intorder` resolves each public name on first use, and
-`python -m intorder` loads only the modules its command runs: neither
-`dataclasses` (with the `inspect` it pulls in) nor the test-family and
+`python -m intorder` loads only the modules its command runs: not
+`dataclasses` (with the `inspect` it pulls in), nor `fractions` and
+`decimal`, which only the gadget's endpoints need, nor the test-family and
 oracle modules, which only `gadget`, `orders` and `selftest` use. Every
 annotation in the package resolves, and every public definition is used
 by another part of the package or by the benchmark's tracer.
@@ -38,12 +39,11 @@ EXPORTS = {
                     "recognize", "validate_obstruction"],
     "representation": ["ClosedRepresentation", "find_two_plus_two", "induced_graph",
                        "normalize_distinguishing", "order_to_representation",
-                       "representation_from_intervals", "representation_to_order",
-                       "verify_representation"],
+                       "representation_to_order", "verify_representation"],
 }
 NAMES = {name for names in EXPORTS.values() for name in names}
 STAR = '{"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}'
-NEVER_IMPORTED = {"dataclasses", "inspect", "intorder.gadgets", "intorder.oracle"}
+NEVER_IMPORTED = {"dataclasses", "decimal", "fractions", "inspect", "intorder.gadgets", "intorder.oracle"}
 SRC = Path(intorder.__file__).resolve().parent
 MODULES = sorted(path.stem for path in SRC.glob("*.py") if not path.stem.startswith("_"))
 # public definitions that nothing else in src/ refers to, kept for a reason

@@ -3,8 +3,9 @@ import random
 from bisect import bisect_left
 import sys
 import time
+import tracemalloc
 from collections import deque
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
@@ -42,6 +43,14 @@ from intorder import recognition as recognition_module
 from intorder.gadgets import all_graphs, random_interval_graph
 from intorder.graphs import Graph, _chordal_sweep, bit_indices, component_masks
 from intorder.recognition import _consecutive_clique_order, _least_path, _least_shortest_hole, _sorted_cliques
+
+
+def string_key_sorted_cliques(g):
+    """The clique sort `_sorted_cliques` replaced: each clique's binary
+    string read from bit 0, one n-character string per clique, sorted
+    descending. Of two members of an antichain, the one holding the least
+    vertex of their difference has a 1 where the other has a 0 first."""
+    return sorted(g.chordal_cliques, key=lambda c: format(c, "b")[::-1], reverse=True)
 
 
 def three_state_clique_order(cliques, n):
@@ -1178,6 +1187,27 @@ class TestCliqueOrder:
             if g.chordal_cliques is not None:
                 by_tuple = sorted((frozenset(bit_indices(c)) for c in g.chordal_cliques), key=sorted)
                 assert [frozenset(bit_indices(c)) for c in _sorted_cliques(g)] == by_tuple, sorted(g.edges)
+
+    def test_the_comparator_sorts_as_the_string_key_did(self):
+        checked = 0
+        for g in chain((g for n in range(7) for g in all_graphs(n)), seeded_sweep_graphs(4)):
+            if g.chordal_cliques is not None:
+                assert _sorted_cliques(g) == string_key_sorted_cliques(g), sorted(g.edges)
+                checked += 1
+        assert checked > 19049  # every labeled chordal graph on 0 to 6 vertices, then the seeded ones
+
+    def test_sorting_the_edgeless_n20000_cliques_builds_no_strings(self):
+        g = graph_from_edges(20000, [])
+        assert len(g.chordal_cliques) == 20000
+        tracemalloc.start()
+        try:
+            cliques = _sorted_cliques(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 1.3 MB; the string key peaked at about 201 MB
+        assert peak < 10 << 20, peak
+        assert cliques == [1 << v for v in range(20000)]
 
     def test_inputs_the_three_state_search_could_not_finish(self):
         rng = random.Random(7)

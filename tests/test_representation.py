@@ -1,8 +1,10 @@
 import json
 import math
 import random
+import re
 import time
 from bisect import bisect_left, bisect_right
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -18,6 +20,7 @@ from conftest import (
     order_from_pairs,
     order_on,
     partial_orders,
+    representation_from_intervals,
     representation_from_jsonable,
     single_nonedge4,
     wholly_before,
@@ -31,7 +34,6 @@ from intorder import (
     normalize_distinguishing,
     order_to_representation,
     recognize,
-    representation_from_intervals,
     representation_to_order,
     verify_representation,
 )
@@ -521,9 +523,62 @@ def recognized_graphs():
     return [(g, recognize(g)) for g in graphs]
 
 
+class TestConstructor:
+    @pytest.mark.parametrize("n,left,right,message", [
+        (1, (0.5,), (1,), "endpoint 0.5 is not an exact rational"),
+        (1, ("a",), (1,), "endpoint 'a' is not an exact rational"),
+        (1, (False,), (1,), "endpoint False is not an exact rational"),
+        (1, (0,), (float("nan"),), "endpoint nan is not an exact rational"),
+        (1, (Decimal(0),), (1,), "endpoint Decimal('0') is not an exact rational"),
+        (2, (0, Fraction(1, 2)), (1, 0.75), "endpoint 0.75 is not an exact rational"),
+        (True, (0,), (1,), "vertex count must be an integer"),
+        (1.0, (0,), (1,), "vertex count must be an integer"),
+        (-1, (), (), "vertex count must be nonnegative"),
+        (1, 5, (1,), "left endpoints must be iterable, got 5"),
+        (1, (0,), None, "right endpoints must be iterable, got None"),
+        (2, (0,), (1,), "endpoint tuples must have one entry per vertex"),
+        (1, (0,), (1, 2), "endpoint tuples must have one entry per vertex"),
+        (2, (0, 3), (1, 2), "interval for vertex 1 is empty: left 3 > right 2"),
+        (1, (Fraction(1, 2),), (0,), "interval for vertex 0 is empty: left 1/2 > right 0"),
+    ])
+    def test_refusals(self, n, left, right, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            ClosedRepresentation(n, left, right)
+
+    def test_endpoints_are_stored_as_given_in_tuples(self):
+        for left, right in [((0, 2, 2), (1, 3, 2)), ((0, Fraction(1, 2), 2), (Fraction(5, 4), 3, 2))]:
+            for build in (tuple, list, iter):
+                rep = ClosedRepresentation(3, build(left), build(right))
+                assert (rep.left, rep.right) == (left, right)
+                assert [type(x) for x in rep.left + rep.right] == [type(x) for x in left + right]
+                assert hash(rep) == hash(ClosedRepresentation(3, left, right))
+
+    def test_random_interval_graph_gives_the_former_fraction_route_in_ints(self):
+        # its grid intervals went through `representation_from_intervals`,
+        # then `normalize_distinguishing`; both gave Fractions
+        for seed in range(200):
+            n = seed % 30 + 1
+            g, rep = random_interval_graph(n, seed)
+            assert all(type(x) is int for x in rep.left + rep.right), seed
+            rng = random.Random(seed)
+            raw = []
+            for _ in range(n):
+                a, b = rng.randrange(2 * n), rng.randrange(2 * n)
+                raw.append((min(a, b), max(a, b)))
+            assert rep == normalize_distinguishing(representation_from_intervals(raw)), seed
+            assert g == induced_graph(rep)
+
+    def test_library_routes_give_int_endpoints(self):
+        for g, rep in recognized_graphs():
+            copy = representation_from_intervals(list(zip(rep.left, rep.right)))
+            for out in (normalize_distinguishing(copy), order_to_representation(representation_to_order(copy))):
+                assert all(type(x) is int for x in out.left + out.right), sorted(g.edges)
+
+
 class TestIntAndFractionEndpoints:
-    # `recognize` gives int endpoints, the other constructors Fractions; the
-    # two must be indistinguishable by value, hash and output
+    # every library route gives int endpoints; only `build_gadget` and
+    # explicit callers, such as `representation_from_intervals` here, make
+    # Fractions, and the two must be indistinguishable by value, hash and output
 
     def test_recognized_ints_equal_their_fraction_copies(self):
         for g, rep in recognized_graphs():
