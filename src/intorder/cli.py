@@ -9,12 +9,14 @@ text derived from the same data.
 Output is byte-identical across runs for identical inputs and seeds, except
 for the per-check `seconds` that `selftest --json` reports. The `gadget`,
 `orders` and `selftest` commands import `gadgets` and `oracle` when they
-run, so no other command's process loads them.
+run, so no other command's process loads them. A graph command's plain
+argv (`_plain_graph_args`) is read without `argparse`; help, usage
+errors and the other commands import it and build the parser. Every
+command imports `orderability`, `recognize` included.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import io
 import json
@@ -22,6 +24,7 @@ import os
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
 from .errors import InputError, InternalInconsistencyError, NotIntervalGraphError
 from .graphs import (
@@ -57,7 +60,21 @@ DEFAULT_SEED = 20260810
 _JSON = json.JSONEncoder(check_circular=False)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the commands that read one graph, with their help, and the input formats they take
+_GRAPH_COMMANDS = {
+    "recognize": "interval graph or obstruction certificate",
+    "decide": "unique orderability with certificates",
+    "buried": "search for a buried subgraph certificate",
+    "wq": "pair graph on non-adjacent pairs and its components",
+}
+_FORMATS = ("json", "edgelist")
+
+
+def build_parser():
+    """The `argparse.ArgumentParser` of every command; only help, usage
+    errors and the commands other than `_GRAPH_COMMANDS` need it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="intorder",
         description="Recognize interval graphs and decide unique orderability, "
@@ -68,21 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_input_options(p):
         p.add_argument("input", nargs="?", default="-",
                        help="input path, or '-' for stdin (default)")
-        p.add_argument("--format", choices=("json", "edgelist"), default="json",
+        p.add_argument("--format", choices=_FORMATS, default="json",
                        help="input format (default: json)")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
-    p = sub.add_parser("recognize", help="interval graph or obstruction certificate")
-    add_input_options(p)
-
-    p = sub.add_parser("decide", help="unique orderability with certificates")
-    add_input_options(p)
-
-    p = sub.add_parser("buried", help="search for a buried subgraph certificate")
-    add_input_options(p)
-
-    p = sub.add_parser("wq", help="pair graph on non-adjacent pairs and its components")
-    add_input_options(p)
+    for command, help_text in _GRAPH_COMMANDS.items():
+        add_input_options(sub.add_parser(command, help=help_text))
 
     p = sub.add_parser("orders", help="enumerate associated orders by brute force")
     add_input_options(p)
@@ -106,9 +114,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     """The parser, built on first use; parsing leaves it unchanged."""
     return build_parser()
+
+
+def _plain_graph_args(argv) -> SimpleNamespace | None:
+    """What `_parser().parse_args(argv)` returns for the plain argv of a
+    graph command: the command, then any of `--json`, `--format F` and
+    `--format=F`, and at most one path that is `-` or does not start with
+    `-`. Any other argv gives None and goes to argparse, which writes every
+    help, usage and error text."""
+    if not (argv and all(isinstance(token, str) for token in argv) and argv[0] in _GRAPH_COMMANDS):
+        return None
+    args = SimpleNamespace(command=argv[0], input="-", format="json", json=False)
+    seen_path = False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--json":
+            args.json = True
+        elif token == "--format" or token.startswith("--format="):
+            value = next(tokens, None) if token == "--format" else token[len("--format="):]
+            if value not in _FORMATS:
+                return None
+            args.format = value
+        elif not seen_path and (token == "-" or not token.startswith("-")):
+            args.input = token
+            seen_path = True
+        else:
+            return None
+    return args
 
 
 def _load_graph(args, stdin_text: str | None) -> Graph:
@@ -478,7 +513,9 @@ _COMMANDS = {"recognize": _cmd_recognize, "decide": _cmd_decide, "buried": _cmd_
 
 
 def _dispatch(argv, stdin_text: str | None) -> int:
-    args = _parser().parse_args(argv)  # its required subcommand is a key of _COMMANDS
+    args = _plain_graph_args(argv)
+    if args is None:
+        args = _parser().parse_args(argv)  # its required subcommand is a key of _COMMANDS
     if args.command in ("gadget", "selftest"):  # the two that read no graph
         return _COMMANDS[args.command](args)
     g = _load_graph(args, stdin_text)

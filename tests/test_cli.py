@@ -1,7 +1,11 @@
+import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -272,9 +276,130 @@ class TestExitCodes:
         assert (code, err) == (141, b"")
 
     def test_parser_is_built_once(self, monkeypatch):
-        run(["recognize", "--json"], C4_JSON)
+        argv = ["recognize", "--js"]  # an abbreviation, which only argparse reads
+        assert cli._plain_graph_args(argv) is None
+        assert run(argv, C4_JSON)[0] == 1
         monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
-        assert run(["recognize", "--json"], C4_JSON)[0] == 1
+        assert run(argv, C4_JSON)[0] == 1
+
+
+TOP_USAGE = "usage: intorder [-h] {recognize,decide,buried,wq,orders,gadget,selftest} ...\n"
+DECIDE_USAGE = "usage: intorder decide [-h] [--format {json,edgelist}] [--json] [input]\n"
+TOP_HELP = (
+    TOP_USAGE
+    + "\n"
+    "Recognize interval graphs and decide unique orderability, emitting machine-\n"
+    "checkable certificates.\n"
+    "\n"
+    "positional arguments:\n"
+    "  {recognize,decide,buried,wq,orders,gadget,selftest}\n"
+    "    recognize           interval graph or obstruction certificate\n"
+    "    decide              unique orderability with certificates\n"
+    "    buried              search for a buried subgraph certificate\n"
+    "    wq                  pair graph on non-adjacent pairs and its components\n"
+    "    orders              enumerate associated orders by brute force\n"
+    "    gadget              build the staged test-family graph\n"
+    "    selftest            run the built-in check corpus\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+)
+DECIDE_HELP = (
+    DECIDE_USAGE
+    + "\n"
+    "positional arguments:\n"
+    "  input                 input path, or '-' for stdin (default)\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+    "  --format {json,edgelist}\n"
+    "                        input format (default: json)\n"
+    "  --json                emit JSON instead of text\n"
+)
+# (argv, exit code, stdout, stderr) with COLUMNS=80 and SINGLE_NONEDGE_JSON on stdin
+ARGPARSE_OUTPUT = [
+    ([], 2, "", TOP_USAGE + "intorder: error: the following arguments are required: command\n"),
+    (["bogus"], 2, "", TOP_USAGE + "intorder: error: argument command: invalid choice: 'bogus' "
+     "(choose from 'recognize', 'decide', 'buried', 'wq', 'orders', 'gadget', 'selftest')\n"),
+    (["--help"], 0, TOP_HELP, ""),
+    (["decide", "-h"], 0, DECIDE_HELP, ""),
+    (["decide", "--jsn"], 2, "", TOP_USAGE + "intorder: error: unrecognized arguments: --jsn\n"),
+    (["decide", "--js"], 0, '{"unique": true, "order": [["a", "c"]], "wq_components": 2}\n', ""),
+    (["decide", "a", "b"], 2, "", TOP_USAGE + "intorder: error: unrecognized arguments: b\n"),
+    (["decide", "--format", "xml"], 2, "", DECIDE_USAGE + "intorder decide: error: argument --format: "
+     "invalid choice: 'xml' (choose from 'json', 'edgelist')\n"),
+    (["decide", "--format"], 2, "", DECIDE_USAGE
+     + "intorder decide: error: argument --format: expected one argument\n"),
+]
+# the tokens the scanner is compared with argparse on, up to three after each graph command
+ARGV_TOKENS = ["--json", "--format", "json", "edgelist", "x.json", "-", "--format=json",
+               "--format=edgelist", "--format=bad", "--js", "-h", "--", "-1", "", "bad", "--enumerate"]
+
+
+def choices_unquoted(text: str) -> str:
+    """`text` without the quotes around the names in "(choose from ...)":
+    newer Pythons print an invalid choice's alternatives through `str`."""
+    return re.sub(r"\(choose from [^)]*\)", lambda m: m.group(0).replace("'", ""), text)
+
+
+class TestArguments:
+    """The graph commands' plain argv is read without argparse; argparse
+    reads everything else and writes every help, usage and error text."""
+
+    @pytest.mark.parametrize("argv,code,out,err", ARGPARSE_OUTPUT)
+    def test_argparse_output(self, monkeypatch, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        got_code, got_out, got_err = run(argv, SINGLE_NONEDGE_JSON)
+        assert (got_code, got_out, choices_unquoted(got_err)) == (code, out, choices_unquoted(err))
+
+    def test_scanner_returns_what_argparse_returns_or_none(self):
+        parser = cli.build_parser()
+        accepted = 0
+        for command in cli._GRAPH_COMMANDS:
+            for size in range(4):
+                for tail in itertools.product(ARGV_TOKENS, repeat=size):
+                    argv = [command, *tail]
+                    sink = io.StringIO()
+                    with redirect_stdout(sink), redirect_stderr(sink):
+                        try:
+                            expected = vars(parser.parse_args(argv))
+                        except SystemExit:
+                            expected = None
+                    got = cli._plain_graph_args(argv)
+                    if got is not None:
+                        assert vars(got) == expected, argv
+                        accepted += 1
+        assert accepted == 1128
+
+    @pytest.mark.parametrize("argv", [
+        [], ["orders"], ["gadget", "--f", "1"], ["selftest"], ["--json", "decide"], ["decide", "--"],
+        ["decide", 1], ["decide", b"--json"], ["decide", "--json", None], [b"decide"],
+    ])
+    def test_other_argv_goes_to_argparse(self, argv):
+        assert cli._plain_graph_args(argv) is None
+
+    def test_plain_argv_gives_the_output_argparse_gives_without_the_parser(self, monkeypatch, tmp_path):
+        path = tmp_path / "star3.txt"
+        path.write_text("4\n0 1\n0 2\n0 3\n", encoding="utf-8")
+        cases = [
+            ([command, *tail], text)
+            for command in cli._GRAPH_COMMANDS
+            for tail, text in [
+                ([], STAR3_JSON),
+                (["--json"], SINGLE_NONEDGE_JSON),
+                (["-", "--json"], SINGLE_NONEDGE_JSON),
+                (["--format", "json", "--json", "-"], STAR3_JSON),
+                (["--format=edgelist", str(path)], None),
+                ([str(path), "--format", "edgelist", "--json", "--json"], None),
+                (["--format=json", "--format=edgelist"], "4\n0 1\n1 2\n2 3\n"),
+            ]
+        ]
+        monkeypatch.setattr(cli, "_plain_graph_args", lambda argv: None)
+        through_argparse = [run(argv, text) for argv, text in cases]
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "_parser", lambda: pytest.fail("parser used"))
+        assert [run(argv, text) for argv, text in cases] == through_argparse
+        assert all(code in (0, 1) and out for code, out, _ in through_argparse)
 
 
 class TestDeterminism:

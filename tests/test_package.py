@@ -4,7 +4,8 @@
 `python -m intorder` loads only the modules its command runs: not
 `dataclasses` (with the `inspect` it pulls in), nor `fractions` and
 `decimal`, which only the gadget's endpoints need, nor the test-family and
-oracle modules, which only `gadget`, `orders` and `selftest` use. Every
+oracle modules, which only `gadget`, `orders` and `selftest` use, nor
+`argparse`, which a graph command's plain argument list does not need. Every
 annotation in the package resolves, and every public definition is used
 by another part of the package or by the benchmark's tracer.
 """
@@ -43,7 +44,8 @@ EXPORTS = {
 }
 NAMES = {name for names in EXPORTS.values() for name in names}
 STAR = '{"n": 4, "edges": [[0, 1], [0, 2], [0, 3]]}'
-NEVER_IMPORTED = {"dataclasses", "decimal", "fractions", "inspect", "intorder.gadgets", "intorder.oracle"}
+NEVER_IMPORTED = {"argparse", "dataclasses", "decimal", "fractions", "inspect", "intorder.gadgets",
+                  "intorder.oracle"}
 SRC = Path(intorder.__file__).resolve().parent
 MODULES = sorted(path.stem for path in SRC.glob("*.py") if not path.stem.startswith("_"))
 # public definitions that nothing else in src/ refers to, kept for a reason
@@ -106,6 +108,12 @@ def test_module_entry_point_imports_only_what_the_command_runs(command):
     after_site = names[names.index("site") + 1:] if "site" in names else names
     assert {"intorder.cli", "intorder.graphs", "intorder.orderability"} <= set(after_site)
     assert not NEVER_IMPORTED & set(after_site)
+
+
+def test_module_entry_point_still_prints_argparse_help():
+    proc = python("-m", "intorder", "decide", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: intorder decide ")
 
 
 def test_the_console_script_target_imports_and_is_callable():
