@@ -29,6 +29,7 @@ from types import SimpleNamespace
 from .errors import InputError, InternalInconsistencyError, NotIntervalGraphError
 from .graphs import (
     Graph,
+    _is_plain_decimal,
     components,
     graph_from_edges,
     is_associated,
@@ -313,9 +314,8 @@ def _cmd_orders(g: Graph, args) -> int:
 def _cmd_gadget(args) -> int:
     from .gadgets import GadgetSpec, build_gadget, gadget_to_jsonable
 
-    # the edge-list token rule: int() would also take '1_0', '+2' and other scripts' digits
     tokens = [x.strip(" ") for x in args.f.split(",")]
-    if not all(t.isascii() and t.removeprefix("-").isdecimal() for t in tokens if t):
+    if not all(_is_plain_decimal(t) for t in tokens if t):
         raise InputError(f"--f must be comma-separated integers, got {args.f!r}")
     values = tuple(int(t) for t in tokens if t)
     stages = args.stages if args.stages is not None else len(values)
@@ -522,9 +522,8 @@ def _dispatch(argv, stdin_text: str | None) -> int:
     try:
         return _COMMANDS[args.command](g, args)
     except NotIntervalGraphError as exc:  # its obstruction names vertices as certificates do
-        obs = exc.obstruction
-        detail = "" if obs is None else " " + json.dumps(obstruction_to_jsonable(obs, g.label_of))
-        print(f"input error: {exc}{detail}", file=sys.stderr)
+        obstruction = json.dumps(obstruction_to_jsonable(exc.obstruction, g.label_of))
+        print(f"input error: {exc} {obstruction}", file=sys.stderr)
         return 2
 
 

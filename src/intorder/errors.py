@@ -12,6 +12,6 @@ class InternalInconsistencyError(RuntimeError):
 class NotIntervalGraphError(InputError):
     """An interval graph was required; carries the obstruction certificate."""
 
-    def __init__(self, message, obstruction=None):
+    def __init__(self, message, obstruction):
         super().__init__(message)
         self.obstruction = obstruction

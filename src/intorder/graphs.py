@@ -8,12 +8,13 @@ cosmetic (they survive into certificates) and never affect any algorithm.
 A graph is its neighbourhood bitsets, as an order is its successor
 bitsets: `Graph(n, masks)` and `StrictPartialOrder(n, succ)` each check
 their rows, every algorithm reads them, and the edge set `edges` and the
-pair set `rel` are derived on first read. Both input formats fill a
-graph's rows in one validation loop, `graph_from_jsonable`'s, and hand
-them, as `graph_from_edges` and `induced_graph` do, to the unchecked
-`Graph._from_rows`. Validation accepts an interval order, as every order
-of an interval graph is, by its nested up-sets in one step per vertex,
-and walks every pair only of other relations.
+pair set `rel` are derived on first read. One loop, `_fill_rows`, reads the
+edge lists of both input formats and of `graph_from_edges`, each entry two
+ints, never bools, into rows that go, as `induced_graph`'s do, to the
+unchecked `Graph._from_rows`; labels are strings or None (JSON null).
+Validation accepts an interval order, as every order of an interval graph
+is, by its nested up-sets in one step per vertex, and walks every pair only
+of other relations.
 
 Paths are plain sequences of vertices in which consecutive vertices are
 distinct and adjacent; a single vertex is a valid path of length zero.
@@ -89,10 +90,10 @@ class Graph(Record):
     self excluded, so bit w of `masks[v]` is set iff w is in N(v); read
     vertices back with `bit_indices`. `Graph(n, masks, labels)` checks the
     rows, as `StrictPartialOrder(n, succ)` checks an order's. The parsers
-    and `graph_from_edges` check each edge as they fill their rows, and
-    they and `induced_graph`, whose rows are symmetric by construction,
-    hand them to the unchecked `Graph._from_rows`. The edge set `edges`
-    is derived on first read.
+    and `graph_from_edges` check each edge as `_fill_rows` fills their
+    rows, and they and `induced_graph`, whose rows are symmetric by
+    construction, hand them to the unchecked `Graph._from_rows`. The edge
+    set `edges` is derived on first read.
     """
 
     n: int
@@ -104,11 +105,7 @@ class Graph(Record):
         rows = vars(self)["masks"] = _tupled(self.masks, "rows")
         if len(rows) != n:
             raise InputError(f"a graph on {n} vertices takes {n} rows, got {len(rows)}")
-        for v, row in enumerate(rows):  # before any bit is read: a negative row has endless bits
-            if not _is_index(row):
-                raise InputError(f"row {row!r} of vertex {v} is not an integer")
-            if not 0 <= row < 1 << n:
-                raise InputError(f"row {row} of vertex {v} is out of range for n={n}")
+        _check_rows(n, rows, "row")  # before any bit is read: a negative row has endless bits
         # symmetric rows without self-loops: each is its upper bits and, below them, its column's
         below = [0] * n  # below[v]: the u < v with v in row u, the transposed upper bits
         for u, row in enumerate(rows):
@@ -166,15 +163,11 @@ class Graph(Record):
         chordal, else None: one `_chordal_sweep`, run once per graph."""
         return _chordal_sweep(self.masks)
 
-    def _vertex(self, v: int) -> int:
-        """`v`, or an InputError when it is not a vertex of the graph."""
-        return _vertex_below(self.n, v)
-
     def adjacent(self, u: int, v: int) -> bool:
         """Reflexive adjacency: true when u == v or {u, v} is an edge."""
         if not (type(u) is int and type(v) is int and 0 <= u < self.n and 0 <= v < self.n):
-            self._vertex(u)  # one of the two raises
-            self._vertex(v)
+            _vertex_below(self.n, u)  # one of the two raises
+            _vertex_below(self.n, v)
         return u == v or self.masks[u] >> v & 1 == 1
 
     def is_complete(self) -> bool:
@@ -183,7 +176,7 @@ class Graph(Record):
     def label_of(self, v: int) -> str | int:
         """The label of vertex v, or v itself when it has none."""
         if not (type(v) is int and 0 <= v < self.n):
-            v = self._vertex(v)  # raises unless an int subclass in range
+            v = _vertex_below(self.n, v)  # raises unless an int subclass in range
         label = None if self.labels is None else self.labels[v]
         return v if label is None else label
 
@@ -286,16 +279,33 @@ def graph_from_edges(
 
     Self-loops are rejected: reflexivity is implicit and never stored.
     """
-    rows = [0] * _vertex_count(n)
-    for pair in _tupled(edge_list, "edges"):
-        try:
-            u, v = pair
-        except (TypeError, ValueError):
-            raise InputError(f"malformed edge entry: {pair!r}") from None
-        _check_endpoints(n, u, v)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
+    rows, first_bad = _fill_rows(_vertex_count(n), _tupled(edge_list, "edges"))
+    if first_bad is not None:
+        _check_endpoints(n, *first_bad)
     return Graph._from_rows(rows, labels)
+
+
+def _fill_rows(n: int, entries: Iterable) -> tuple[list[int], VertexPair | None]:
+    """The rows of the edges among `entries` between two distinct vertices
+    of 0..n-1 (none when n < 0), and the first other entry, which the caller
+    reports by `_check_endpoints`. An entry unpacks into two ints, never
+    bools; any other entry is an InputError at once."""
+    rows = [0] * n
+    first_bad = None
+    for item in entries:
+        try:
+            u, v = item
+        except (TypeError, ValueError):
+            raise InputError(f"malformed edge entry: {item!r}") from None
+        # exact ints skip the calls to `_is_index`
+        if not (type(u) is int and type(v) is int or _is_index(u) and _is_index(v)):
+            raise InputError(f"malformed edge entry: {item!r}")
+        if 0 <= u < n and 0 <= v < n and u != v:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        elif first_bad is None:
+            first_bad = (u, v)
+    return rows, first_bad
 
 
 def _vertex_count(n) -> int:
@@ -323,23 +333,31 @@ def _is_index(x) -> bool:
     return type(x) is int or isinstance(x, int) and not isinstance(x, bool)
 
 
-def _index(x) -> int:
-    """`x`, or an InputError when it breaks the rule of `_is_index`."""
-    if not (type(x) is int or _is_index(x)):
-        raise InputError(f"vertex {x!r} is not an integer")
-    return x
+def _is_plain_decimal(token: str) -> bool:
+    """The integer token rule of the text inputs: ASCII digits, optional
+    leading '-'. int() would also take '1_0', '+1' and other scripts' digits."""
+    return token.isascii() and token.removeprefix("-").isdecimal()
 
 
 def _vertex_below(n: int, v) -> int:
-    """`v`, or an InputError when it is not a vertex of 0..n-1."""
-    if not 0 <= _index(v) < n:
+    """`v`, or an InputError unless it is an int, never a bool, in 0..n-1."""
+    if not _is_index(v):
+        raise InputError(f"vertex {v!r} is not an integer")
+    if not 0 <= v < n:
         raise InputError(f"vertex {v} out of range for n={n}")
     return v
 
 
+def _check_rows(n: int, rows: tuple, word: str) -> None:
+    """An InputError unless each row is an int bitset of 0..n-1, called `word`."""
+    for v, row in enumerate(rows):
+        if not _is_index(row):
+            raise InputError(f"{word} {row!r} of vertex {v} is not an integer")
+        if not 0 <= row < 1 << n:
+            raise InputError(f"{word} {row} of vertex {v} is out of range for n={n}")
+
+
 def _check_endpoints(n: int, u: int, v: int) -> None:
-    if not (_is_index(u) and _is_index(v)):
-        raise InputError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
     if not (0 <= u < n and 0 <= v < n):
         raise InputError(f"edge endpoint out of range for n={n}: ({u}, {v})")
     if u == v:
@@ -375,7 +393,7 @@ def validate_path(g: Graph, path: Sequence[int]) -> list[int]:
     if not p:
         raise InputError("a path must contain at least one vertex")
     for v in p:
-        g._vertex(v)
+        _vertex_below(g.n, v)
     for a, b in zip(p, p[1:]):
         if a == b or not g.masks[a] >> b & 1:
             raise InputError(f"consecutive path vertices {a}, {b} are not adjacent")
@@ -409,11 +427,7 @@ class StrictPartialOrder(Record):
         # the nested up-sets lie inside 0..n-1, so only rows they refuse are range-checked
         pred = _nested_pred(succ) if set(map(type, succ)) <= {int} else None
         if pred is None:  # not an interval order, or not an order at all
-            for u, row in enumerate(succ):
-                if not _is_index(row):
-                    raise InputError(f"successor row {row!r} of vertex {u} is not an integer")
-                if not 0 <= row < 1 << n:
-                    raise InputError(f"successor row {row} of vertex {u} is out of range for n={n}")
+            _check_rows(n, succ, "successor row")
             pred = [0] * n
             unclosed = None  # the least row u reaching, in two steps, past succ[u]
             for u, above in enumerate(succ):
@@ -509,27 +523,13 @@ def graph_from_jsonable(obj) -> Graph:
         raw_edges = obj["edges"]
     except KeyError as missing:
         raise InputError(f"graph JSON missing key {missing}") from None
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_index(n):
         raise InputError("graph JSON field 'n' must be an integer")
     if not isinstance(raw_edges, list):
         raise InputError("graph JSON field 'edges' must be a list of pairs")
-    # one pass over the entries, ORing each good one into the rows; a bad
-    # shape anywhere is reported before the labels, the first bad endpoint
-    # after them
-    rows = [0] * _vertex_count(n) if n >= 0 else []  # a negative count is reported later
-    first_bad = None
-    for item in raw_edges:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise InputError(f"malformed edge entry: {item!r}")
-        u, v = item
-        # exact ints skip the calls to `_is_index`
-        if not (type(u) is int and type(v) is int or _is_index(u) and _is_index(v)):
-            raise InputError(f"malformed edge entry: {item!r}")
-        if 0 <= u < n and 0 <= v < n and u != v:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        elif first_bad is None:
-            first_bad = (u, v)
+    # reported in turn: a malformed entry anywhere, a negative count, a bad
+    # label key, the first bad endpoint, and (by `Graph`) a bad label value
+    rows, first_bad = _fill_rows(_vertex_count(n) if n >= 0 else n, raw_edges)
     if n < 0:
         raise InputError("vertex count must be nonnegative")
     labels = None
@@ -537,7 +537,7 @@ def graph_from_jsonable(obj) -> Graph:
         raw = obj["labels"]
         if not isinstance(raw, dict):
             raise InputError("graph JSON field 'labels' must be an object")
-        filled: list[str | None] = [None] * n
+        filled: list = [None] * n
         for key, val in raw.items():
             try:
                 idx = int(key)
@@ -547,7 +547,7 @@ def graph_from_jsonable(obj) -> Graph:
                 raise InputError(f"label key {key!r} is not a vertex index")
             if not (0 <= idx < n):
                 raise InputError(f"label key {key!r} out of range")
-            filled[idx] = None if val is None else str(val)
+            filled[idx] = val  # `Graph` refuses a value that is neither a string nor None
         labels = tuple(filled)
     if first_bad is not None:
         _check_endpoints(n, *first_bad)
@@ -575,8 +575,7 @@ def parse_edgelist(text: str) -> Graph:
         if not line:
             continue
         fields = [f for f in line.replace("\t", " ").split(" ") if f]
-        # plain ASCII decimals only: int() would also take '1_0', '+1' and other scripts' digits
-        if not all(f.isascii() and f.removeprefix("-").isdecimal() for f in fields):
+        if not all(map(_is_plain_decimal, fields)):
             raise InputError(f"line {lineno}: expected integers, got {line!r}")
         values = [int(f) for f in fields]
         if n is None:

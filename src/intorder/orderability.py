@@ -57,6 +57,7 @@ from .graphs import (
     Graph,
     Record,
     StrictPartialOrder,
+    _vertex_below,
     bit_indices,
     component_masks,
     is_associated,
@@ -291,7 +292,7 @@ def is_buried(g: Graph, vertex_set: Iterable[int]) -> BuriedCheck:
     separators = everyone = (1 << g.n) - 1
     inside = touched = 0
     for b in members:
-        inside |= 1 << g._vertex(b)
+        inside |= 1 << _vertex_below(g.n, b)
         separators &= masks[b] | 1 << b
         touched |= masks[b]
     outside = everyone & ~inside & ~separators

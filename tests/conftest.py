@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from intorder import (ClosedRepresentation, Graph, InputError, PairGraph, StrictPartialOrder,
                       find_two_plus_two, graph_from_edges, validate_path)
-from intorder.graphs import VertexPair, _is_index, _neighbours_of, bit_indices
+from intorder.graphs import VertexPair, _is_index, _neighbours_of, _vertex_below, bit_indices
 
 
 def complete_graph(n: int) -> Graph:
@@ -28,7 +28,7 @@ def complement(g: Graph) -> Graph:
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
     """Subgraph on the given vertices, reindexed densely in sorted order."""
-    kept = sorted(g._vertex(v) for v in set(vertices))
+    kept = sorted(_vertex_below(g.n, v) for v in set(vertices))
     index = {v: i for i, v in enumerate(kept)}
     inside = sum(1 << v for v in kept)
     rows = [sum(1 << index[w] for w in bit_indices(g.masks[v] & inside)) for v in kept]
@@ -42,11 +42,11 @@ def universal_vertices(g: Graph) -> set[int]:
 
 
 def neighbors(g: Graph, v: int) -> frozenset[int]:
-    return frozenset(bit_indices(g.masks[g._vertex(v)]))
+    return frozenset(bit_indices(g.masks[_vertex_below(g.n, v)]))
 
 
 def closed_neighborhood(g: Graph, v: int) -> frozenset[int]:
-    return frozenset(bit_indices(g.masks[g._vertex(v)] | 1 << v))
+    return frozenset(bit_indices(g.masks[_vertex_below(g.n, v)] | 1 << v))
 
 
 def is_minimal_path(g: Graph, path) -> bool:

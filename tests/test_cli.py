@@ -220,6 +220,15 @@ class TestInputHandling:
             assert (code, out) == (2, ""), command
             assert err == "input error: label '1' of vertex 0 reads as unlabelled vertex 1\n"
 
+    @pytest.mark.parametrize("value,shown", [
+        (5, "5"), (True, "True"), (1.5, "1.5"), ([1, 2], "[1, 2]"), ({"a": 1}, "{'a': 1}"),
+    ])
+    def test_label_that_is_not_a_string_is_an_input_error(self, value, shown):
+        # a JSON label value is a string or null, never another value's text
+        text = json.dumps({"n": 3, "edges": [[0, 1], [1, 2]], "labels": {"0": value}})
+        code, out, err = run(["decide", "--json"], text)
+        assert (code, out, err) == (2, "", f"input error: label {shown} of vertex 0 is not a string\n")
+
     def test_negative_count_with_labels(self):
         text = json.dumps({"n": -1, "edges": [], "labels": {"0": "a"}})
         code, out, err = run(["decide", "--json"], text)

@@ -189,10 +189,13 @@ def three_pass_graph_from_jsonable(obj):
         raise InputError("graph JSON field 'edges' must be a list of pairs")
     edges = []
     for item in raw_edges:
-        if not (isinstance(item, list) and len(item) == 2
-                and all(isinstance(x, int) and not isinstance(x, bool) for x in item)):
+        try:
+            pair = tuple(item)  # any iterable of two ints is an edge
+        except TypeError:
+            pair = ()
+        if not (len(pair) == 2 and all(isinstance(x, int) and not isinstance(x, bool) for x in pair)):
             raise InputError(f"malformed edge entry: {item!r}")
-        edges.append((item[0], item[1]))
+        edges.append(pair)
     labels = None
     if "labels" in obj:
         raw = obj["labels"]
@@ -205,7 +208,7 @@ def three_pass_graph_from_jsonable(obj):
             idx = int(key)
             if not (0 <= idx < n):
                 raise InputError(f"label key {key!r} out of range")
-            labels[idx] = None if val is None else str(val)
+            labels[idx] = val
     return graph_from_edges(n, edges, labels)
 
 
@@ -315,6 +318,38 @@ class TestGraphConstruction:
             graph_from_edges(3, [(0, 1), entry])
         with pytest.raises(InputError, match=f"^malformed edge entry: {re.escape(repr(entry))}$"):
             graph_from_jsonable({"n": 3, "edges": [[0, 1], entry]})
+
+    @pytest.mark.parametrize("entry,message", [
+        ((0, 1, 2), "malformed edge entry: {}"),
+        ((0,), "malformed edge entry: {}"),
+        (5, "malformed edge entry: {}"),
+        (None, "malformed edge entry: {}"),
+        ("ab", "malformed edge entry: {}"),
+        ((0, "a"), "malformed edge entry: {}"),
+        ((True, 1), "malformed edge entry: {}"),
+        ((0, 1.0), "malformed edge entry: {}"),
+        ((0, 5), "edge endpoint out of range for n=3: (0, 5)"),
+        ((1, 1), "explicit self-loop (1, 1) rejected; adjacency is reflexive implicitly"),
+    ])
+    def test_edge_lists_and_graph_json_read_entries_by_one_rule(self, entry, message):
+        # each route names the entry as it was given, and a JSON entry is a list
+        given = list(entry) if isinstance(entry, tuple) else entry
+        for build, shown in ((lambda: graph_from_edges(3, [(0, 1), entry]), entry),
+                             (lambda: graph_from_jsonable({"n": 3, "edges": [[0, 1], given]}), given)):
+            with pytest.raises(InputError) as info:
+                build()
+            assert str(info.value) == message.format(repr(shown))
+
+    def test_a_malformed_entry_is_reported_before_an_earlier_bad_endpoint(self):
+        with pytest.raises(InputError, match=r"^malformed edge entry: \(0, 'a'\)$"):
+            graph_from_edges(3, [(0, 5), (0, "a")])
+        with pytest.raises(InputError, match=r"^malformed edge entry: \[0, 'a'\]$"):
+            graph_from_jsonable({"n": 3, "edges": [[0, 5], [0, "a"]]})
+
+    def test_graph_json_takes_any_entry_that_unpacks_into_two_ints(self):
+        want = graph_from_edges(3, [(0, 1), (1, 2)])
+        assert graph_from_jsonable({"n": 3, "edges": [(0, 1), [2, 1]]}) == want
+        assert graph_from_jsonable({"n": 3, "edges": [(0, 1), iter((1, 2))]}) == want
 
     @pytest.mark.parametrize("n,message", [
         (2.5, "vertex count must be an integer"),
@@ -576,9 +611,11 @@ class TestRowsAndEdges:
 
     @pytest.mark.parametrize("bad", [True, False, 1.0, 0.0, "1", None])
     def test_non_integer_vertices_rejected(self, bad):
+        # an edge list's entries follow the input formats' rule
+        for entry in ((0, bad), (bad, 2)):
+            with pytest.raises(InputError, match=f"^malformed edge entry: {re.escape(repr(entry))}$"):
+                graph_from_edges(3, [entry])
         for build in (
-            lambda: graph_from_edges(3, [(0, bad)]),
-            lambda: graph_from_edges(3, [(bad, 2)]),
             lambda: Graph(3, (0, 0, bad)),
             lambda: order_from_pairs(3, [(bad, 2)]),
         ):
@@ -1152,7 +1189,7 @@ class TestSubgraphsAndSerialization:
             ({"n": True, "edges": []}, "graph JSON field 'n' must be an integer"),
             ({"n": 3, "edges": {}}, "graph JSON field 'edges' must be a list of pairs"),
             ({"n": 3, "edges": [[0]]}, "malformed edge entry: [0]"),
-            ({"n": 3, "edges": [(0, 1)]}, "malformed edge entry: (0, 1)"),
+            ({"n": 3, "edges": [(0, 1, 2)]}, "malformed edge entry: (0, 1, 2)"),
             ({"n": 3, "edges": [[0, True]]}, "malformed edge entry: [0, True]"),
             ({"n": 3, "edges": [[0, 1.0]]}, "malformed edge entry: [0, 1.0]"),
             ({"n": 3, "edges": [[0, 5], "x"]}, "malformed edge entry: 'x'"),
